@@ -3,8 +3,8 @@
 A profile tabulates everything the arrival-time statistics need on one time
 grid: the detection intensity ``omega``, its integral ``Omega`` (cumulative
 trapezoid, with a cusp-aware model for the first cell in beam mode), the
-momentum derivative ``domega`` (analytic for the beam, central finite
-differences over re-solves otherwise), and the running integrals
+momentum derivative ``domega`` (analytic for the beam, an exact second
+solve on the differentiated drive otherwise), and the running integrals
 ``dOmega = int domega`` and ``dOmega_tilde = int domega^2/omega``.
 
 Between nodes ``Omega`` is the quadratic cell model consistent with the
@@ -63,7 +63,6 @@ class IntensityProfile:
     dOmega_tilde: np.ndarray = field(repr=False)
     Omega_inf: float
     dOmega_inf: float
-    fd_step: float
     beam_tail: dk.BeamAsymptotes | None = None
     finite_tail: FiniteTail | None = None
     has_derivative: bool = True
@@ -192,6 +191,8 @@ def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         sq = np.where(g > 0.0, gdot * gdot / np.where(g > 0, g, 1.0), 0.0)
     dG_tilde = _cumtrapz(sq, t)
+    for arr in (t, g, gdot, G, dG, dG_tilde):  # shared by every profile with this key
+        arr.setflags(write=False)
     return t, g, gdot, G, dG, dG_tilde, asym
 
 
@@ -216,13 +217,13 @@ def _fit_finite_tail(t, omega, navg, Omega_end, warn: bool = True):
 
 
 def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = None,
-                  fd_step: float = 1e-4, fd_check: bool = False,
                   derivative: bool = True) -> IntensityProfile:
     """Tabulate the intensity profile for a scenario (all three modes).
 
-    ``derivative=False`` skips the momentum-derivative arrays (and the
-    finite-difference re-solves they cost); such profiles serve density and
-    sampling work but cannot feed the information quadrature.
+    Finite modes get the exact momentum derivative from a second solve on
+    the differentiated drive.  ``derivative=False`` skips it; such profiles
+    serve density and sampling work but cannot feed the information
+    quadrature.
     """
     if scn.beam:
         mode = "beam"
@@ -241,23 +242,22 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
             scn=scn, mode=mode, t=t,
             omega=r0 * g, Omega=r0 * G, domega=r0 * gdot,
             dOmega=r0 * dG, dOmega_tilde=r0 * dG_tilde,
-            Omega_inf=math.inf, dOmega_inf=math.nan,
-            fd_step=fd_step, beam_tail=asym)
+            Omega_inf=math.inf, dOmega_inf=math.nan, beam_tail=asym)
 
     grid = pg.TimeGrid(t_max, dt)
+    kernel = pg.gaussian_kernel_g(scn, grid) if mode == "gaussian" else None
+    pref = scn.navg * scn.gamma if mode == "gaussian" else scn.a * scn.navg
 
-    def omega_of(p0):
-        shifted = scn.at_p0(p0)
+    def amplitude(dp0=False):
         if mode == "gaussian":
-            h = pg.solve_volterra(pg.gaussian_overlap_h0(shifted, grid),
-                                  gaussian_kernel, shifted.gamma)
-            return shifted.navg * shifted.gamma * np.abs(h.values) ** 2
-        dp_obj = dk.DeltaParams(shifted.a, shifted.m)
-        f = pg.solve_renewal(pg.gaussian_free_at_origin(shifted, grid), dp_obj.d)
-        return shifted.a * shifted.navg * np.abs(f.values) ** 2
+            h0 = pg.gaussian_overlap_h0(scn, grid, dp0)
+            return pg.solve_volterra(h0, kernel, scn.gamma).values
+        free = pg.gaussian_free_at_origin(scn, grid, dp0)
+        return pg.solve_renewal(free, dk.DeltaParams(scn.a, scn.m).d).values
 
-    gaussian_kernel = pg.gaussian_kernel_g(scn, grid) if mode == "gaussian" else None
-    omega = omega_of(scn.p0)
+    amp = amplitude()
+    damp = amplitude(dp0=True) if derivative else None
+    omega = pref * np.abs(amp) ** 2
     t = grid.times
     Omega = _cumtrapz(omega, t)
     if Omega[-1] > scn.navg * (1.0 + 1e-9):
@@ -272,29 +272,19 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
             scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=zeros,
             dOmega=zeros, dOmega_tilde=zeros,
             Omega_inf=Omega_inf, dOmega_inf=math.nan,
-            fd_step=fd_step, finite_tail=tail, has_derivative=False)
+            finite_tail=tail, has_derivative=False)
 
-    om_plus = omega_of(scn.p0 + fd_step)
-    om_minus = omega_of(scn.p0 - fd_step)
-    domega = (om_plus - om_minus) / (2.0 * fd_step)
-    if fd_check:
-        i = int(np.argmax(omega))
-        d2 = (omega_of(scn.p0 + 0.5 * fd_step)[i] - omega_of(scn.p0 - 0.5 * fd_step)[i]) / fd_step
-        if abs(d2 - domega[i]) > 1e-3 * max(abs(domega[i]), 1e-30):
-            warnings.warn(f"p0 finite-difference step {fd_step:g} looks unstable at the peak")
-
-    def omega_inf_of(om):
-        om_end = _cumtrapz(om, t)[-1]
-        tl = _fit_finite_tail(t, om, scn.navg, om_end, warn=False)
-        return min(om_end + tl.mass, scn.navg)
-
-    dOmega_inf = (omega_inf_of(om_plus) - omega_inf_of(om_minus)) / (2.0 * fd_step)
+    domega = 2.0 * pref * np.real(np.conj(amp) * damp)
     dOmega = _cumtrapz(domega, t)
+    # tail mass omega_m t_m / (slope - 1), differentiated at fixed slope;
+    # zero where the mass clip or the navg cap sets Omega_inf
+    unclipped = tail.mass == tail.omega_m * tail.t_m / (tail.slope - 1.0)
+    dOmega_inf = (dOmega[-1] + domega[-1] * tail.t_m / (tail.slope - 1.0)
+                  if unclipped and Omega_inf < scn.navg else 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         sq = np.where(omega > 0.0, domega * domega / np.where(omega > 0, omega, 1.0), 0.0)
     dOmega_tilde = _cumtrapz(sq, t)
     return IntensityProfile(
         scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=domega,
         dOmega=dOmega, dOmega_tilde=dOmega_tilde,
-        Omega_inf=Omega_inf, dOmega_inf=dOmega_inf,
-        fd_step=fd_step, finite_tail=tail)
+        Omega_inf=Omega_inf, dOmega_inf=dOmega_inf, finite_tail=tail)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .errors import RangeError
+from .errors import ConfigError, RangeError
 from .intensity import IntensityProfile
 from .quadrature import geometric_edges, integrate_panels, uniform_edges
 from .scenario import StateFamily, family_Fn, family_Hn, log_family_Fn
@@ -203,7 +203,9 @@ def _uniforms(seed: int, stream_index, count: int, draws: int):
     counter space, so records (or batches) can be generated independently
     and reproducibly in parallel.
     """
-    bitgen = np.random.Philox(key=np.uint64(seed) & np.uint64(0xFFFFFFFFFFFFFFFF),
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
+    bitgen = np.random.Philox(key=np.uint64(seed),
                               counter=[0, 0, int(stream_index), 0])
     rng = np.random.Generator(bitgen)
     u = rng.random((draws, count))

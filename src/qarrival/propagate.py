@@ -9,8 +9,11 @@ with a 1/sqrt(t-s) kernel; a plain trapezoid is invalid at the singularity,
 so the weight is integrated exactly over each substep against a piecewise
 linear solution (product integration).
 
-Both recursions are forward in time: the value at a node depends only on
-earlier nodes, so a single O(M^2) sweep solves the whole grid.
+Both discretisations are lower-triangular Toeplitz systems, solved in
+O(M log^2 M) by one divide-and-conquer FFT scheme instead of an O(M^2)
+row-by-row sweep.  The drives are closed-form with an exact d/dp0 and the
+solves are linear, so a momentum derivative is the same solve on the
+differentiated drive.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import GridMismatchError, ModeError
 from .scenario import Scenario
 
 _SQRT_PI = math.sqrt(math.pi)
+_LEAF = 256  # most rows per dense triangular block of the Toeplitz solver
 
 
 @dataclass(frozen=True)
@@ -82,20 +87,31 @@ def _gaussian_params(scn: Scenario):
     return n_det, n_src
 
 
-def gaussian_overlap_h0(scn: Scenario, grid: TimeGrid) -> ComplexSeries:
+def _gaussian_drive(scn: Scenario, grid: TimeGrid, pref: float, a_const: float,
+                    dp0: bool) -> ComplexSeries:
+    """pref sqrt(pi/A) exp(b^2/(4A) + c), A = a_const + i t/(2m), or its d/dp0.
+
+    p0 enters only through b = p0/(2 dp^2) - i x0 and c = -p0^2/(4 dp^2), so
+    the derivative is the value times b/(4 A dp^2) - p0/(2 dp^2).
+    """
+    a_quad = a_const + 0.5j * grid.times / scn.m
+    b_lin = 0.5 * scn.p0 / scn.dp ** 2 - 1j * scn.x0
+    c_off = -0.25 * scn.p0 ** 2 / scn.dp ** 2
+    vals = pref * np.sqrt(np.pi / a_quad) * np.exp(b_lin * b_lin / (4.0 * a_quad) + c_off)
+    if dp0:
+        vals *= b_lin / (4.0 * scn.dp ** 2 * a_quad) - 0.5 * scn.p0 / scn.dp ** 2
+    return ComplexSeries(grid, vals)
+
+
+def gaussian_overlap_h0(scn: Scenario, grid: TimeGrid, dp0: bool = False) -> ComplexSeries:
     """Detector overlap with the freely dispersing source packet.
 
     Complex-Gaussian integral of the detector momentum profile against the
     evolved source wavefunction; validated against direct momentum-space
-    quadrature in the tests.
+    quadrature in the tests.  ``dp0=True`` gives the exact d/dp0 instead.
     """
     n_det, n_src = _gaussian_params(scn)
-    t = grid.times
-    a_quad = scn.eps ** 2 + 0.25 / scn.dp ** 2 + 0.5j * t / scn.m
-    b_lin = 0.5 * scn.p0 / scn.dp ** 2 - 1j * scn.x0
-    c_off = -0.25 * scn.p0 ** 2 / scn.dp ** 2
-    vals = n_det * n_src * np.sqrt(np.pi / a_quad) * np.exp(b_lin * b_lin / (4.0 * a_quad) + c_off)
-    return ComplexSeries(grid, vals)
+    return _gaussian_drive(scn, grid, n_det * n_src, scn.eps ** 2 + 0.25 / scn.dp ** 2, dp0)
 
 
 def gaussian_kernel_g(scn: Scenario, grid: TimeGrid) -> ComplexSeries:
@@ -107,16 +123,13 @@ def gaussian_kernel_g(scn: Scenario, grid: TimeGrid) -> ComplexSeries:
     return ComplexSeries(grid, vals)
 
 
-def gaussian_free_at_origin(scn: Scenario, grid: TimeGrid) -> ComplexSeries:
-    """Freely evolving Gaussian source evaluated at the detector position x=0."""
+def gaussian_free_at_origin(scn: Scenario, grid: TimeGrid, dp0: bool = False) -> ComplexSeries:
+    """Freely evolving Gaussian source evaluated at the detector position x=0.
+
+    ``dp0=True`` gives the exact d/dp0 instead.
+    """
     n_src = (2.0 * math.pi) ** (-0.25) / math.sqrt(scn.dp)
-    t = grid.times
-    a_quad = 0.25 / scn.dp ** 2 + 0.5j * t / scn.m
-    b_lin = 0.5 * scn.p0 / scn.dp ** 2 - 1j * scn.x0
-    c_off = -0.25 * scn.p0 ** 2 / scn.dp ** 2
-    vals = n_src / math.sqrt(2.0 * math.pi) * np.sqrt(np.pi / a_quad) \
-        * np.exp(b_lin * b_lin / (4.0 * a_quad) + c_off)
-    return ComplexSeries(grid, vals)
+    return _gaussian_drive(scn, grid, n_src / math.sqrt(2.0 * math.pi), 0.25 / scn.dp ** 2, dp0)
 
 
 def monochromatic_drive(p: float, m: float, grid: TimeGrid) -> ComplexSeries:
@@ -130,6 +143,63 @@ def monochromatic_drive(p: float, m: float, grid: TimeGrid) -> ComplexSeries:
 # Solvers
 # ---------------------------------------------------------------------------
 
+def _dc_solve(y, lo, hi, stop, tri, spectra, work):
+    """Finish rows lo..hi-1 of y in place; rows >= stop are padding."""
+    if lo >= stop:
+        return
+    n = hi - lo
+    if n == tri.shape[0]:
+        y[lo:hi] = solve_triangular(tri, y[lo:hi], lower=True, check_finite=False)
+        return
+    mid = lo + n // 2
+    _dc_solve(y, lo, mid, stop, tri, spectra, work)
+    # circular convolution of the solved lower half with lags 0..n-1; the
+    # wrap-around lands in w[:n//2] only, which is discarded
+    w = work[:n]
+    w[:n // 2] = y[lo:mid]
+    w[n // 2:] = 0.0
+    np.fft.fft(w, out=w)
+    w *= spectra[n]
+    np.fft.ifft(w, out=w)
+    y[mid:hi] -= w[n // 2:]
+    _dc_solve(y, mid, hi, stop, tri, spectra, work)
+
+
+def _forward_solve(drive, first, first_c, lags, c, diag) -> np.ndarray:
+    """y[0] = drive[0] and, for i >= 1, the lower-triangular Toeplitz rows
+    diag*y[i] + first_c*first[i-1]*y[0] + c*sum_{0<j<i} lags[i-j-1]*y[j] = drive[i].
+
+    Divide and conquer (Hairer, Lubich & Schlichte 1985): dense triangular
+    solves on leaf blocks, and per split one FFT convolution carries the
+    solved half into the rest.  Same equations as row-by-row substitution,
+    solved in place in one padded buffer, whose head is returned.
+    """
+    n = drive.size - 1
+    splits = 0
+    while _LEAF << splits < n:
+        splits += 1
+    # the smallest multiple-of-16 leaf with n <= leaf * 2^splits keeps the
+    # padding small and the FFT lengths smooth
+    leaf = -(-n // (16 << splits)) * 16 if splits else max(n, 1)
+    size = leaf << splits
+    buf = np.zeros(size + 1, dtype=complex)
+    buf[0] = drive[0]
+    np.multiply(first, -first_c * drive[0], out=buf[1:n + 1])
+    buf[1:n + 1] += drive[1:]
+    k = np.zeros(size, dtype=complex)  # k[l] = c * lags[l-1]; becomes the top spectrum
+    np.multiply(lags, c, out=k[1:n])
+    tri = toeplitz(np.concatenate([[diag], k[1:leaf]]), np.zeros(leaf))
+    spectra = {}
+    blk = 2 * leaf
+    while blk < size:
+        spectra[blk] = np.fft.fft(k[:blk])
+        blk *= 2
+    if size > leaf:
+        spectra[size] = np.fft.fft(k, out=k)
+    _dc_solve(buf[1:], 0, size, n, tri, spectra, np.empty(size, dtype=complex))
+    return buf[:n + 1]
+
+
 def solve_volterra(h0: ComplexSeries, g: ComplexSeries, gamma: float) -> ComplexSeries:
     """Forward solve of h = h0 - (gamma/2) * (g convolved with h).
 
@@ -139,20 +209,10 @@ def solve_volterra(h0: ComplexSeries, g: ComplexSeries, gamma: float) -> Complex
     """
     if h0.grid != g.grid:
         raise GridMismatchError("h0 and g must share one grid")
-    dt = h0.grid.dt
+    c = 0.5 * gamma * h0.grid.dt
     gv = g.values
-    g_rev = gv[::-1].copy()  # g_rev[m-1-k] == g[k]; slices below are views
-    h0v = h0.values
-    m_nodes = h0.grid.n_nodes
-    h = np.empty(m_nodes, dtype=complex)
-    h[0] = h0v[0]
-    half = 0.5 * gamma
-    diag = 1.0 + half * 0.5 * dt * gv[0]
-    for i in range(1, m_nodes):
-        conv = 0.5 * gv[i] * h[0]
-        if i > 1:
-            conv += np.dot(g_rev[m_nodes - i:m_nodes - 1], h[1:i])
-        h[i] = (h0v[i] - half * dt * conv) / diag
+    # first node with weight g[i]/2, interior nodes with g[i-j], diagonal g[0]/2
+    h = _forward_solve(h0.values, gv[1:], 0.5 * c, gv[1:-1], c, 1.0 + 0.5 * c * gv[0])
     return ComplexSeries(h0.grid, h)
 
 
@@ -161,17 +221,15 @@ def _abel_weights(m_nodes: int):
 
     On cell [t_j, t_{j+1}] the solution is linear and the weight integrated
     exactly; the resulting node weights depend only on the lag, giving a
-    convolution (first-node weight A_k, interior W_k, diagonal B_1).
+    convolution (first-node weight A_k, interior W_k = A_k + B_{k+1},
+    diagonal B_1 = 4/3).
     """
     k = np.arange(1, m_nodes, dtype=float)
     i0 = 2.0 * (np.sqrt(k) - np.sqrt(k - 1.0))
     i1 = (2.0 / 3.0) * (k ** 1.5 - (k - 1.0) ** 1.5)
     a_k = (1.0 - k) * i0 + i1
     b_k = k * i0 - i1
-    w_k = np.empty(m_nodes - 1)
-    w_k[:-1] = a_k[:-1] + b_k[1:]
-    w_k[-1] = a_k[-1]  # only used when the full row is consumed
-    return a_k, b_k, w_k
+    return a_k, a_k[:-1] + b_k[1:]
 
 
 def solve_renewal(f_free: ComplexSeries, d: complex) -> ComplexSeries:
@@ -181,21 +239,10 @@ def solve_renewal(f_free: ComplexSeries, d: complex) -> ComplexSeries:
     piecewise-linear f (product integration); plain trapezoid would lose
     an order at the upper endpoint.
     """
-    dt = f_free.grid.dt
-    ffv = f_free.values
-    m_nodes = f_free.grid.n_nodes
-    a_k, b_k, w_k = _abel_weights(m_nodes)
-    w_rev = w_k[::-1].copy()  # w_rev[m-2-j] == W_{j+1}; slices below are views
-    c = d / _SQRT_PI * math.sqrt(dt)
-    diag = 1.0 + c * b_k[0]  # B_1 = 4/3
-    f = np.empty(m_nodes, dtype=complex)
-    f[0] = ffv[0]
-    for i in range(1, m_nodes):
-        conv = a_k[i - 1] * f[0]
-        if i > 1:
-            # pairs W_{i-j} with f_j for j = 1 .. i-1
-            conv += np.dot(w_rev[m_nodes - i:m_nodes - 1], f[1:i])
-        f[i] = (ffv[i] - c * conv) / diag
+    a_k, w_k = _abel_weights(f_free.grid.n_nodes)
+    c = d / _SQRT_PI * math.sqrt(f_free.grid.dt)
+    # first node with weight A_i, node j with W_{i-j}, diagonal B_1
+    f = _forward_solve(f_free.values, a_k, c, w_k, c, 1.0 + c * (4.0 / 3.0))
     return ComplexSeries(f_free.grid, f)
 
 

@@ -66,6 +66,10 @@ class Scenario:
     r0: float = 56.42       # spatial particle density (beam mode)
 
     def __post_init__(self):
+        finite = ("m", "a", "eps", "p0", "x0", "dp", "r0")
+        bad = [k for k in finite if not math.isfinite(getattr(self, k))]
+        if bad or math.isnan(self.navg):
+            raise ConfigError(f"non-finite parameter: {', '.join(bad) or 'navg'}")
         if self.m <= 0 or self.a <= 0:
             raise ConfigError("mass and detection strength must be positive")
         if self.eps < 0:
@@ -80,6 +84,8 @@ class Scenario:
                 raise ConfigError("beam mode requires the point detector (eps = 0)")
             if self.r0 <= 0:
                 raise ConfigError("beam mode requires a positive density r0")
+            if self.p0 <= 0:
+                raise ConfigError("beam mode requires a positive momentum p0")
 
     @property
     def beam(self) -> bool:

@@ -110,7 +110,7 @@ def check_dense_vanishing():
     holds; for the quasi-free family the heavy-tailed arrival mass keeps
     seeing the detector's transient ripple and the same bound is
     unattainable (values printed), so the strict vanishing trend over
-    r0 = 10, 1e2, 1e3 is asserted instead.  See the project notes.
+    r0 = 10, 1e2, 1e3 is asserted instead.  See notes/decisions.md.
     """
     t0 = time.time()
     i_inf = fi.i_infinity(BASE["p0"], _DP)

@@ -79,7 +79,7 @@ def make_flat_profile():
                 domega=np.full_like(t, slope), dOmega=slope * t,
                 dOmega_tilde=(slope ** 2 / w) * t,
                 Omega_inf=math.inf, dOmega_inf=math.nan,
-                fd_step=1e-4, beam_tail=tail)
+                beam_tail=tail)
         return at
 
     return factory

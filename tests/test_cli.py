@@ -176,3 +176,21 @@ class TestErrors:
         rc = main(["fisher", "--config", beam_cfg, "--out", str(tmp_path / "x.csv"),
                    "--family", "thermalish"])
         assert rc == 2
+
+    def test_nan_momentum(self, tmp_path):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(FINITE_CONFIG.replace("p0=1.0", "p0=nan"))
+        rc = main(["fisher", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                   "--t-max", "10", "--dt", "0.01"])
+        assert rc == 2
+
+    def test_beam_negative_momentum(self, tmp_path):
+        cfg = tmp_path / "back.cfg"
+        cfg.write_text(BEAM_CONFIG.replace("p0=1.0", "p0=-1.0"))
+        rc = main(["fisher", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        assert rc == 2
+
+    def test_negative_seed(self, beam_cfg, tmp_path):
+        rc = main(["sample", "--config", beam_cfg, "--out", str(tmp_path / "x.csv"),
+                   "--n", "2", "--count", "10", "--seed", "-1", "--t-max", "30"])
+        assert rc == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -64,6 +65,15 @@ class TestBeamProfile:
         prof = build_profile(scn, t_max=20.0)
         w0 = 0.1 * 2.0
         assert prof.invert_Omega(1.0) == pytest.approx(1.0 / w0, rel=1e-4)
+
+    def test_cached_beam_grid_is_read_only(self, beam_scn):
+        # profiles with the same beam-table key share one cached grid
+        first = build_profile(beam_scn)
+        second = build_profile(dataclasses.replace(beam_scn, r0=1.0))
+        before = second.t.copy()
+        with pytest.raises(ValueError):
+            first.t[:] = 0.0
+        assert np.array_equal(second.t, before)
 
 
 class TestFiniteProfiles:

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binom, chisquare, geom, kstest, poisson
 
+from qarrival.errors import ConfigError
 from qarrival.process import (ArrivalRecord, first_arrival_series_coeffs,
                               joint_density, log_joint_density, log_likelihood,
                               noevent_mass, sample_arrivals, sample_batch,
@@ -123,6 +124,10 @@ class TestTotalProbDerivative:
 
 
 class TestSampling:
+    def test_negative_seed_rejected(self, beam_profile):
+        with pytest.raises(ConfigError):
+            sample_batch(2, StateFamily.coherent(1.0), beam_profile, 10, seed=-1)
+
     def test_batch_reproducible(self, beam_profile):
         coh = StateFamily.coherent(1.0)
         a = sample_batch(3, coh, beam_profile, 500, seed=5)

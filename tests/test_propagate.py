@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from qarrival import propagate
 from qarrival.deltakernel import DeltaParams, f_p, renewal_kernel_solution
 from qarrival.errors import GridMismatchError
 from qarrival.propagate import (ComplexSeries, TimeGrid, gaussian_free_at_origin,
@@ -138,6 +139,101 @@ class TestRenewal:
             i = int(round(t / grid.dt))
             exact = f_p(1.0, grid.times[i], dp)
             assert abs(f.values[i] - exact) / abs(exact) < 1e-4
+
+
+def sweep_volterra(h0v, gv, gamma, dt):
+    """Row-by-row forward substitution of the trapezoidal Volterra scheme."""
+    h = np.empty(h0v.size, dtype=complex)
+    h[0] = h0v[0]
+    c = 0.5 * gamma * dt
+    diag = 1.0 + 0.5 * c * gv[0]
+    for i in range(1, h0v.size):
+        conv = 0.5 * gv[i] * h[0] + np.dot(gv[i - 1:0:-1], h[1:i])
+        h[i] = (h0v[i] - c * conv) / diag
+    return h
+
+
+def sweep_renewal(ffv, d, dt):
+    """Row-by-row forward substitution of the product-integration scheme."""
+    k = np.arange(1, ffv.size, dtype=float)
+    i0 = 2.0 * (np.sqrt(k) - np.sqrt(k - 1.0))
+    i1 = (2.0 / 3.0) * (k ** 1.5 - (k - 1.0) ** 1.5)
+    a_k = (1.0 - k) * i0 + i1  # first-node weight A_k
+    b_k = k * i0 - i1          # right-endpoint weight B_k; B_1 is the diagonal
+    c = d / math.sqrt(math.pi) * math.sqrt(dt)
+    f = np.empty(ffv.size, dtype=complex)
+    f[0] = ffv[0]
+    for i in range(1, ffv.size):
+        w = a_k[:i - 1] + b_k[1:i]  # W_l = A_l + B_{l+1}, l = 1 .. i-1
+        conv = a_k[i - 1] * f[0] + np.dot(w[::-1], f[1:i])
+        f[i] = (ffv[i] - c * conv) / (1.0 + c * b_k[0])
+    return f
+
+
+# rows solved per call (node 0 is given): tiny, around one leaf block, and a
+# non-power-of-two size spanning several FFT levels
+LEAF = propagate._LEAF
+ROWS = [1, 2, 3, LEAF - 1, LEAF, LEAF + 1, 4998]
+
+
+def _grid(rows, dt=1.0 / 64):
+    grid = TimeGrid(rows * dt, dt)
+    assert grid.n_nodes == rows + 1
+    return grid
+
+
+def _assert_pointwise(got, ref, rtol=1e-12):
+    assert np.all(np.abs(got - ref) <= rtol * np.abs(ref))
+
+
+class TestFastSolversMatchSweep:
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_volterra_random(self, rows):
+        rng = np.random.default_rng(rows)
+        grid = _grid(rows)
+        h0 = ComplexSeries(grid, [1.0, 1j] @ rng.normal(size=(2, rows + 1)) + 3.0)
+        g = ComplexSeries(grid, np.exp((-0.05 + 0.3j) * grid.times))
+        got = solve_volterra(h0, g, 0.7).values
+        _assert_pointwise(got, sweep_volterra(h0.values, g.values, 0.7, grid.dt))
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_volterra_physical(self, rows):
+        grid = _grid(rows)
+        h0 = gaussian_overlap_h0(FIG2A, grid)
+        g = gaussian_kernel_g(FIG2A, grid)
+        got = solve_volterra(h0, g, FIG2A.gamma).values
+        _assert_pointwise(got, sweep_volterra(h0.values, g.values, FIG2A.gamma, grid.dt))
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_renewal_random(self, rows):
+        rng = np.random.default_rng(rows + 1)
+        grid = _grid(rows)
+        drive = ComplexSeries(grid, [1.0, 1j] @ rng.normal(size=(2, rows + 1)) + 3.0)
+        d = DeltaParams(0.1, 1.0).d
+        got = solve_renewal(drive, d).values
+        _assert_pointwise(got, sweep_renewal(drive.values, d, grid.dt))
+
+    @pytest.mark.parametrize("rows", ROWS)
+    def test_renewal_physical(self, rows):
+        grid = _grid(rows)
+        scn = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0, dp=math.sqrt(0.5), navg=100.0)
+        drive = gaussian_free_at_origin(scn, grid)
+        d = DeltaParams(scn.a, scn.m).d
+        got = solve_renewal(drive, d).values
+        _assert_pointwise(got, sweep_renewal(drive.values, d, grid.dt))
+
+
+class TestDriveMomentumDerivative:
+    @pytest.mark.parametrize("drive, eps", [(gaussian_overlap_h0, 0.5),
+                                            (gaussian_free_at_origin, 0.0)])
+    def test_matches_central_difference(self, drive, eps):
+        scn = Scenario(m=1.0, a=0.1, eps=eps, p0=1.3, x0=-20.0, dp=0.4, navg=100.0)
+        grid = TimeGrid(60.0, 0.05)
+        step = 1e-5
+        fd = (drive(scn.at_p0(scn.p0 + step), grid).values
+              - drive(scn.at_p0(scn.p0 - step), grid).values) / (2.0 * step)
+        exact = drive(scn, grid, dp0=True).values
+        assert np.max(np.abs(exact - fd)) <= 1e-7 * np.max(np.abs(exact))
 
 
 class TestDeltaLimitConvergence:

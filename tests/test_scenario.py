@@ -138,3 +138,28 @@ class TestScenarioConfig:
     def test_comments_and_blanks_ok(self):
         text = "# comment\nm=1\na=0.1\neps=0\np0=1\nx0=-20\ndp=0\nnavg=inf\nr0=56.42\nmode=beam\n"
         assert Scenario.from_config(text).beam
+
+
+class TestScenarioValidation:
+    FINITE = dict(m=1.0, a=0.1, eps=1.0, p0=1.0, x0=-20.0, dp=0.5, navg=10.0)
+
+    @pytest.mark.parametrize("field", ["m", "a", "p0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            Scenario(**{**self.FINITE, field: value})
+
+    def test_nan_momentum_in_config_rejected(self):
+        text = Scenario(**self.FINITE).to_config().replace("p0=1.0", "p0=nan")
+        with pytest.raises(ConfigError):
+            Scenario.from_config(text)
+
+    @pytest.mark.parametrize("p0", [0.0, -1.0])
+    def test_beam_needs_positive_momentum(self, p0):
+        # the beam tables differentiate T(|p0|) as if p0 > 0
+        with pytest.raises(ConfigError):
+            Scenario(m=1.0, a=0.1, eps=0.0, p0=p0, x0=-20.0, navg=math.inf, r0=1.0)
+
+    def test_source_at_detector_allowed(self):
+        scn = Scenario(**{**self.FINITE, "x0": 0.0, "p0": 0.0})
+        assert scn.x0 == 0.0
