@@ -189,12 +189,8 @@ def _forward_solve(drive, first, first_c, lags, c, diag) -> np.ndarray:
     k = np.zeros(size, dtype=complex)  # k[l] = c * lags[l-1]; becomes the top spectrum
     np.multiply(lags, c, out=k[1:n])
     tri = toeplitz(np.concatenate([[diag], k[1:leaf]]), np.zeros(leaf))
-    spectra = {}
-    blk = 2 * leaf
-    while blk < size:
-        spectra[blk] = np.fft.fft(k[:blk])
-        blk *= 2
-    if size > leaf:
+    spectra = {leaf << j: np.fft.fft(k[:leaf << j]) for j in range(1, splits)}
+    if splits:
         spectra[size] = np.fft.fft(k, out=k)
     _dc_solve(buf[1:], 0, size, n, tri, spectra, np.empty(size, dtype=complex))
     return buf[:n + 1]
