@@ -119,12 +119,12 @@ def cmd_density(args) -> int:
         raise ConfigError("density curves are defined for the beam config (mode=beam)")
     r0_list = _parse_floats(args.r0_list) if args.r0_list else [scn.r0]
     kinds = [k.strip() for k in args.families.split(",") if k.strip()]
+    profiles = [(r0, it.build_profile(replace(scn, r0=r0), t_max=args.t_max, dt=args.dt))
+                for r0 in r0_list]
     tv = np.linspace(0.0, args.t_max, args.points)
     rows = []
-    dp_obj = dk.DeltaParams(scn.a, scn.m)
-    for r0 in r0_list:
-        om = dk.beam_intensity(tv, scn.p0, r0, dp_obj)
-        cum = np.concatenate([[0.0], np.cumsum(0.5 * (om[1:] + om[:-1]) * np.diff(tv))])
+    for r0, prof in profiles:
+        om, cum = prof.omega_at(tv), prof.Omega_at(tv)
         for kind in kinds:
             fam = _family(kind, scn)
             p1 = om * np.exp(log_family_Fn(fam, 1, cum))
@@ -133,9 +133,8 @@ def cmd_density(args) -> int:
     if args.pair_out:
         rows2 = []
         tg = np.linspace(1e-3, args.t_max, args.pair_points)
-        for r0 in r0_list:
-            om = dk.beam_intensity(tg, scn.p0, r0, dp_obj)
-            cum_t = np.concatenate([[0.0], np.cumsum(0.5 * (om[1:] + om[:-1]) * np.diff(tg))])
+        for r0, prof in profiles:
+            om, cum_t = prof.omega_at(tg), prof.Omega_at(tg)
             for kind in kinds:
                 fam = _family(kind, scn)
                 logf2 = log_family_Fn(fam, 2, cum_t)

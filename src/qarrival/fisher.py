@@ -395,12 +395,8 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
             stream_index=2 + start)
         if np.any(n_det < n):
             raise ModeError("beam records must always reach n detections")
-        flat = times.reshape(-1)
-        last = times[:, -1]
         for j, prof_j in enumerate(profiles):
-            lw = np.log(prof_j.omega_at(flat)).reshape(times.shape).sum(axis=1)
-            lf = np.atleast_1d(log_family_Fn(family, n, prof_j.Omega_at(last)))
-            per_record = lw + lf
+            per_record = _loglik_vector(times, n_det, n, family, prof_j)
             loglik[start:start + block, j] += per_record.reshape(block, -1).sum(axis=1)
     best = np.argmax(loglik, axis=1)
     inner = np.clip(best, 1, grid_points - 2)

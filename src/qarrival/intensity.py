@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from . import deltakernel as dk
 from . import propagate as pg
@@ -95,23 +96,6 @@ class IntensityProfile:
                 out = np.where(beyond, self.Omega[-1], out)
         return float(out[0]) if scalar else out
 
-    def domega_at(self, tq):
-        tq = np.asarray(tq, dtype=float)
-        out = np.interp(tq, self.t, self.domega)
-        if self.mode == "beam":
-            out = np.where(tq > self.t[-1], self.beam_tail.domega_dp0_inf, out)
-        else:
-            out = np.where(tq > self.t[-1], 0.0, out)
-        return float(out) if out.ndim == 0 else out
-
-    def dOmega_at(self, tq):
-        tq = np.asarray(tq, dtype=float)
-        out = np.interp(tq, self.t, self.dOmega)
-        if self.mode == "beam":
-            out = np.where(tq > self.t[-1],
-                           self.dOmega[-1] + self.beam_tail.domega_dp0_inf * (tq - self.t[-1]), out)
-        return float(out) if out.ndim == 0 else out
-
     def invert_Omega(self, u):
         """Time at which the integrated intensity reaches u.
 
@@ -160,11 +144,6 @@ class IntensityProfile:
 # Builders
 # ---------------------------------------------------------------------------
 
-def _cumtrapz(y, t):
-    inc = 0.5 * (y[1:] + y[:-1]) * np.diff(t)
-    return np.concatenate([[0.0], np.cumsum(inc)])
-
-
 def _beam_grid(t_max: float, dt: float):
     geo = np.geomspace(_GEO_MIN, min(_GEO_SWITCH, 0.5 * t_max), _GEO_POINTS)
     bulk = np.arange(geo[-1] + dt, t_max + 0.5 * dt, dt)
@@ -181,16 +160,16 @@ def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
     g = a * np.abs(bracket) ** 2
     gdot = 2.0 * a * np.real(np.conj(bracket) * dbracket)
     asym = dk.beam_asymptotes(p0, 1.0, dp_obj)  # unit density; scaled later
-    G = _cumtrapz(g, t)
+    G = cumulative_trapezoid(g, t, initial=0.0)
     # cusp-aware first cell: g = c0 + c_sqrt sqrt(t) + c_lin t locally
     t1 = t[1]
     G[1:] += (asym.c0 * t1 + (2.0 / 3.0) * asym.c_sqrt * t1 ** 1.5 + 0.5 * asym.c_lin * t1 * t1) \
         - 0.5 * (g[0] + g[1]) * t1
-    dG = _cumtrapz(gdot, t)
+    dG = cumulative_trapezoid(gdot, t, initial=0.0)
     dG[1:] += 0.4 * asym.dc_t32 * t1 ** 2.5 - 0.5 * (gdot[0] + gdot[1]) * t1
     with np.errstate(divide="ignore", invalid="ignore"):
         sq = np.where(g > 0.0, gdot * gdot / np.where(g > 0, g, 1.0), 0.0)
-    dG_tilde = _cumtrapz(sq, t)
+    dG_tilde = cumulative_trapezoid(sq, t, initial=0.0)
     for arr in (t, g, gdot, G, dG, dG_tilde):  # shared by every profile with this key
         arr.setflags(write=False)
     return t, g, gdot, G, dG, dG_tilde, asym
@@ -259,7 +238,7 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
     damp = amplitude(dp0=True) if derivative else None
     omega = pref * np.abs(amp) ** 2
     t = grid.times
-    Omega = _cumtrapz(omega, t)
+    Omega = cumulative_trapezoid(omega, t, initial=0.0)
     if Omega[-1] > scn.navg * (1.0 + 1e-9):
         raise ConfigError("integrated intensity exceeded the particle number; "
                           "the grid is too coarse for this scenario")
@@ -275,7 +254,7 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
             finite_tail=tail, has_derivative=False)
 
     domega = 2.0 * pref * np.real(np.conj(amp) * damp)
-    dOmega = _cumtrapz(domega, t)
+    dOmega = cumulative_trapezoid(domega, t, initial=0.0)
     # tail mass omega_m t_m / (slope - 1), differentiated at fixed slope;
     # zero where the mass clip or the navg cap sets Omega_inf
     unclipped = tail.mass == tail.omega_m * tail.t_m / (tail.slope - 1.0)
@@ -283,7 +262,7 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
                   if unclipped and Omega_inf < scn.navg else 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         sq = np.where(omega > 0.0, domega * domega / np.where(omega > 0, omega, 1.0), 0.0)
-    dOmega_tilde = _cumtrapz(sq, t)
+    dOmega_tilde = cumulative_trapezoid(sq, t, initial=0.0)
     return IntensityProfile(
         scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=domega,
         dOmega=dOmega, dOmega_tilde=dOmega_tilde,

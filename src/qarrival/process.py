@@ -18,10 +18,10 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError
 from .intensity import IntensityProfile
 from .quadrature import geometric_edges, integrate_panels, uniform_edges
-from .scenario import StateFamily, family_Fn, family_Hn, log_family_Fn
+from .scenario import StateFamily, log_family_Fn
 
 
 @dataclass(frozen=True)

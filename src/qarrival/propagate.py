@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import GridMismatchError, ModeError
@@ -244,7 +245,4 @@ def solve_renewal(f_free: ComplexSeries, d: complex) -> ComplexSeries:
 
 def norm_loss(h: ComplexSeries, gamma: float) -> np.ndarray:
     """Cumulative detection probability 1 - |chi_t|^2 = int gamma |h|^2."""
-    dt = h.grid.dt
-    dens = gamma * np.abs(h.values) ** 2
-    out = np.concatenate([[0.0], np.cumsum(0.5 * dt * (dens[1:] + dens[:-1]))])
-    return out
+    return cumulative_trapezoid(gamma * np.abs(h.values) ** 2, dx=h.grid.dt, initial=0.0)

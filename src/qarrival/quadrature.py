@@ -1,12 +1,10 @@
-"""Panel-based Gauss-Legendre quadrature with refinement checks."""
+"""Panel-based Gauss-Legendre quadrature and its panel edge layouts."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 import numpy as np
-
-from .errors import ToleranceError
 
 
 @lru_cache(maxsize=32)
@@ -45,25 +43,6 @@ def refine_edges(edges):
     out[0::2] = edges
     out[1::2] = mids
     return out
-
-
-def integrate_checked(f, edges, order: int = 16, rtol: float = 1e-8, atol: float = 0.0):
-    """Panel integral with a one-step refinement error check.
-
-    Raises :class:`ToleranceError` (carrying the refined estimate) when the
-    two resolutions disagree beyond ``rtol``/``atol``.
-    """
-    coarse = integrate_panels(f, edges, order)
-    fine = integrate_panels(f, refine_edges(edges), order)
-    err = np.max(np.abs(fine - coarse))
-    bound = rtol * max(np.max(np.abs(fine)), 1e-300) + atol
-    if err > bound:
-        raise ToleranceError(
-            f"quadrature refinement changed the result by {err:.3e} (> {bound:.3e})",
-            estimate=fine,
-            achieved=err,
-        )
-    return fine
 
 
 def uniform_edges(a: float, b: float, n_panels: int):

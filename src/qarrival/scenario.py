@@ -10,8 +10,10 @@ explicitly in the formulas below.
 A :class:`Scenario` bundles the parameters of one detection setup: particle
 mass ``m``, detection strength ``a``, detector width ``eps`` (``eps = 0``
 selects the point-detector limit), source momentum ``p0``, source position
-``x0 < 0``, momentum width ``dp``, mean particle number ``navg``
-(``inf`` selects the uniform-beam limit) and spatial density ``r0``.
+``x0`` (the paper's setup has ``x0 < 0``; ``x0 >= 0`` is accepted, e.g. for
+kernel identities at ``x0 = 0``), momentum width ``dp``, mean particle
+number ``navg`` (``inf`` selects the uniform-beam limit) and spatial density
+``r0``.
 
 A :class:`StateFamily` selects how the many-particle state is composed from
 identical single-particle wavefunctions: fixed particle number (``fock``),
@@ -60,7 +62,7 @@ class Scenario:
     a: float = 0.1          # detection strength (length/time)
     eps: float = 0.0        # detector width; 0 = point detector
     p0: float = 1.0         # source momentum
-    x0: float = -20.0       # source position (< 0, detector sits at x = 0)
+    x0: float = -20.0       # source position (paper: < 0; detector at x = 0)
     dp: float = 0.0         # momentum width of the source Gaussian
     navg: float = math.inf  # mean particle number; inf = beam
     r0: float = 56.42       # spatial particle density (beam mode)

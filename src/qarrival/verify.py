@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
 
 from . import deltakernel as dk
 from . import fisher as fi
@@ -237,8 +238,7 @@ def check_early_series():
     om = dk.beam_intensity(tv, BASE["p0"], r0, _DP)
     om_grid = np.concatenate([[dk.beam_intensity(0.0, BASE["p0"], r0, _DP)], om])
     t_grid = np.concatenate([[0.0], tv])
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (om_grid[1:] + om_grid[:-1]) * np.diff(t_grid))])
-    big_omega = cum[1:]
+    big_omega = cumulative_trapezoid(om_grid, t_grid)
     # the t^(3/2) and t^2 columns absorb the higher series terms so the
     # leading coefficients are clean
     design = np.stack([np.ones_like(tv), np.sqrt(tv), tv, tv ** 1.5, tv ** 2], axis=1)

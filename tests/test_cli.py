@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from qarrival.cli import main
+from qarrival.intensity import build_profile
 from qarrival.scenario import Scenario
 
 BEAM_CONFIG = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0,
@@ -91,6 +93,22 @@ class TestDensityCommand:
         import numpy as np
         mass = np.trapezoid(p1, ts)
         assert mass == pytest.approx(1.0, abs=2e-3)
+
+    def test_first_arrival_matches_profile(self, beam_cfg, tmp_path):
+        # coherent p1 = omega exp(-Omega) of the tabulated beam profile, whose
+        # first cell carries the sqrt(t) cusp; CSV values keep 10 digits
+        out = tmp_path / "density.csv"
+        rc = main(["density", "--config", beam_cfg, "--out", str(out),
+                   "--r0-list", "56.42", "--families", "coherent",
+                   "--points", "300", "--t-max", "10"])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        t = np.linspace(0.0, 10.0, 300)  # exact nodes; the CSV rounds them too
+        np.testing.assert_allclose([float(r[2]) for r in rows], t, rtol=1e-9)
+        p1 = np.array([float(r[3]) for r in rows])
+        prof = build_profile(Scenario.from_config(BEAM_CONFIG), t_max=10)
+        np.testing.assert_allclose(p1, prof.omega_at(t) * np.exp(-prof.Omega_at(t)),
+                                   rtol=1e-9, atol=0.0)
 
     def test_pair_grid(self, beam_cfg, tmp_path):
         out = tmp_path / "d1.csv"

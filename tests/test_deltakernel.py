@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from qarrival.deltakernel import (BeamAsymptotes, DeltaParams, beam_asymptotes,
-                                  beam_intensity, beam_intensity_dp, f_p,
+                                  beam_intensity, beam_intensity_dp, erfc_c,
+                                  erfc_c_scaled, erfcx_c, f_p,
                                   f_superposition, remainder_R, remainder_R_dp,
                                   renewal_kernel_solution, transmission_T)
 from qarrival.errors import ToleranceError
@@ -21,6 +22,19 @@ def gaussian_chi_hat(scn):
         return (2 * math.pi) ** (-0.25) / math.sqrt(scn.dp) \
             * np.exp(-(p - scn.p0) ** 2 / (4 * scn.dp ** 2) - 1j * p * scn.x0)
     return chi
+
+
+class TestErfcContract:
+    def test_array_shape_kept(self):
+        z = np.array([[0.5 + 0.2j, 3.0 - 3.0j], [1.0 + 0.0j, -2.0 + 1.0j]])
+        vals = erfc_c(z)
+        assert vals.shape == (2, 2) and erfcx_c(z).shape == (2, 2)
+        assert vals[1, 0] == erfc_c(1.0)
+        scaled_vals, scaled = erfc_c_scaled(z)
+        assert scaled_vals.shape == scaled.shape == (2, 2)
+
+    def test_scalar_in_scalar_out(self):
+        assert isinstance(erfc_c(1.0), complex) and isinstance(erfcx_c(1.0 + 1.0j), complex)
 
 
 class TestParams:
