@@ -279,23 +279,6 @@ class McScore:
     resampled: int        # records with degenerate likelihood, redrawn
 
 
-def _loglik_vector(times, n_det, n, family, profile):
-    """Vectorised log-likelihood of sampled records under ``profile``."""
-    count = times.shape[0]
-    out = np.empty(count)
-    full = n_det == n
-    if np.any(full):
-        tt = times[full]
-        om = profile.omega_at(tt.ravel()).reshape(tt.shape)
-        lw = np.sum(np.log(np.maximum(om, 1e-300)), axis=1)
-        u_last = np.atleast_1d(profile.Omega_at(tt[:, -1]))
-        out[full] = lw + np.atleast_1d(log_family_Fn(family, n, u_last))
-    if np.any(~full):
-        mass = pr.noevent_mass(n, family, profile)
-        out[~full] = math.log(mass) if mass > 0.0 else -np.inf
-    return out
-
-
 def mc_score_variance(n: int, family: StateFamily, profile: it.IntensityProfile,
                       samples: int, seed: int, fd_step: float = 1e-3,
                       profile_builder=None) -> McScore:
@@ -319,19 +302,20 @@ def mc_score_variance(n: int, family: StateFamily, profile: it.IntensityProfile,
 
     prof_plus = profile_builder(scn.p0 + fd_step)
     prof_minus = profile_builder(scn.p0 - fd_step)
-    times, n_det = pr.sample_times_matrix(n, family, profile, samples, seed)
-    ll_p = _loglik_vector(times, n_det, n, family, prof_plus)
-    ll_m = _loglik_vector(times, n_det, n, family, prof_minus)
-    score = (ll_p - ll_m) / (2.0 * fd_step)
+
+    def scores(times, n_det):
+        loc = prof_plus.locate(times)  # the shifted profiles share one grid
+        ll_p = pr.log_likelihood_batch(loc, n_det, family, prof_plus)
+        ll_m = pr.log_likelihood_batch(loc, n_det, family, prof_minus)
+        return (ll_p - ll_m) / (2.0 * fd_step)
+
+    score = scores(*pr.sample_times_matrix(n, family, profile, samples, seed))
     bad = ~np.isfinite(score)
     resampled = int(bad.sum())
     if resampled:
         # degenerate likelihood at the shifted momentum: redraw those records
-        times2, n_det2 = pr.sample_times_matrix(n, family, profile, resampled,
-                                                seed, stream_index=1)
-        ll_p2 = _loglik_vector(times2, n_det2, n, family, prof_plus)
-        ll_m2 = _loglik_vector(times2, n_det2, n, family, prof_minus)
-        score[bad] = (ll_p2 - ll_m2) / (2.0 * fd_step)
+        score[bad] = scores(*pr.sample_times_matrix(n, family, profile, resampled,
+                                                    seed, stream_index=1))
         warnings.warn(f"{resampled} records had degenerate shifted likelihoods and "
                       "were redrawn")
     var = float(np.var(score, ddof=1))
@@ -395,8 +379,9 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
             stream_index=2 + start)
         if np.any(n_det < n):
             raise ModeError("beam records must always reach n detections")
+        loc = profiles[0].locate(times)  # the grid profiles share one grid
         for j, prof_j in enumerate(profiles):
-            per_record = _loglik_vector(times, n_det, n, family, prof_j)
+            per_record = pr.log_likelihood_batch(loc, n_det, family, prof_j)
             loglik[start:start + block, j] += per_record.reshape(block, -1).sum(axis=1)
     best = np.argmax(loglik, axis=1)
     inner = np.clip(best, 1, grid_points - 2)

@@ -12,6 +12,16 @@ trapezoid sums (its derivative is the linear interpolant of ``omega``), so
 inversion round-trips to machine precision.  Beyond the tabulated horizon a
 beam profile continues with its constant late-time model; finite profiles
 carry a fitted power-law tail estimate for the total-mass extrapolation.
+
+Pointwise evaluation is split in two.  ``IntensityProfile.locate`` finds
+the grid cell of each query time once (a :class:`Locator`: int32 cell
+index, offset into the cell, and the points at or past the last node), and
+``omega_at``/``Omega_at`` read any profile on the same grid from it.  With
+the per-profile slope table ``(omega[1:] - omega[:-1]) / (t[1:] - t[:-1])``
+the linear interpolant ``slope * s + omega`` is the expression
+``np.interp`` evaluates, so results equal it bit for bit; profiles that
+share a grid (the momentum grids of the Monte Carlo and maximum-likelihood
+studies) pay for the cell search once.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -52,6 +62,34 @@ class FiniteTail:
     mass: float  # estimated integral of omega beyond the grid
 
 
+@dataclass(frozen=True, slots=True)
+class Locator:
+    """Grid cells of a set of query times (see :meth:`IntensityProfile.locate`).
+
+    ``idx`` is the cell of each point, clamped to the first and last cell;
+    ``s = max(tq - t[idx], 0)`` is the offset into it; ``end`` marks the
+    points at or past ``t[-1]`` (None when there are none).  Past ``t[-1]``
+    the offset overruns the last cell; the evaluators replace those points
+    with the profile's continuation, so it is never read there.  Indexing a
+    locator selects points, as indexing ``tq`` would.
+    """
+
+    t: np.ndarray
+    idx: np.ndarray
+    s: np.ndarray
+    tq: np.ndarray
+    end: np.ndarray | None
+
+    @property
+    def size(self) -> int:
+        """Number of located points, which is what ``np.size`` reports."""
+        return int(np.size(self.idx))
+
+    def __getitem__(self, key) -> Locator:
+        return Locator(self.t, self.idx[key], self.s[key], self.tq[key],
+                       None if self.end is None else self.end[key])
+
+
 @dataclass(frozen=True)
 class IntensityProfile:
     scn: Scenario
@@ -70,31 +108,49 @@ class IntensityProfile:
 
     # -- pointwise evaluators --------------------------------------------
 
-    def omega_at(self, tq):
+    @cached_property
+    def _slope(self):
+        """Per-cell slope of omega, the table ``np.interp`` computes internally."""
+        return (self.omega[1:] - self.omega[:-1]) / (self.t[1:] - self.t[:-1])
+
+    def locate(self, tq) -> Locator:
+        """Grid cells of the query times, for every profile on this grid."""
         tq = np.asarray(tq, dtype=float)
-        out = np.interp(tq, self.t, self.omega)
-        if self.mode == "beam":
-            out = np.where(tq > self.t[-1], self.beam_tail.omega_inf, out)
-        else:
-            out = np.where(tq > self.t[-1], 0.0, out)
+        t = self.t
+        # a search over the interior nodes returns the cell index already
+        # clamped to [0, len(t) - 2]
+        idx = np.searchsorted(t[1:-1], tq, side="right").astype(np.int32)
+        s = np.maximum(tq - t[idx], 0.0)
+        end = tq >= t[-1]
+        return Locator(t, idx, s, tq, end if np.count_nonzero(end) else None)
+
+    def _cells(self, tq) -> Locator:
+        if not isinstance(tq, Locator):
+            return self.locate(tq)
+        if tq.t is not self.t and not np.array_equal(tq.t, self.t):
+            raise ValueError("locator was taken on a different time grid")
+        return tq
+
+    def omega_at(self, tq):
+        loc = self._cells(tq)
+        out = self._slope[loc.idx] * loc.s + self.omega[loc.idx]
+        if loc.end is not None:
+            tail = self.beam_tail.omega_inf if self.mode == "beam" else 0.0
+            out = np.where(loc.end, np.where(loc.tq > self.t[-1], tail, self.omega[-1]), out)
         return float(out) if out.ndim == 0 else out
 
     def Omega_at(self, tq):
-        tq = np.asarray(tq, dtype=float)
-        scalar = tq.ndim == 0
-        tq = np.atleast_1d(tq)
-        idx = np.clip(np.searchsorted(self.t, tq, side="right") - 1, 0, len(self.t) - 2)
-        t0, t1 = self.t[idx], self.t[idx + 1]
-        w0, w1 = self.omega[idx], self.omega[idx + 1]
-        s = np.clip(tq - t0, 0.0, t1 - t0)
-        out = self.Omega[idx] + w0 * s + 0.5 * (w1 - w0) / (t1 - t0) * s * s
-        beyond = tq > self.t[-1]
-        if np.any(beyond):
+        loc = self._cells(tq)
+        idx, s = loc.idx, loc.s
+        out = self.Omega[idx] + self.omega[idx] * s + 0.5 * self._slope[idx] * s * s
+        if loc.end is not None:
+            past = loc.tq - self.t[-1]
             if self.mode == "beam":
-                out = np.where(beyond, self.Omega[-1] + self.beam_tail.omega_inf * (tq - self.t[-1]), out)
+                tail = self.Omega[-1] + self.beam_tail.omega_inf * past
             else:
-                out = np.where(beyond, self.Omega[-1], out)
-        return float(out[0]) if scalar else out
+                tail = self.Omega[-1]
+            out = np.where(past > 0.0, tail, out)
+        return float(out) if out.ndim == 0 else out
 
     def invert_Omega(self, u):
         """Time at which the integrated intensity reaches u.

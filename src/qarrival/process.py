@@ -19,7 +19,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import ConfigError
-from .intensity import IntensityProfile
+from .intensity import IntensityProfile, Locator
 from .quadrature import geometric_edges, integrate_panels, uniform_edges
 from .scenario import StateFamily, log_family_Fn
 
@@ -40,7 +40,7 @@ class ArrivalRecord:
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         object.__setattr__(self, "times", t)
-        if t.size and np.any(np.diff(t) <= 0.0):
+        if not (t[1:] > t[:-1]).all():  # also rejects NaN neighbours
             raise ValueError("arrival times must be strictly increasing")
         if self.terminated and t.size >= self.requested:
             raise ValueError("terminated record cannot hold all requested arrivals")
@@ -72,14 +72,42 @@ def log_joint_density(times, family: StateFamily, profile: IntensityProfile):
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("need an ordered vector of at least one arrival time")
-    if np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
+    if not (t[1:] > t[:-1]).all() or not t[0] >= 0.0:
         raise ValueError("arrival times must be positive and strictly increasing")
-    n = t.size
-    omega = np.atleast_1d(profile.omega_at(t))
+    loc = profile.locate(t)
+    omega = profile.omega_at(loc)
     if np.any(omega <= 0.0):
         return -math.inf
-    u_last = profile.Omega_at(t[-1])
-    return log_family_Fn(family, n, u_last) + float(np.sum(np.log(omega)))
+    u_last = profile.Omega_at(loc[-1])
+    return log_family_Fn(family, t.size, u_last) + float(np.sum(np.log(omega)))
+
+
+def log_likelihood_batch(times, n_det, family: StateFamily, profile: IntensityProfile):
+    """Log-likelihood of sampled records, one per row of ``times``.
+
+    ``times`` is the ``(count, n)`` matrix of :func:`sample_times_matrix`,
+    or a :class:`Locator` taken on it, so that profiles on one grid share
+    the cell search.  Rows with fewer than n detections score the log of
+    the NO-event mass; in complete rows the intensity is floored at 1e-300,
+    where :func:`log_joint_density` would return -inf.
+    """
+    loc = times if isinstance(times, Locator) else profile.locate(times)
+    n = loc.idx.shape[1]
+    full = n_det == n
+    some_short = not full.all()
+    if some_short:
+        loc = loc[full]
+    om = profile.omega_at(loc)
+    ll = np.sum(np.log(np.maximum(om, 1e-300)), axis=1)
+    u_last = np.atleast_1d(profile.Omega_at(loc[:, -1]))
+    ll += np.atleast_1d(log_family_Fn(family, n, u_last))
+    if not some_short:
+        return ll
+    out = np.empty(full.shape)
+    out[full] = ll
+    mass = noevent_mass(n, family, profile)
+    out[~full] = math.log(mass) if mass > 0.0 else -np.inf
+    return out
 
 
 def joint_density(times, family: StateFamily, profile: IntensityProfile):

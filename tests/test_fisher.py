@@ -6,9 +6,10 @@ import pytest
 
 from qarrival.deltakernel import DeltaParams
 from qarrival.errors import ModeError, ToleranceError
+from qarrival import intensity
 from qarrival.fisher import (density_sweep, fisher_conditional, fisher_info,
-                             i_infinity, mc_score_variance, sparse_limit_I,
-                             stationary_constant)
+                             i_infinity, mc_score_variance, mle_variance_study,
+                             sparse_limit_I, stationary_constant)
 from qarrival.intensity import build_profile
 from qarrival.scenario import Scenario, StateFamily
 
@@ -206,3 +207,22 @@ class TestMonteCarlo:
     def test_minimum_samples_enforced(self, beam_profile_r1):
         with pytest.raises(ValueError):
             mc_score_variance(1, COH, beam_profile_r1, samples=100, seed=0)
+
+
+def test_study_profiles_share_one_grid(beam_profile_r1, monkeypatch):
+    # the shifted profiles of both studies are built on one grid, which is
+    # what lets them share a single cell locator per sample block
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(build_profile(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(intensity, "build_profile", spy)
+    mc_score_variance(1, COH, beam_profile_r1, samples=10_000, seed=1)
+    assert len(built) == 2
+    mle_variance_study(2, COH, beam_profile_r1, datasets=4, records_per_dataset=8,
+                       seed=1, grid_points=5)
+    assert len(built) == 7
+    for prof in built[1:]:
+        assert np.array_equal(prof.t, built[0].t)

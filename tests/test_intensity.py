@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
-from qarrival.deltakernel import DeltaParams, beam_asymptotes, beam_intensity
+from qarrival.deltakernel import (BeamAsymptotes, DeltaParams, beam_asymptotes,
+                                  beam_intensity)
 from qarrival.errors import RangeError
-from qarrival.intensity import build_profile
+from qarrival.intensity import IntensityProfile, build_profile
 from qarrival.scenario import Scenario
 
 
@@ -145,3 +149,112 @@ def test_beam_family_members_converge_to_beam_curve(beam_scn):
                                  derivative=False)
             sups.append(float(np.max(np.abs(prof.omega_at(grid_t) - beam_curve))))
     assert sups[0] > sups[1] > sups[2]
+
+
+# ---------------------------------------------------------------------------
+# Locator: one cell search shared by the evaluators of every profile on a grid
+# ---------------------------------------------------------------------------
+
+def _table_profile(t, omega, mode):
+    """Profile over an arbitrary table; beam mode continues at omega_inf = 0.7."""
+    scn = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0, navg=math.inf, r0=1.0)
+    tail = BeamAsymptotes(omega_inf=0.7, domega_dp0_inf=0.0, c0=0.0, c_sqrt=0.0,
+                          c_lin=0.0, dc_t32=0.0) if mode == "beam" else None
+    zeros = np.zeros_like(t)
+    return IntensityProfile(scn=scn, mode=mode, t=t, omega=omega,
+                            Omega=cumulative_trapezoid(omega, t, initial=0.0),
+                            domega=zeros, dOmega=zeros, dOmega_tilde=zeros,
+                            Omega_inf=math.inf, dOmega_inf=math.nan, beam_tail=tail)
+
+
+def _reference_omega(prof, tq):
+    """np.interp with the constant continuation past the last node."""
+    tail = prof.beam_tail.omega_inf if prof.mode == "beam" else 0.0
+    return np.where(tq > prof.t[-1], tail, np.interp(tq, prof.t, prof.omega))
+
+
+def _reference_Omega(prof, tq):
+    """The quadratic cell model written out cell by cell, as first specified."""
+    t = prof.t
+    idx = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
+    t0, t1 = t[idx], t[idx + 1]
+    w0, w1 = prof.omega[idx], prof.omega[idx + 1]
+    s = np.clip(tq - t0, 0.0, t1 - t0)
+    out = prof.Omega[idx] + w0 * s + 0.5 * (w1 - w0) / (t1 - t0) * s * s
+    beyond = tq > t[-1]
+    if prof.mode == "beam":
+        return np.where(beyond, prof.Omega[-1] + prof.beam_tail.omega_inf * (tq - t[-1]), out)
+    return np.where(beyond, prof.Omega[-1], out)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@st.composite
+def _tables_and_queries(draw):
+    steps = draw(st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=40))
+    t = np.concatenate([[0.0], np.cumsum(steps)])
+    t = t[np.concatenate([[True], np.diff(t) > 0.0])]
+    if t.size < 2:
+        t = np.array([0.0, 1.0])
+    # + 0.0 turns -0.0 into 0.0, which np.interp would return as is
+    omega = np.array(draw(st.lists(st.floats(0.0, 50.0), min_size=t.size,
+                                   max_size=t.size))) + 0.0
+    inside = draw(st.lists(st.floats(-1.0, 1.3 * t[-1]), max_size=60))
+    nodes = draw(st.lists(st.sampled_from(t.tolist()), max_size=10))
+    tq = np.array(inside + nodes + [0.0, t[-1], float(np.nextafter(t[-1], 0.0)),
+                                    float(np.nextafter(t[-1], np.inf))])
+    return t, omega, tq
+
+
+class TestLocator:
+    @given(case=_tables_and_queries(), mode=st.sampled_from(["beam", "delta"]))
+    @settings(max_examples=150, deadline=None)
+    def test_evaluators_match_interp_and_cell_model_bitwise(self, case, mode):
+        t, omega, tq = case
+        prof = _table_profile(t, omega, mode)
+        loc = prof.locate(tq)
+        assert loc.idx.dtype == np.int32
+        for q in (tq, loc):
+            assert np.array_equal(_bits(prof.omega_at(q)), _bits(_reference_omega(prof, tq)))
+            assert np.array_equal(_bits(prof.Omega_at(q)), _bits(_reference_Omega(prof, tq)))
+
+    def test_built_profiles_match_bitwise(self, beam_profile, delta_profile):
+        rng = np.random.default_rng(3)
+        for prof in (beam_profile, delta_profile):
+            t = prof.t
+            tq = np.concatenate([rng.uniform(-1.0, 1.2 * t[-1], 20_000), t,
+                                 [0.0, t[-1], t[-1] + 3.0]]).reshape(-1, 2)
+            assert np.array_equal(_bits(prof.omega_at(tq)), _bits(_reference_omega(prof, tq)))
+            assert np.array_equal(_bits(prof.Omega_at(tq)), _bits(_reference_Omega(prof, tq)))
+
+    def test_locator_shared_across_profiles_on_one_grid(self, beam_scn):
+        a = build_profile(beam_scn, t_max=20.0)
+        b = build_profile(dataclasses.replace(beam_scn, r0=3.0), t_max=20.0)
+        c = build_profile(beam_scn.at_p0(1.2), t_max=20.0)  # equal grid, own array
+        assert c.t is not a.t
+        tq = np.linspace(0.0, 25.0, 300).reshape(-1, 3)
+        loc = a.locate(tq)
+        for prof in (a, b, c):
+            assert np.array_equal(prof.omega_at(loc), prof.omega_at(tq))
+            assert np.array_equal(prof.Omega_at(loc[:, -1]), prof.Omega_at(tq[:, -1]))
+
+    def test_locator_from_another_grid_rejected(self, beam_scn):
+        a = build_profile(beam_scn, t_max=20.0)
+        b = build_profile(beam_scn, t_max=20.0, dt=0.02)
+        loc = b.locate([1.0, 2.0])
+        with pytest.raises(ValueError):
+            a.omega_at(loc)
+        with pytest.raises(ValueError):
+            a.Omega_at(loc)
+
+    def test_scalar_in_scalar_out(self, beam_profile, delta_profile):
+        for prof in (beam_profile, delta_profile):
+            for tq in (0.0, 2.5, prof.t[-1], prof.t[-1] + 1.0):
+                loc = prof.locate(tq)
+                for q in (tq, loc, prof.locate([tq])[0]):
+                    assert type(prof.omega_at(q)) is float
+                    assert type(prof.Omega_at(q)) is float
+                assert prof.omega_at(loc) == _reference_omega(prof, np.array(tq))
+                assert prof.Omega_at(loc) == _reference_Omega(prof, np.array(tq))

@@ -8,7 +8,7 @@ from scipy.stats import binom, chisquare, geom, kstest, poisson
 from qarrival.errors import ConfigError
 from qarrival.process import (ArrivalRecord, first_arrival_series_coeffs,
                               joint_density, log_joint_density, log_likelihood,
-                              noevent_mass, sample_arrivals, sample_batch,
+                              log_likelihood_batch, noevent_mass, sample_arrivals, sample_batch,
                               sample_times_matrix, spatial_char,
                               spatial_char_beam, total_prob, total_prob_dp,
                               total_prob_integral)
@@ -45,6 +45,11 @@ class TestJointDensity:
     def test_empty_rejected(self, beam_profile):
         with pytest.raises(ValueError):
             joint_density([], StateFamily.coherent(1.0), beam_profile)
+
+    @pytest.mark.parametrize("times", [[1.0, math.nan], [math.nan, 2.0], [math.nan]])
+    def test_nan_time_rejected(self, beam_profile, times):
+        with pytest.raises(ValueError):
+            log_joint_density(times, StateFamily.coherent(1.0), beam_profile)
 
 
 class TestTotalProbability:
@@ -150,6 +155,11 @@ class TestSampling:
             assert np.all(np.diff(rec.times) > 0)
             assert rec.terminated == (rec.n_detected < 4)
 
+    @pytest.mark.parametrize("times", [[1.0, math.nan, 2.0], [1.0, math.inf, math.inf]])
+    def test_record_rejects_nan_and_repeated_infinity(self, times):
+        with pytest.raises(ValueError):
+            ArrivalRecord(requested=3, times=times)
+
     def test_constant_rate_interarrivals_exponential(self):
         # fast beam: omega ~ a r0 const; coherent arrivals are then a plain
         # Poisson stream and inter-arrival times are Exp(omega0)
@@ -234,6 +244,38 @@ class TestLikelihood:
         rec = ArrivalRecord(requested=40, times=[5.0], terminated=True)
         assert log_likelihood(rec, coh, delta_profile) == pytest.approx(
             math.log(noevent_mass(40, coh, delta_profile)))
+
+
+class TestBatchLikelihood:
+    def test_complete_records_match_joint_density(self, beam_profile):
+        qf = StateFamily.quasifree(5.0)
+        times, n_det = sample_times_matrix(3, qf, beam_profile, 400, seed=2)
+        assert np.all(n_det == 3)
+        ll = log_likelihood_batch(times, n_det, qf, beam_profile)
+        assert ll.shape == (400,)
+        for row, val in zip(times, ll):
+            assert val == log_joint_density(row, qf, beam_profile)
+        loc = beam_profile.locate(times)
+        assert np.array_equal(log_likelihood_batch(loc, n_det, qf, beam_profile), ll)
+
+    def test_mixed_short_and_complete_records(self, delta_profile):
+        # Omega_inf ~ 12 for this packet, so n = 12 leaves about half short
+        coh = StateFamily.coherent(100.0)
+        n = 12
+        times, n_det = sample_times_matrix(n, coh, delta_profile, 400, seed=4)
+        full = n_det == n
+        assert 50 < full.sum() < 350
+        ll = log_likelihood_batch(times, n_det, coh, delta_profile)
+        assert np.all(ll[~full] == math.log(noevent_mass(n, coh, delta_profile)))
+        on_grid = times[full, -1] <= delta_profile.t[-1]
+        assert 0 < on_grid.sum() < full.sum()
+        for row, val, inside in zip(times[full], ll[full], on_grid):
+            if inside:
+                assert val == log_joint_density(row, coh, delta_profile)
+            else:
+                # omega = 0 past a finite grid: -inf there, the 1e-300 floor here
+                assert log_joint_density(row, coh, delta_profile) == -math.inf
+                assert -math.inf < val < math.log(1e-300) + 100.0
 
 
 class TestSpatialCounts:
