@@ -15,7 +15,7 @@ carry a fitted power-law tail estimate for the total-mass extrapolation.
 
 Pointwise evaluation is split in two.  ``IntensityProfile.locate`` finds
 the grid cell of each query time once (a :class:`Locator`: int32 cell
-index, offset into the cell, and the points at or past the last node), and
+index, offset into the cell, and the points at and past the last node), and
 ``omega_at``/``Omega_at`` read any profile on the same grid from it.  With
 the per-profile slope table ``(omega[1:] - omega[:-1]) / (t[1:] - t[:-1])``
 the linear interpolant ``slope * s + omega`` is the expression
@@ -67,18 +67,20 @@ class Locator:
     """Grid cells of a set of query times (see :meth:`IntensityProfile.locate`).
 
     ``idx`` is the cell of each point, clamped to the first and last cell;
-    ``s = max(tq - t[idx], 0)`` is the offset into it; ``end`` marks the
-    points at or past ``t[-1]`` (None when there are none).  Past ``t[-1]``
-    the offset overruns the last cell; the evaluators replace those points
-    with the profile's continuation, so it is never read there.  Indexing a
-    locator selects points, as indexing ``tq`` would.
+    ``s = max(tq - t[idx], 0)`` is the offset into it.  ``past`` marks the
+    points beyond ``t[-1]`` and ``at`` those exactly at it (each None when
+    there are none).  Past ``t[-1]`` the offset overruns the last cell; the
+    evaluators replace those points with the profile's continuation, so it
+    is never read there.  Indexing a locator selects points, as indexing
+    ``tq`` would.
     """
 
     t: np.ndarray
     idx: np.ndarray
     s: np.ndarray
     tq: np.ndarray
-    end: np.ndarray | None
+    past: np.ndarray | None
+    at: np.ndarray | None
 
     @property
     def size(self) -> int:
@@ -87,7 +89,8 @@ class Locator:
 
     def __getitem__(self, key) -> Locator:
         return Locator(self.t, self.idx[key], self.s[key], self.tq[key],
-                       None if self.end is None else self.end[key])
+                       None if self.past is None else self.past[key],
+                       None if self.at is None else self.at[key])
 
 
 @dataclass(frozen=True)
@@ -118,11 +121,13 @@ class IntensityProfile:
         tq = np.asarray(tq, dtype=float)
         t = self.t
         # a search over the interior nodes returns the cell index already
-        # clamped to [0, len(t) - 2]
+        # clamped to [0, len(t) - 2]; int32 halves the index memory of a
+        # sample block
         idx = np.searchsorted(t[1:-1], tq, side="right").astype(np.int32)
         s = np.maximum(tq - t[idx], 0.0)
-        end = tq >= t[-1]
-        return Locator(t, idx, s, tq, end if np.count_nonzero(end) else None)
+        past, at = tq > t[-1], tq == t[-1]
+        return Locator(t, idx, s, tq, past if np.count_nonzero(past) else None,
+                       at if np.count_nonzero(at) else None)
 
     def _cells(self, tq) -> Locator:
         if not isinstance(tq, Locator):
@@ -134,22 +139,23 @@ class IntensityProfile:
     def omega_at(self, tq):
         loc = self._cells(tq)
         out = self._slope[loc.idx] * loc.s + self.omega[loc.idx]
-        if loc.end is not None:
+        if loc.past is not None:
             tail = self.beam_tail.omega_inf if self.mode == "beam" else 0.0
-            out = np.where(loc.end, np.where(loc.tq > self.t[-1], tail, self.omega[-1]), out)
+            out = np.where(loc.past, tail, out)
+        if loc.at is not None:  # np.interp returns the last node's value there
+            out = np.where(loc.at, self.omega[-1], out)
         return float(out) if out.ndim == 0 else out
 
     def Omega_at(self, tq):
         loc = self._cells(tq)
         idx, s = loc.idx, loc.s
         out = self.Omega[idx] + self.omega[idx] * s + 0.5 * self._slope[idx] * s * s
-        if loc.end is not None:
-            past = loc.tq - self.t[-1]
+        if loc.past is not None:
             if self.mode == "beam":
-                tail = self.Omega[-1] + self.beam_tail.omega_inf * past
+                tail = self.Omega[-1] + self.beam_tail.omega_inf * (loc.tq - self.t[-1])
             else:
                 tail = self.Omega[-1]
-            out = np.where(past > 0.0, tail, out)
+            out = np.where(loc.past, tail, out)
         return float(out) if out.ndim == 0 else out
 
     def invert_Omega(self, u):
