@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
+from qarrival import intensity
 from qarrival.deltakernel import DeltaParams
 from qarrival.errors import ModeError, ToleranceError
-from qarrival import intensity
 from qarrival.fisher import (density_sweep, fisher_conditional, fisher_info,
                              i_infinity, mc_score_variance, mle_variance_study,
                              sparse_limit_I, stationary_constant)

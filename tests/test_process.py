@@ -8,7 +8,8 @@ from scipy.stats import binom, chisquare, geom, kstest, poisson
 from qarrival.errors import ConfigError
 from qarrival.process import (ArrivalRecord, first_arrival_series_coeffs,
                               joint_density, log_joint_density, log_likelihood,
-                              log_likelihood_batch, noevent_mass, sample_arrivals, sample_batch,
+                              log_likelihood_batch, noevent_mass,
+                              sample_arrivals, sample_batch,
                               sample_times_matrix, spatial_char,
                               spatial_char_beam, total_prob, total_prob_dp,
                               total_prob_integral)
