@@ -113,7 +113,7 @@ class IntensityProfile:
 
     @cached_property
     def _slope(self):
-        """Per-cell slope of omega, the table ``np.interp`` computes internally."""
+        """Per-cell slope of omega (the table ``np.interp`` builds), kept after first use."""
         return (self.omega[1:] - self.omega[:-1]) / (self.t[1:] - self.t[:-1])
 
     def locate(self, tq) -> Locator:
