@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -88,9 +89,18 @@ class Locator:
         return int(np.size(self.idx))
 
     def __getitem__(self, key) -> Locator:
-        return Locator(self.t, self.idx[key], self.s[key], self.tq[key],
-                       None if self.past is None else self.past[key],
-                       None if self.at is None else self.at[key])
+        return Locator(self.t, _take(self.idx, key), _take(self.s, key), _take(self.tq, key),
+                       _take(self.past, key), _take(self.at, key))
+
+
+def _take(a, key):
+    """``a[key]`` as a contiguous array: the evaluators read a strided view,
+    such as the last column of a sample block, more slowly than they copy
+    and read it."""
+    if a is None:
+        return None
+    out = a[key]
+    return out if out.flags.c_contiguous else out.copy()
 
 
 @dataclass(frozen=True)
@@ -115,6 +125,13 @@ class IntensityProfile:
     def _slope(self):
         """Per-cell slope of omega (the table ``np.interp`` builds), kept after first use."""
         return (self.omega[1:] - self.omega[:-1]) / (self.t[1:] - self.t[:-1])
+
+    @cached_property
+    def _cell_lists(self):
+        """``t[1:-1]``, ``t``, ``omega``, ``_slope`` and ``Omega`` as lists of
+        Python floats for the per-point evaluators, kept after first use."""
+        t = self.t.tolist()
+        return t[1:-1], t, self.omega.tolist(), self._slope.tolist(), self.Omega.tolist()
 
     def locate(self, tq) -> Locator:
         """Grid cells of the query times, for every profile on this grid."""
@@ -157,6 +174,35 @@ class IntensityProfile:
                 tail = self.Omega[-1]
             out = np.where(loc.past, tail, out)
         return float(out) if out.ndim == 0 else out
+
+    # Per-point evaluators on Python floats, for short records where numpy's
+    # per-call overhead dominates: the cell search and the cell formulas of
+    # ``locate``/``omega_at``/``Omega_at``, operand for operand, so the
+    # results are the same bits.
+
+    def _omega_point(self, x: float) -> float:
+        inner, t, omega, slope, _ = self._cell_lists
+        if x > t[-1]:
+            return self.beam_tail.omega_inf if self.mode == "beam" else 0.0
+        if x == t[-1]:
+            return omega[-1]
+        i = bisect_right(inner, x)
+        s = x - t[i]
+        if s <= 0.0:  # np.maximum(-0.0, 0.0) is 0.0
+            s = 0.0
+        return slope[i] * s + omega[i]
+
+    def _Omega_point(self, x: float) -> float:
+        inner, t, omega, slope, Omega = self._cell_lists
+        if x > t[-1]:
+            if self.mode == "beam":
+                return Omega[-1] + self.beam_tail.omega_inf * (x - t[-1])
+            return Omega[-1]
+        i = bisect_right(inner, x)
+        s = x - t[i]
+        if s <= 0.0:
+            s = 0.0
+        return Omega[i] + omega[i] * s + 0.5 * slope[i] * s * s
 
     def invert_Omega(self, u):
         """Time at which the integrated intensity reaches u.
@@ -274,6 +320,7 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
         mode = "gaussian"
     t_max = _DEFAULTS[mode]["t_max"] if t_max is None else float(t_max)
     dt = _DEFAULTS[mode]["dt"] if dt is None else float(dt)
+    grid = pg.TimeGrid(t_max, dt)  # rejects a bad t_max or dt in every mode
 
     if mode == "beam":
         t, g, gdot, G, dG, dG_tilde, asym_unit = _beam_tables(scn.a, scn.m, scn.p0, t_max, dt)
@@ -285,7 +332,6 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
             dOmega=r0 * dG, dOmega_tilde=r0 * dG_tilde,
             Omega_inf=math.inf, dOmega_inf=math.nan, beam_tail=asym)
 
-    grid = pg.TimeGrid(t_max, dt)
     kernel = pg.gaussian_kernel_g(scn, grid) if mode == "gaussian" else None
     pref = scn.navg * scn.gamma if mode == "gaussian" else scn.a * scn.navg
 

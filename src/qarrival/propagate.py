@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_triangular, toeplitz
 
-from .errors import GridMismatchError, ModeError
+from .errors import ConfigError, GridMismatchError, ModeError
 from .scenario import Scenario
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -40,8 +40,9 @@ class TimeGrid:
     dt: float
 
     def __post_init__(self):
-        if self.t_max <= 0 or self.dt <= 0:
-            raise ValueError("t_max and dt must be positive")
+        if not (0.0 < self.t_max < math.inf and 0.0 < self.dt < math.inf):
+            raise ConfigError(f"t_max and dt must be positive and finite, "
+                              f"got t_max={self.t_max!r}, dt={self.dt!r}")
 
     @property
     def n_nodes(self) -> int:

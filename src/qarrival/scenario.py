@@ -231,6 +231,8 @@ def log_family_Fn(family: StateFamily, n: int, omega_int):
     """log F_n; -inf where F_n vanishes.  Stable for large n and N."""
     if n < 0:
         raise ValueError("order n must be >= 0")
+    if isinstance(omega_int, float):
+        return _log_family_Fn_float(family, n, float(omega_int))
     u = _check_domain(omega_int)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
@@ -247,6 +249,23 @@ def log_family_Fn(family: StateFamily, n: int, omega_int):
             with np.errstate(divide="ignore"):
                 out[inside] = logpref + (N - n) * np.log1p(-u[inside] / N)
     return float(out[0]) if scalar else out
+
+
+def _log_family_Fn_float(family: StateFamily, n: int, u: float) -> float:
+    """log F_n at one Python float, without the array round trip (about
+    10 us per call); the expressions of :func:`log_family_Fn`, same bits."""
+    if u < 0.0:
+        raise ValueError("integrated intensity must be >= 0")
+    if family.kind == "coherent":
+        return -u
+    if family.kind == "quasifree":
+        return float(gammaln(n + 1.0) - (n + 1.0) * np.log1p(u))
+    N = family.param
+    if n > N or not u < N:
+        return -math.inf
+    logpref = gammaln(N + 1.0) - n * math.log(N) - gammaln(N - n + 1.0)
+    with np.errstate(divide="ignore"):
+        return float(logpref + (N - n) * np.log1p(-u / N))
 
 
 def family_Fn(family: StateFamily, n: int, omega_int):

@@ -212,3 +212,15 @@ class TestErrors:
         rc = main(["sample", "--config", beam_cfg, "--out", str(tmp_path / "x.csv"),
                    "--n", "2", "--count", "10", "--seed", "-1", "--t-max", "30"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fisher", "--t-max", "-5"],
+        ["fisher", "--dt", "0"],
+        ["fisher", "--dt", "nan"],
+        ["density", "--t-max", "0"],
+    ])
+    def test_bad_grid_flags(self, beam_cfg, tmp_path, capsys, argv):
+        rc = main(argv + ["--config", beam_cfg, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1

@@ -10,7 +10,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from qarrival.deltakernel import (BeamAsymptotes, DeltaParams, beam_asymptotes,
                                   beam_intensity)
-from qarrival.errors import RangeError
+from qarrival.errors import ConfigError, RangeError
 from qarrival.intensity import IntensityProfile, build_profile
 from qarrival.scenario import Scenario
 
@@ -78,6 +78,15 @@ class TestBeamProfile:
         with pytest.raises(ValueError):
             first.t[:] = 0.0
         assert np.array_equal(second.t, before)
+
+
+@pytest.mark.parametrize("t_max, dt", [(-5.0, None), (0.0, None), (math.nan, None),
+                                       (math.inf, None), (None, 0.0), (None, -0.01),
+                                       (None, math.nan), (None, math.inf)])
+def test_build_profile_rejects_bad_grid(beam_scn, packet_scn, t_max, dt):
+    for scn in (beam_scn, packet_scn, dataclasses.replace(packet_scn, eps=1.0)):
+        with pytest.raises(ConfigError):
+            build_profile(scn, t_max=t_max, dt=dt)
 
 
 class TestFiniteProfiles:
@@ -191,6 +200,15 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.uint64)
 
 
+def _assert_points_match(prof, tq):
+    """The per-point evaluators give the bits of omega_at/Omega_at."""
+    omega = [prof._omega_point(x) for x in tq.tolist()]
+    Omega = [prof._Omega_point(x) for x in tq.tolist()]
+    assert all(type(v) is float for v in omega + Omega)
+    assert np.array_equal(_bits(omega), _bits(prof.omega_at(tq)))
+    assert np.array_equal(_bits(Omega), _bits(prof.Omega_at(tq)))
+
+
 @st.composite
 def _tables_and_queries(draw):
     steps = draw(st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=40))
@@ -219,6 +237,22 @@ class TestLocator:
         for q in (tq, loc):
             assert np.array_equal(_bits(prof.omega_at(q)), _bits(_reference_omega(prof, tq)))
             assert np.array_equal(_bits(prof.Omega_at(q)), _bits(_reference_Omega(prof, tq)))
+
+    @given(case=_tables_and_queries(), mode=st.sampled_from(["beam", "delta"]))
+    @settings(max_examples=150, deadline=None)
+    def test_point_evaluators_match_bitwise(self, case, mode):
+        t, omega, tq = case
+        prof = _table_profile(t, omega, mode)
+        tq = np.concatenate([tq, [-0.0, t[-1] + 1.0, 1e3 * t[-1]]])
+        _assert_points_match(prof, tq)
+
+    def test_built_point_evaluators_match_bitwise(self, beam_profile, delta_profile):
+        rng = np.random.default_rng(4)
+        for prof in (beam_profile, delta_profile):
+            t = prof.t
+            _assert_points_match(prof, np.concatenate([
+                rng.uniform(0.0, 1.2 * t[-1], 5_000), t[::7], np.nextafter(t[::7], 0.0),
+                np.nextafter(t[::7], np.inf), [0.0, t[-1], t[-1] + 3.0]]))
 
     def test_built_profiles_match_bitwise(self, beam_profile, delta_profile):
         rng = np.random.default_rng(3)

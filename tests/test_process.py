@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import binom, chisquare, geom, kstest, poisson
 
 from qarrival.errors import ConfigError
-from qarrival.process import (ArrivalRecord, first_arrival_series_coeffs,
+from qarrival.process import (_SHORT_RECORD, ArrivalRecord, first_arrival_series_coeffs,
                               joint_density, log_joint_density, log_likelihood,
                               log_likelihood_batch, noevent_mass,
                               sample_arrivals, sample_batch,
@@ -277,6 +277,18 @@ class TestBatchLikelihood:
                 # omega = 0 past a finite grid: -inf there, the 1e-300 floor here
                 assert log_joint_density(row, coh, delta_profile) == -math.inf
                 assert -math.inf < val < math.log(1e-300) + 100.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, _SHORT_RECORD - 1, _SHORT_RECORD])
+def test_joint_density_matches_batch_bitwise(beam_profile, n):
+    # short records take the per-point path, long ones the locator; both
+    # must give the batched likelihood's bits
+    for fam in (StateFamily.coherent(5.0), StateFamily.quasifree(5.0), StateFamily.fock(60)):
+        times, n_det = sample_times_matrix(n, fam, beam_profile, 200, seed=n)
+        assert np.all(n_det == n)
+        batch = log_likelihood_batch(times, n_det, fam, beam_profile)
+        rows = np.array([log_joint_density(row, fam, beam_profile) for row in times])
+        assert np.array_equal(rows.view(np.uint64), batch.view(np.uint64))
 
 
 class TestSpatialCounts:

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from qarrival import propagate
 from qarrival.deltakernel import DeltaParams, f_p, renewal_kernel_solution
-from qarrival.errors import GridMismatchError
+from qarrival.errors import ConfigError, GridMismatchError
 from qarrival.propagate import (ComplexSeries, TimeGrid, gaussian_free_at_origin,
                                 gaussian_kernel_g, gaussian_overlap_h0,
                                 monochromatic_drive, norm_loss, solve_renewal,
@@ -29,6 +29,16 @@ def momentum_quad(f, lim=12.0):
     re = quad(lambda p: f(p).real, -lim, lim, limit=400, epsabs=1e-13)[0]
     im = quad(lambda p: f(p).imag, -lim, lim, limit=400, epsabs=1e-13)[0]
     return re + 1j * im
+
+
+_BAD_GRIDS = [(-5.0, 0.1), (0.0, 0.1), (math.nan, 0.1), (math.inf, 0.1),
+              (1.0, 0.0), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf)]
+
+
+@pytest.mark.parametrize("t_max, dt", _BAD_GRIDS)
+def test_time_grid_rejects_bad_parameters(t_max, dt):
+    with pytest.raises(ConfigError):
+        TimeGrid(t_max, dt)
 
 
 class TestGaussianOverlaps:

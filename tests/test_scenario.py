@@ -76,6 +76,20 @@ class TestSignedDerivatives:
         assert np.isfinite(val)
 
 
+def test_log_fn_float_branch_matches_array_branch_bitwise():
+    # includes u = 0, Fock u >= N (at and past N = 12), Fock n > N and NaN
+    u = np.concatenate([[0.0, 1e-300, 12.0, np.nextafter(12.0, 0.0), 12.5, 40.0, math.nan],
+                        np.random.default_rng(5).uniform(0.0, 15.0, 500)])
+    for fam in FAMILIES:
+        for n in (0, 1, 2, 5, 11, 12, 13, 30):
+            arr = log_family_Fn(fam, n, u)
+            pts = [log_family_Fn(fam, n, float(x)) for x in u]
+            assert all(type(v) is float for v in pts)
+            assert np.array_equal(np.array(pts).view(np.uint64), arr.view(np.uint64))
+            with pytest.raises(ValueError):
+                log_family_Fn(fam, n, -0.5)
+
+
 class TestRatio:
     def test_coherent_is_unit(self):
         assert family_Hn(StateFamily.coherent(2.0), 7, 13.0) == 1.0
