@@ -21,7 +21,9 @@ the per-profile slope table ``(omega[1:] - omega[:-1]) / (t[1:] - t[:-1])``
 the linear interpolant ``slope * s + omega`` is the expression
 ``np.interp`` evaluates, so results equal it bit for bit; profiles that
 share a grid (the momentum grids of the Monte Carlo and maximum-likelihood
-studies) pay for the cell search once.
+studies) pay for the cell search once.  For a few points at a time, where
+numpy's per-call overhead dominates, the same cell formulas also run on
+Python-float copies of the tables, with the same results.
 """
 
 from __future__ import annotations
@@ -89,18 +91,9 @@ class Locator:
         return int(np.size(self.idx))
 
     def __getitem__(self, key) -> Locator:
-        return Locator(self.t, _take(self.idx, key), _take(self.s, key), _take(self.tq, key),
-                       _take(self.past, key), _take(self.at, key))
-
-
-def _take(a, key):
-    """``a[key]`` as a contiguous array: the evaluators read a strided view,
-    such as the last column of a sample block, more slowly than they copy
-    and read it."""
-    if a is None:
-        return None
-    out = a[key]
-    return out if out.flags.c_contiguous else out.copy()
+        return Locator(self.t, self.idx[key], self.s[key], self.tq[key],
+                       None if self.past is None else self.past[key],
+                       None if self.at is None else self.at[key])
 
 
 @dataclass(frozen=True)

@@ -252,8 +252,9 @@ def log_family_Fn(family: StateFamily, n: int, omega_int):
 
 
 def _log_family_Fn_float(family: StateFamily, n: int, u: float) -> float:
-    """log F_n at one Python float, without the array round trip (about
-    10 us per call); the expressions of :func:`log_family_Fn`, same bits."""
+    """log F_n at one Python float without the array round trip, which
+    costs about 6 us per call; the expressions of :func:`log_family_Fn`,
+    same bits."""
     if u < 0.0:
         raise ValueError("integrated intensity must be >= 0")
     if family.kind == "coherent":
