@@ -168,33 +168,36 @@ class IntensityProfile:
             out = np.where(loc.past, tail, out)
         return float(out) if out.ndim == 0 else out
 
-    # Per-point evaluators on Python floats, for short records where numpy's
+    # Per-point evaluators on Python floats, for single records where numpy's
     # per-call overhead dominates: the cell search and the cell formulas of
     # ``locate``/``omega_at``/``Omega_at``, operand for operand, so the
     # results are the same bits.
 
-    def _omega_point(self, x: float) -> float:
-        inner, t, omega, slope, _ = self._cell_lists
-        if x > t[-1]:
-            return self.beam_tail.omega_inf if self.mode == "beam" else 0.0
-        if x == t[-1]:
-            return omega[-1]
+    def _point_cell(self, x: float):
+        """Cell ``i`` and offset ``s`` of one time, as :meth:`locate` finds them."""
+        inner, t, _, _, _ = self._cell_lists
         i = bisect_right(inner, x)
         s = x - t[i]
         if s <= 0.0:  # np.maximum(-0.0, 0.0) is 0.0
             s = 0.0
+        return i, s
+
+    def _omega_point(self, x: float) -> float:
+        _, t, omega, slope, _ = self._cell_lists
+        if x > t[-1]:
+            return self.beam_tail.omega_inf if self.mode == "beam" else 0.0
+        if x == t[-1]:
+            return omega[-1]
+        i, s = self._point_cell(x)
         return slope[i] * s + omega[i]
 
     def _Omega_point(self, x: float) -> float:
-        inner, t, omega, slope, Omega = self._cell_lists
+        _, t, omega, slope, Omega = self._cell_lists
         if x > t[-1]:
             if self.mode == "beam":
                 return Omega[-1] + self.beam_tail.omega_inf * (x - t[-1])
             return Omega[-1]
-        i = bisect_right(inner, x)
-        s = x - t[i]
-        if s <= 0.0:
-            s = 0.0
+        i, s = self._point_cell(x)
         return Omega[i] + omega[i] * s + 0.5 * slope[i] * s * s
 
     def invert_Omega(self, u):

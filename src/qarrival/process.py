@@ -67,31 +67,17 @@ def _scenario_hash(profile: IntensityProfile, family: StateFamily) -> str:
 # Densities
 # ---------------------------------------------------------------------------
 
-# Records shorter than this are evaluated point by point on Python floats,
-# longer ones through one locator: the two per-call costs cross at 34 points
-# (about 50 us each; see notes/decisions.md).
-_SHORT_RECORD = 34
-
-
 def log_joint_density(times, family: StateFamily, profile: IntensityProfile):
-    """log p_n at an ordered time vector; -inf where the density vanishes."""
+    """log p_n at an ordered time vector; -inf where the density vanishes.
+
+    One record is evaluated point by point on Python floats, where numpy's
+    per-call overhead would outweigh the arithmetic; the cell formulas and
+    the logs are those of :func:`log_likelihood_batch`, bit for bit.
+    """
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("need an ordered vector of at least one arrival time")
-    if t.size < _SHORT_RECORD:
-        return _log_joint_density_short(t.tolist(), family, profile)
-    if not (t[1:] > t[:-1]).all() or not t[0] >= 0.0:
-        raise ValueError("arrival times must be positive and strictly increasing")
-    loc = profile.locate(t)
-    omega = profile.omega_at(loc)
-    if np.any(omega <= 0.0):
-        return -math.inf
-    u_last = profile.Omega_at(loc[-1])
-    return log_family_Fn(family, t.size, u_last) + float(np.sum(np.log(omega)))
-
-
-def _log_joint_density_short(ts, family, profile):
-    """:func:`log_joint_density` for a short list of floats, bit for bit."""
+    ts = t.tolist()
     if not all(a < b for a, b in zip(ts, ts[1:])) or not ts[0] >= 0.0:
         raise ValueError("arrival times must be positive and strictly increasing")
     omega = [profile._omega_point(x) for x in ts]

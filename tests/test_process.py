@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import binom, chisquare, geom, kstest, poisson
 
 from qarrival.errors import ConfigError
-from qarrival.process import (_SHORT_RECORD, ArrivalRecord, first_arrival_series_coeffs,
+from qarrival.process import (ArrivalRecord, first_arrival_series_coeffs,
                               joint_density, log_joint_density, log_likelihood,
                               log_likelihood_batch, noevent_mass,
                               sample_arrivals, sample_batch,
@@ -279,10 +279,9 @@ class TestBatchLikelihood:
                 assert -math.inf < val < math.log(1e-300) + 100.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, _SHORT_RECORD - 1, _SHORT_RECORD])
+@pytest.mark.parametrize("n", [1, 2, 8, 34, 60])
 def test_joint_density_matches_batch_bitwise(beam_profile, n):
-    # short records take the per-point path, long ones the locator; both
-    # must give the batched likelihood's bits
+    # the per-point path must give the batched likelihood's bits at any length
     for fam in (StateFamily.coherent(5.0), StateFamily.quasifree(5.0), StateFamily.fock(60)):
         times, n_det = sample_times_matrix(n, fam, beam_profile, 200, seed=n)
         assert np.all(n_det == n)
