@@ -65,7 +65,11 @@ def _parse_floats(text: str):
 
 
 def _parse_ints(text: str):
-    return [int(round(v)) for v in _parse_floats(text)]
+    """A comma list of detection counts: integers >= 1."""
+    values = _parse_floats(text)
+    if not all(v.is_integer() and v >= 1 for v in values):
+        raise ConfigError(f"detection counts must be integers >= 1, got {text!r}")
+    return [int(v) for v in values]
 
 
 def _write_rows(path, header, rows):
@@ -151,10 +155,9 @@ def cmd_fisher(args) -> int:
     scn = _load_scenario(args.config)
     fam = _family(args.family, scn)
     prof = it.build_profile(scn, t_max=args.t_max, dt=args.dt)
-    rows = []
-    for n in _parse_ints(args.n_list):
-        rep = fi.fisher_info(n, fam, prof)
-        rows.append((n, scn.r0, rep.value, rep.conditional, rep.p_tot, rep.noevent_part))
+    n_list = _parse_ints(args.n_list)
+    rows = [(n, scn.r0, rep.value, rep.conditional, rep.p_tot, rep.noevent_part)
+            for n, rep in zip(n_list, fi.fisher_info_many(n_list, fam, prof))]
     _write_rows(args.out, ("n", "r0", "I_n", "I_n_cond", "p_n_tot", "noevent_part"), rows)
     print(f"wrote {len(rows)} information rows to {args.out}")
     return 0
@@ -178,6 +181,8 @@ def cmd_sweep_density(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ConfigError(f"the detection count --n must be >= 1, got {args.n}")
     scn = _load_scenario(args.config)
     fam = _family(args.family, scn)
     prof = it.build_profile(scn, t_max=args.t_max, dt=args.dt, derivative=False)

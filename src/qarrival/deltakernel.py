@@ -161,26 +161,25 @@ def _remainder_taylor(q, alpha, beta, e2, order_shift=False):
     return (-alpha / (q + alpha) ** 2) * series + alpha / (q + alpha) * dseries
 
 
-def remainder_R(p, t, dp: DeltaParams):
-    """Transient remainder of the monochromatic point-detector solution.
+def _complex_out(x):
+    return complex(x[()]) if x.ndim == 0 else x
 
-    Decays like t^(-3/2); at t = 0 it equals alpha/(|p|+alpha) so that
-    T_p + R_p(0) = 1.  The removable point |p| = alpha is evaluated through
-    a local Taylor expansion of the bracket.
-    """
-    q, t, alpha, beta, e1, e2, g = _remainder_pieces(p, t, dp)
+
+def _remainder(pieces):
+    """R_p(t) from the :func:`_remainder_pieces`."""
+    q, t, alpha, beta, e1, e2, g = pieces
     near = np.abs(q - alpha) < _TAYLOR_REL_WIDTH * alpha
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = alpha / (q * q - alpha * alpha) * (q * e1 - alpha * g * e2)
     if np.any(near):
         taylor = _remainder_taylor(q, alpha, beta, e2)
         direct = np.where(near, taylor, direct)
-    return complex(direct[()]) if direct.ndim == 0 else direct
+    return direct
 
 
-def remainder_R_dp(p, t, dp: DeltaParams):
-    """Momentum derivative of the transient remainder (p > 0 only)."""
-    q, t, alpha, beta, e1, e2, g = _remainder_pieces(p, t, dp)
+def _remainder_dp(pieces):
+    """dR_p(t)/dp from the :func:`_remainder_pieces` (p > 0 only)."""
+    q, t, alpha, beta, e1, e2, g = pieces
     if np.any(q <= 0.0):
         raise ModeError("remainder derivative is implemented for p > 0 sources")
     near = np.abs(q - alpha) < _TAYLOR_REL_WIDTH * alpha
@@ -195,7 +194,28 @@ def remainder_R_dp(p, t, dp: DeltaParams):
     if np.any(near):
         taylor = _remainder_taylor(q, alpha, beta, e2, order_shift=True)
         direct = np.where(near, taylor, direct)
-    return complex(direct[()]) if direct.ndim == 0 else direct
+    return direct
+
+
+def remainder_R(p, t, dp: DeltaParams):
+    """Transient remainder of the monochromatic point-detector solution.
+
+    Decays like t^(-3/2); at t = 0 it equals alpha/(|p|+alpha) so that
+    T_p + R_p(0) = 1.  The removable point |p| = alpha is evaluated through
+    a local Taylor expansion of the bracket.
+    """
+    return _complex_out(_remainder(_remainder_pieces(p, t, dp)))
+
+
+def remainder_R_dp(p, t, dp: DeltaParams):
+    """Momentum derivative of the transient remainder (p > 0 only)."""
+    return _complex_out(_remainder_dp(_remainder_pieces(p, t, dp)))
+
+
+def remainder_R_with_dp(p, t, dp: DeltaParams):
+    """``(remainder_R, remainder_R_dp)`` from one set of erfc evaluations."""
+    pieces = _remainder_pieces(p, t, dp)
+    return _complex_out(_remainder(pieces)), _complex_out(_remainder_dp(pieces))
 
 
 def f_p(p, t, dp: DeltaParams):
@@ -297,9 +317,10 @@ def beam_intensity_dp(t, p0: float, r0: float, dp: DeltaParams):
     """
     if p0 <= 0.0:
         raise ModeError("beam derivative is implemented for p0 > 0")
-    bracket = transmission_T(p0, dp) + remainder_R(p0, t, dp)
+    rem, rem_dp = remainder_R_with_dp(p0, t, dp)
+    bracket = transmission_T(p0, dp) + rem
     dT = dp.alpha / (p0 + dp.alpha) ** 2
-    dbracket = dT + remainder_R_dp(p0, t, dp)
+    dbracket = dT + rem_dp
     return 2.0 * dp.a * r0 * np.real(np.conj(bracket) * dbracket)
 
 

@@ -30,8 +30,8 @@ from . import intensity as it
 from . import process as pr
 from .deltakernel import DeltaParams
 from .errors import ModeError, ToleranceError
-from .quadrature import geometric_edges, integrate_panels, uniform_edges
-from .scenario import StateFamily, log_family_Fn
+from .quadrature import geometric_edges, integrate_panels, panel_nodes, uniform_edges
+from .scenario import StateFamily, family_logs, log_family_Fn_from_logs
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,23 @@ def _hn_vec(family: StateFamily, n: int, u):
         return np.where(u < big_n, (big_n - n) / np.where(u < big_n, big_n - u, 1.0), 0.0)
 
 
-def _log_weight(family: StateFamily, n: int, u):
-    """log of F_n(u) u^(n-1) / (n-1)!, elementwise; -inf where it vanishes."""
-    u = np.asarray(u, dtype=float)
-    logf = np.atleast_1d(log_family_Fn(family, n, u))
-    if n == 1:
-        pw = np.zeros_like(np.atleast_1d(u), dtype=float)
-    else:
-        with np.errstate(divide="ignore"):
-            pw = (n - 1) * np.log(np.atleast_1d(u))
+def _weight_logs(family: StateFamily, u: np.ndarray):
+    """The n-independent logs of :func:`_log_weight` on the 1-D array ``u``:
+    ``log u`` and the family's :func:`family_logs`."""
+    fam_logs = family_logs(family, u)
+    with np.errstate(divide="ignore"):
+        return np.log(u), fam_logs
+
+
+def _log_weight(family: StateFamily, n: int, u: np.ndarray, logs=None):
+    """log of F_n(u) u^(n-1) / (n-1)! on a 1-D array; -inf where it vanishes.
+
+    ``logs`` are the :func:`_weight_logs` of ``u``, computed once and shared
+    by every order n on the same nodes.
+    """
+    log_u, fam_logs = _weight_logs(family, u) if logs is None else logs
+    logf = log_family_Fn_from_logs(family, n, u, fam_logs)
+    pw = np.zeros_like(u) if n == 1 else (n - 1) * log_u
     return logf + pw - gammaln(n)
 
 
@@ -153,20 +161,6 @@ def sparse_limit_I(n: int, family: StateFamily, p0: float, dp: DeltaParams) -> f
 # the quadrature formula
 # ---------------------------------------------------------------------------
 
-def _tail_S(n, family, u, tail_state):
-    """Closed-form S_n in the mass variable under the late-time model."""
-    u_end, w_inf, wd_inf, dom_end, domt_end = tail_state
-    dt_model = (u - u_end) / w_inf
-    dom = dom_end + wd_inf * dt_model
-    domt = domt_end + (wd_inf * wd_inf / w_inf) * dt_model
-    phi_inf = wd_inf / w_inf
-    ratio = dom / u
-    ratio_t = domt / u
-    hn = _hn_vec(family, n, u)
-    return ((n - 1.0 - u * hn) * ratio + phi_inf) ** 2 \
-        + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
-
-
 def fisher_info(n: int, family: StateFamily, profile: it.IntensityProfile,
                 rtol: float = 1e-3, atol: float = 1e-9) -> FisherReport:
     """Information carried by n ordered arrival times (plus the NO outcome).
@@ -177,7 +171,22 @@ def fisher_info(n: int, family: StateFamily, profile: it.IntensityProfile,
     detection probability.  A grid-thinning check guards the tabulated
     integral; failure raises :class:`ToleranceError` with the estimate.
     """
-    if n < 1:
+    return fisher_info_many((n,), family, profile, rtol, atol)[0]
+
+
+def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile,
+                     rtol: float = 1e-3, atol: float = 1e-9) -> tuple[FisherReport, ...]:
+    """:func:`fisher_info` for each detection count in ``n_values``, in order.
+
+    The work that does not depend on n (the intensity ratios, the
+    trapezoid spacings, the logs of the family weight, and the tail panels
+    of the beam) is done once per call; each report equals the one
+    :func:`fisher_info` gives for its n alone, bit for bit.  Duplicates
+    are allowed.  The thinning check raises for the first failing n in
+    list order.
+    """
+    n_values = tuple(n_values)
+    if any(n < 1 for n in n_values):
         raise ValueError("n must be >= 1")
     if not profile.has_derivative:
         raise ModeError("profile was built without momentum derivatives; "
@@ -196,51 +205,100 @@ def fisher_info(n: int, family: StateFamily, profile: it.IntensityProfile,
         upos = u > 0.0
         ratio = np.where(upos, profile.dOmega / np.where(upos, u, 1.0), 0.0)
         ratio_t = np.where(upos, profile.dOmega_tilde / np.where(upos, u, 1.0), 0.0)
-    hn = _hn_vec(family, n, u)
-    s_vals = ((n - 1.0 - u * hn) * ratio + phi) ** 2 \
-        + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
-    with np.errstate(over="ignore"):
-        integrand = np.exp(_log_weight(family, n, u)) * om * s_vals
-    bulk = float(np.trapezoid(integrand, t))
-    bulk_coarse = float(np.trapezoid(integrand[::2], t[::2]))
+    clipped = np.maximum(ratio_t - ratio * ratio, 0.0)
+    logs = _weight_logs(family, u)
+    # the trapezoid sums as np.trapezoid forms them, on the full and the
+    # thinned grid
+    d, d2 = np.diff(t), np.diff(t[::2])
+    distinct = tuple(dict.fromkeys(n_values))
+    bulk = {}
+    for n in distinct:
+        hn = _hn_vec(family, n, u)
+        s_vals = ((n - 1.0 - u * hn) * ratio + phi) ** 2 + (n - 1.0) * clipped
+        with np.errstate(over="ignore"):
+            y = np.exp(_log_weight(family, n, u, logs)) * om * s_vals
+        y2 = y[::2]
+        bulk[n] = (float((d * (y[1:] + y[:-1]) / 2.0).sum()),
+                   float((d2 * (y2[1:] + y2[:-1]) / 2.0).sum()))
+    tails = (_beam_tails(distinct, family, profile) if profile.mode == "beam"
+             else dict.fromkeys(distinct, 0.0))
 
-    tail_val = 0.0
-    if profile.mode == "beam":
-        bt = profile.beam_tail
-        tail_state = (u[-1], bt.omega_inf, bt.domega_dp0_inf,
-                      profile.dOmega[-1], profile.dOmega_tilde[-1])
+    reports = {}
+    for n in distinct:
+        fine, coarse = bulk[n]
+        detection = fine + tails[n]
+        # thinning check on the tabulated part only (the tail is panel-resolved)
+        if abs(fine - coarse) > rtol * abs(detection) + atol:
+            raise ToleranceError(
+                f"profile grid too coarse for the information integral at n={n} "
+                f"(thinning moved it by {abs(fine - coarse):.3e})",
+                estimate=detection, achieved=abs(fine - coarse))
+        reports[n] = _report(n, family, profile, detection)
+    return tuple(reports[n] for n in n_values)
 
-        def tail_integrand(uu):
-            with np.errstate(over="ignore"):
-                w = np.exp(_log_weight(family, n, uu))
-            return w * _tail_S(n, family, uu, tail_state)
 
-        u_end = u[-1]
+def _beam_tails(n_values, family: StateFamily, profile: it.IntensityProfile) -> dict:
+    """Integrals past the beam grid, continued in the mass variable u.
+
+    The panel edges depend on n only through the head of the uniform part,
+    so counts with the same head share one panel set; one set is alive at
+    a time.
+    """
+    u_end = profile.Omega[-1]
+    groups = {}
+    for n in n_values:
         u_head = max(u_end * (1.0 + 1e-12), n + 60.0 + 14.0 * math.sqrt(n), u_end + 60.0)
         if family.kind == "fock":
             u_head = min(u_head, family.param)
-            if u_head > u_end:
-                tail_val = float(integrate_panels(tail_integrand,
-                                                  uniform_edges(u_end, u_head, 256), 24))
-        elif family.kind == "coherent":
-            tail_val = float(integrate_panels(tail_integrand,
-                                              uniform_edges(u_end, u_head, 256), 24))
+        groups.setdefault(u_head, []).append(n)
+    tails = {}
+    for u_head, ns in groups.items():
+        if family.kind == "fock" and not u_head > u_end:
+            tails.update(dict.fromkeys(ns, 0.0))
         else:
-            u_big = max(1e9, 1e4 * u_head)
-            edges = np.concatenate([uniform_edges(u_end, u_head, 192),
-                                    geometric_edges(u_head, u_big, 16)[1:]])
-            phi_inf = profile.beam_tail.domega_dp0_inf / profile.beam_tail.omega_inf
-            tail_val = float(integrate_panels(tail_integrand, edges, 24)) \
-                + n * phi_inf ** 2 / u_big
+            tails.update(_beam_tail_group(ns, family, profile, u_head))
+    return tails
 
-    detection = bulk + tail_val
-    # thinning check on the tabulated part only (the tail is panel-resolved)
-    if abs(bulk - bulk_coarse) > rtol * abs(detection) + atol:
-        raise ToleranceError(
-            f"profile grid too coarse for the information integral at n={n} "
-            f"(thinning moved it by {abs(bulk - bulk_coarse):.3e})",
-            estimate=detection, achieved=abs(bulk - bulk_coarse))
 
+def _beam_tail_group(ns, family: StateFamily, profile: it.IntensityProfile,
+                     u_head: float) -> dict:
+    """Tail integrals for the counts ``ns`` that share the head ``u_head``.
+
+    Past the grid the intensity is the constant omega_inf, so dOmega and
+    dOmega~ grow linearly in u and S_n has closed form on the panel nodes.
+    """
+    u_end = profile.Omega[-1]
+    bt = profile.beam_tail
+    w_inf, wd_inf = bt.omega_inf, bt.domega_dp0_inf
+    phi_inf = wd_inf / w_inf
+    if family.kind == "quasifree":
+        u_big = max(1e9, 1e4 * u_head)
+        edges = np.concatenate([uniform_edges(u_end, u_head, 192),
+                                geometric_edges(u_head, u_big, 16)[1:]])
+    else:
+        edges = uniform_edges(u_end, u_head, 256)
+    uu, weights = panel_nodes(edges, 24)
+    dt_model = (uu - u_end) / w_inf
+    dom = profile.dOmega[-1] + wd_inf * dt_model
+    domt = profile.dOmega_tilde[-1] + (wd_inf * wd_inf / w_inf) * dt_model
+    ratio = dom / uu
+    clipped = np.maximum(domt / uu - ratio * ratio, 0.0)
+    logs = _weight_logs(family, uu)
+    tails = {}
+    for n in ns:
+        hn = _hn_vec(family, n, uu)
+        s_vals = ((n - 1.0 - uu * hn) * ratio + phi_inf) ** 2 + (n - 1.0) * clipped
+        with np.errstate(over="ignore"):
+            w = np.exp(_log_weight(family, n, uu, logs))
+        tails[n] = float((w * s_vals) @ weights)
+        if family.kind == "quasifree":
+            tails[n] += n * phi_inf ** 2 / u_big
+    return tails
+
+
+def _report(n: int, family: StateFamily, profile: it.IntensityProfile,
+            detection: float) -> FisherReport:
+    """Add the NO-event part to the detection part and condition on n."""
     p_tot = pr.total_prob(n, family, profile)
     mass = pr.noevent_mass(n, family, profile) if profile.mode != "beam" else 0.0
     if mass > 0.0:
@@ -434,6 +492,5 @@ def density_sweep(n_list, r0_list, family: StateFamily, p0: float,
         scn = Scenario(m=dp.m, a=dp.a, eps=0.0, p0=p0, x0=-20.0,
                        navg=math.inf, r0=r0)
         prof = it.build_profile(scn, t_max=t_max, dt=dt)
-        for i, n in enumerate(n_values):
-            out[i, j] = fisher_info(n, family, prof).value
+        out[:, j] = [rep.value for rep in fisher_info_many(n_values, family, prof)]
     return SweepTable(n_values, r0_values, family.kind, out)

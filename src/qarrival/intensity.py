@@ -259,8 +259,9 @@ def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
     """r0-independent beam tabulation: per-density intensity g = omega/r0."""
     dp_obj = dk.DeltaParams(a, m)
     t = _beam_grid(t_max, dt)
-    bracket = dk.transmission_T(p0, dp_obj) + dk.remainder_R(p0, t, dp_obj)
-    dbracket = dp_obj.alpha / (p0 + dp_obj.alpha) ** 2 + dk.remainder_R_dp(p0, t, dp_obj)
+    rem, rem_dp = dk.remainder_R_with_dp(p0, t, dp_obj)
+    bracket = dk.transmission_T(p0, dp_obj) + rem
+    dbracket = dp_obj.alpha / (p0 + dp_obj.alpha) ** 2 + rem_dp
     g = a * np.abs(bracket) ** 2
     gdot = 2.0 * a * np.real(np.conj(bracket) * dbracket)
     asym = dk.beam_asymptotes(p0, 1.0, dp_obj)  # unit density; scaled later

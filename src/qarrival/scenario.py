@@ -233,22 +233,44 @@ def log_family_Fn(family: StateFamily, n: int, omega_int):
         raise ValueError("order n must be >= 0")
     if isinstance(omega_int, float):
         return _log_family_Fn_float(family, n, float(omega_int))
-    u = _check_domain(omega_int)
+    u = np.asarray(omega_int, dtype=float)
     scalar = u.ndim == 0
     u = np.atleast_1d(u)
-    if family.kind == "coherent":
-        out = -u
-    elif family.kind == "quasifree":
-        out = gammaln(n + 1.0) - (n + 1.0) * np.log1p(u)
-    else:
-        N = family.param
-        out = np.full_like(u, -np.inf)
-        if n <= N:
-            logpref = gammaln(N + 1.0) - n * math.log(N) - gammaln(N - n + 1.0)
-            inside = u < N
-            with np.errstate(divide="ignore"):
-                out[inside] = logpref + (N - n) * np.log1p(-u[inside] / N)
+    out = log_family_Fn_from_logs(family, n, u, family_logs(family, u))
     return float(out[0]) if scalar else out
+
+
+def family_logs(family: StateFamily, u: np.ndarray):
+    """The n-independent logs behind :func:`log_family_Fn` on a 1-D array.
+
+    ``log1p(u)`` for the quasi-free family, the mask ``u < N`` with
+    ``log1p(-u/N)`` on it for the fixed-number family, None for the coherent
+    family.  Computed once per grid, they serve every order n through
+    :func:`log_family_Fn_from_logs`.
+    """
+    u = _check_domain(u)
+    if family.kind == "coherent":
+        return None
+    if family.kind == "quasifree":
+        return np.log1p(u)
+    inside = u < family.param
+    with np.errstate(divide="ignore"):
+        return inside, np.log1p(-u[inside] / family.param)
+
+
+def log_family_Fn_from_logs(family: StateFamily, n: int, u: np.ndarray, logs):
+    """log F_n on the 1-D array ``u`` from its :func:`family_logs`."""
+    if family.kind == "coherent":
+        return -u
+    if family.kind == "quasifree":
+        return gammaln(n + 1.0) - (n + 1.0) * logs
+    N = family.param
+    out = np.full_like(u, -np.inf)
+    if n <= N:
+        inside, log_rest = logs
+        logpref = gammaln(N + 1.0) - n * math.log(N) - gammaln(N - n + 1.0)
+        out[inside] = logpref + (N - n) * log_rest
+    return out
 
 
 def _log_family_Fn_float(family: StateFamily, n: int, u: float) -> float:

@@ -95,9 +95,10 @@ def check_sparse_convergence():
     t0 = time.time()
     prof = _beam_profile(1e-4)
     worst = 0.0
+    ns = (1, 2, 3, 5)
     for fam in (StateFamily.coherent(1.0), StateFamily.quasifree(1.0)):
-        for n in (1, 2, 3, 5):
-            val = fi.fisher_info(n, fam, prof).value
+        for n, rep in zip(ns, fi.fisher_info_many(ns, fam, prof)):
+            val = rep.value
             lim = fi.sparse_limit_I(n, fam, BASE["p0"], _DP)
             worst = max(worst, abs(val - lim) / lim)
     return _result("sparse-beam-convergence", worst <= 0.02,
@@ -118,12 +119,12 @@ def check_dense_vanishing():
     coh = StateFamily.coherent(1.0)
     qf = StateFamily.quasifree(1.0)
     prof3 = _beam_profile(1e3)
-    coh_worst = max(fi.fisher_info(n, coh, prof3).value for n in range(1, 6)) / i_inf
+    ns = range(1, 6)
+    coh_worst = max(rep.value for rep in fi.fisher_info_many(ns, coh, prof3)) / i_inf
     ok = coh_worst < 1e-3
-    qf_rows = []
-    for n in range(1, 6):
-        vals = [fi.fisher_info(n, qf, _beam_profile(r0)).value for r0 in (10.0, 1e2, 1e3)]
-        qf_rows.append(vals)
+    by_r0 = [fi.fisher_info_many(ns, qf, _beam_profile(r0)) for r0 in (10.0, 1e2, 1e3)]
+    qf_rows = [[reps[i].value for reps in by_r0] for i in range(len(ns))]
+    for vals in qf_rows:
         ok = ok and vals[0] > vals[1] > vals[2]
     qf_at_1e3 = max(row[2] for row in qf_rows) / i_inf
     return _result(
@@ -214,8 +215,9 @@ def check_mc_vs_quadrature(samples: int = 100_000, datasets: int = 10_000,
     prof = _beam_profile(1.0)
     coh = StateFamily.coherent(1.0)
     zs = []
-    for n in (1, 2, 4):
-        quad_val = fi.fisher_info(n, coh, prof).value
+    ns = (1, 2, 4)
+    for n, rep in zip(ns, fi.fisher_info_many(ns, coh, prof)):
+        quad_val = rep.value
         mc = fi.mc_score_variance(n, coh, prof, samples=samples, seed=2024 + n)
         zs.append((mc.variance - quad_val) / mc.std_error)
     mle = fi.mle_variance_study(5, coh, prof, datasets=datasets,

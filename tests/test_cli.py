@@ -224,3 +224,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        [cmd, "--n-list", bad]
+        for cmd in ("fisher", "sweep-density")
+        for bad in ("1.5", "0", "-2", "1,nan", "2,inf")
+    ] + [["sample", "--n", "0"], ["sample", "--n", "-3"]])
+    def test_bad_detection_counts(self, beam_cfg, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        rc = main(argv + ["--config", beam_cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not out.exists()

@@ -7,8 +7,9 @@ from qarrival.deltakernel import (BeamAsymptotes, DeltaParams, beam_asymptotes,
                                   beam_intensity, beam_intensity_dp, erfc_c,
                                   erfc_c_scaled, erfcx_c, f_p,
                                   f_superposition, remainder_R, remainder_R_dp,
-                                  renewal_kernel_solution, transmission_T)
-from qarrival.errors import ToleranceError
+                                  remainder_R_with_dp, renewal_kernel_solution,
+                                  transmission_T)
+from qarrival.errors import ModeError, ToleranceError
 from qarrival.propagate import (TimeGrid, gaussian_free_at_origin,
                                 monochromatic_drive, solve_renewal)
 from qarrival.scenario import Scenario
@@ -86,6 +87,22 @@ class TestRemainder:
         for p in (0.2, 1.0, 5.0):
             fd = (remainder_R(p + h, 7.0, DP) - remainder_R(p - h, 7.0, DP)) / (2 * h)
             assert remainder_R_dp(p, 7.0, DP) == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("p", [DP.alpha, DP.alpha * (1 + 1e-5), DP.alpha * (1 - 3e-5),
+                                   0.3, 1.0, 1.7])
+    def test_shared_pieces_match_separate_calls_bitwise(self, p):
+        # includes the Taylor branch at |p| = alpha and both sides of it
+        t = np.concatenate([[0.0], np.geomspace(1e-9, 60.0, 500)])
+        both = remainder_R_with_dp(p, t, DP)
+        for got, alone in zip(both, (remainder_R(p, t, DP), remainder_R_dp(p, t, DP))):
+            assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
+        scalar = remainder_R_with_dp(p, 3.0, DP)
+        assert scalar == (remainder_R(p, 3.0, DP), remainder_R_dp(p, 3.0, DP))
+        assert all(type(v) is complex for v in scalar)
+
+    def test_shared_pieces_reject_zero_momentum(self):
+        with pytest.raises(ModeError):
+            remainder_R_with_dp(0.0, 3.0, DP)
 
     def test_bracket_bounded(self):
         ts = np.geomspace(1e-3, 1e3, 200)

@@ -1,17 +1,23 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from qarrival import intensity
+from scipy.special import gammaln
+
+from qarrival import fisher, intensity
+from qarrival import process as pr
 from qarrival.deltakernel import DeltaParams
 from qarrival.errors import ModeError, ToleranceError
-from qarrival.fisher import (density_sweep, fisher_conditional, fisher_info,
-                             i_infinity, mc_score_variance, mle_variance_study,
+from qarrival.fisher import (FisherReport, density_sweep, fisher_conditional,
+                             fisher_info, fisher_info_many, i_infinity,
+                             mc_score_variance, mle_variance_study,
                              sparse_limit_I, stationary_constant)
 from qarrival.intensity import build_profile
-from qarrival.scenario import Scenario, StateFamily
+from qarrival.quadrature import geometric_edges, integrate_panels, uniform_edges
+from qarrival.scenario import Scenario, StateFamily, log_family_Fn
 
 DP = DeltaParams(0.1, 1.0)
 COH = StateFamily.coherent(1.0)
@@ -226,3 +232,210 @@ def test_study_profiles_share_one_grid(beam_profile_r1, monkeypatch):
     assert len(built) == 7
     for prof in built[1:]:
         assert np.array_equal(prof.t, built[0].t)
+
+
+# ---------------------------------------------------------------------------
+# One pass for many detection counts, against the per-n quadrature
+# ---------------------------------------------------------------------------
+
+def _oracle_log_weight(family, n, u):
+    u = np.asarray(u, dtype=float)
+    logf = np.atleast_1d(log_family_Fn(family, n, u))
+    if n == 1:
+        pw = np.zeros_like(np.atleast_1d(u), dtype=float)
+    else:
+        with np.errstate(divide="ignore"):
+            pw = (n - 1) * np.log(np.atleast_1d(u))
+    return logf + pw - gammaln(n)
+
+
+def _oracle_tail_S(n, family, u, tail_state):
+    u_end, w_inf, wd_inf, dom_end, domt_end = tail_state
+    dt_model = (u - u_end) / w_inf
+    dom = dom_end + wd_inf * dt_model
+    domt = domt_end + (wd_inf * wd_inf / w_inf) * dt_model
+    phi_inf = wd_inf / w_inf
+    ratio = dom / u
+    ratio_t = domt / u
+    hn = fisher._hn_vec(family, n, u)
+    return ((n - 1.0 - u * hn) * ratio + phi_inf) ** 2 \
+        + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
+
+
+def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
+    """The quadrature for one n as it was written before the batched pass."""
+    t = profile.t
+    u = profile.Omega
+    om = profile.omega
+    dom = profile.domega
+    interior = om > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(interior, dom / np.where(interior, om, 1.0), 0.0)
+        upos = u > 0.0
+        ratio = np.where(upos, profile.dOmega / np.where(upos, u, 1.0), 0.0)
+        ratio_t = np.where(upos, profile.dOmega_tilde / np.where(upos, u, 1.0), 0.0)
+    hn = fisher._hn_vec(family, n, u)
+    s_vals = ((n - 1.0 - u * hn) * ratio + phi) ** 2 \
+        + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
+    with np.errstate(over="ignore"):
+        integrand = np.exp(_oracle_log_weight(family, n, u)) * om * s_vals
+    bulk = float(np.trapezoid(integrand, t))
+    bulk_coarse = float(np.trapezoid(integrand[::2], t[::2]))
+
+    tail_val = 0.0
+    if profile.mode == "beam":
+        bt = profile.beam_tail
+        tail_state = (u[-1], bt.omega_inf, bt.domega_dp0_inf,
+                      profile.dOmega[-1], profile.dOmega_tilde[-1])
+
+        def tail_integrand(uu):
+            with np.errstate(over="ignore"):
+                w = np.exp(_oracle_log_weight(family, n, uu))
+            return w * _oracle_tail_S(n, family, uu, tail_state)
+
+        u_end = u[-1]
+        u_head = max(u_end * (1.0 + 1e-12), n + 60.0 + 14.0 * math.sqrt(n), u_end + 60.0)
+        if family.kind == "fock":
+            u_head = min(u_head, family.param)
+            if u_head > u_end:
+                tail_val = float(integrate_panels(tail_integrand,
+                                                  uniform_edges(u_end, u_head, 256), 24))
+        elif family.kind == "coherent":
+            tail_val = float(integrate_panels(tail_integrand,
+                                              uniform_edges(u_end, u_head, 256), 24))
+        else:
+            u_big = max(1e9, 1e4 * u_head)
+            edges = np.concatenate([uniform_edges(u_end, u_head, 192),
+                                    geometric_edges(u_head, u_big, 16)[1:]])
+            phi_inf = bt.domega_dp0_inf / bt.omega_inf
+            tail_val = float(integrate_panels(tail_integrand, edges, 24)) \
+                + n * phi_inf ** 2 / u_big
+
+    detection = bulk + tail_val
+    if abs(bulk - bulk_coarse) > rtol * abs(detection) + atol:
+        raise ToleranceError(
+            f"profile grid too coarse for the information integral at n={n} "
+            f"(thinning moved it by {abs(bulk - bulk_coarse):.3e})",
+            estimate=detection, achieved=abs(bulk - bulk_coarse))
+
+    p_tot = pr.total_prob(n, family, profile)
+    mass = pr.noevent_mass(n, family, profile) if profile.mode != "beam" else 0.0
+    if mass > 0.0:
+        dp_tot = pr.total_prob_dp(n, family, profile)
+        noevent = dp_tot * dp_tot / mass
+    else:
+        noevent = 0.0
+    value = detection + noevent
+    if mass > 0.0 and p_tot > 0.0:
+        dp_tot = pr.total_prob_dp(n, family, profile)
+        conditional = (value - dp_tot * dp_tot / (p_tot * mass)) / p_tot
+    else:
+        conditional = value if p_tot > 0.0 else math.nan
+    return FisherReport(n=n, value=value, detection_part=detection,
+                        noevent_part=noevent, p_tot=p_tot, conditional=conditional)
+
+
+def _report_bits(rep):
+    return (rep.n, np.array([rep.value, rep.detection_part, rep.noevent_part,
+                             rep.p_tot, rep.conditional]).view(np.uint64).tolist())
+
+
+def _assert_batch_matches_oracle(ns, family, profile):
+    """Every report field equals the per-n oracle's bit for bit; where the
+    oracle's thinning check fails, the batch raises the same error for the
+    first failing n in list order."""
+    expected = []
+    for n in ns:
+        try:
+            expected.append(_oracle_fisher_info(n, family, profile))
+        except ToleranceError as exc:
+            with pytest.raises(ToleranceError) as got:
+                fisher_info_many(ns, family, profile)
+            assert str(got.value) == str(exc)
+            assert got.value.estimate == exc.estimate
+            assert got.value.achieved == exc.achieved
+            return
+    got = fisher_info_many(ns, family, profile)
+    assert [_report_bits(r) for r in got] == [_report_bits(r) for r in expected]
+    for n in dict.fromkeys(ns):
+        assert _report_bits(fisher_info(n, family, profile)) == \
+            _report_bits(_oracle_fisher_info(n, family, profile))
+
+
+UNSORTED_NS = (3, 1, 8, 2, 2, 6, 4, 5, 7, 5)
+
+
+@pytest.fixture(scope="module")
+def beam_profiles():
+    return {r0: build_profile(Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, navg=math.inf,
+                                       r0=r0))
+            for r0 in (1e-4, 0.01, 1.0, 56.42, 1000.0)}
+
+
+class TestBatchedInformation:
+    @pytest.mark.parametrize("r0", [1e-4, 0.01, 1.0, 56.42, 1000.0])
+    @pytest.mark.parametrize("family", [COH, QF, StateFamily.fock(5),
+                                        StateFamily.fock(60)], ids=lambda f: f"{f.kind}{f.param:g}")
+    def test_beam_matches_per_n_bitwise(self, beam_profiles, r0, family):
+        _assert_batch_matches_oracle(UNSORTED_NS, family, beam_profiles[r0])
+
+    def test_fock_around_particle_number(self, beam_profiles):
+        # n = N - 1, N and N + 1, on a profile whose thinning check passes
+        for fam in (StateFamily.fock(3), StateFamily.fock(4)):
+            ns = (fam.param + 1, fam.param - 1, fam.param, 1)
+            ns = tuple(int(n) for n in ns)
+            _assert_batch_matches_oracle(ns, fam, beam_profiles[1e-4])
+            assert fisher_info_many(ns, fam, beam_profiles[1e-4])[0].value == 0.0
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_finite_profiles_match_per_n_bitwise(self, packet_scn, eps):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prof = build_profile(dataclasses.replace(packet_scn, eps=eps),
+                                 t_max=45.0, dt=5e-3)
+        ns = (12, 1, 5, 11, 13, 3, 3, 40)
+        for fam in (StateFamily.coherent(100.0), StateFamily.quasifree(100.0),
+                    StateFamily.fock(100), StateFamily.fock(12)):
+            _assert_batch_matches_oracle(ns, fam, prof)
+        reps = fisher_info_many(ns, StateFamily.coherent(100.0), prof)
+        assert all(rep.noevent_part > 0.0 for rep in reps)
+
+    def test_order_and_duplicates(self, beam_profile):
+        reps = fisher_info_many((4, 2, 4, 1), COH, beam_profile)
+        assert [rep.n for rep in reps] == [4, 2, 4, 1]
+        assert reps[0] == reps[2]
+        assert fisher_info_many((), COH, beam_profile) == ()
+
+    @pytest.mark.parametrize("ns, first", [((1, 5, 3), 5), ((1, 2), 2)])
+    def test_thinning_failure_names_first_failing_n(self, ns, first):
+        # dt = 1 is too coarse for n >= 2 on this beam; n = 1 passes
+        prof = build_profile(Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, navg=math.inf,
+                                      r0=1.0), t_max=60.0, dt=1.0)
+        assert fisher_info(1, COH, prof).value > 0.0
+        with pytest.raises(ToleranceError, match=f"at n={first} ") as got:
+            fisher_info_many(ns, COH, prof)
+        with pytest.raises(ToleranceError) as alone:
+            _oracle_fisher_info(first, COH, prof)
+        assert (got.value.estimate, got.value.achieved) == \
+            (alone.value.estimate, alone.value.achieved)
+
+    def test_bad_count_rejected_before_any_work(self, beam_profile, monkeypatch):
+        def fail(*args):
+            raise AssertionError("worked before validating n")
+
+        monkeypatch.setattr(fisher, "_weight_logs", fail)
+        for ns in ((2, 0), (-1,), (3, 1, 0, 2)):
+            with pytest.raises(ValueError):
+                fisher_info_many(ns, COH, beam_profile)
+        with pytest.raises(ValueError):
+            fisher_info(0, COH, beam_profile)
+
+    def test_density_sweep_columns_match_per_n(self):
+        ns, r0s = [3, 1, 2, 8], [0.0, 1e-4, 0.05, 1.0, 56.42]
+        for fam in (COH, QF):
+            table = density_sweep(ns, r0s, fam, 1.0, DP)
+            for j, r0 in enumerate(r0s[1:], start=1):
+                prof = build_profile(Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0,
+                                              navg=math.inf, r0=r0))
+                col = [_oracle_fisher_info(n, fam, prof).value for n in ns]
+                assert table.info[:, j].tolist() == col

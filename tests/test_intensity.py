@@ -4,10 +4,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
+from qarrival import deltakernel as dk
+from qarrival import intensity
 from qarrival.deltakernel import (BeamAsymptotes, DeltaParams, beam_asymptotes,
                                   beam_intensity)
 from qarrival.errors import ConfigError, RangeError
@@ -16,6 +18,22 @@ from qarrival.scenario import Scenario
 
 
 class TestBeamProfile:
+    @pytest.mark.parametrize("p0", [0.05, 0.05 * (1 + 1e-5), 1.0, 1.37])
+    def test_tables_match_separate_remainders_bitwise(self, p0, monkeypatch):
+        # one set of erfc evaluations serves R and dR/dp; p0 = 0.05 = alpha
+        # takes the Taylor branch
+        erfc_calls = []
+        counted = dk.erfc_c
+        monkeypatch.setattr(dk, "erfc_c", lambda z: erfc_calls.append(1) or counted(z))
+        build = intensity._beam_tables.__wrapped__
+        shared = build(0.1, 1.0, p0, 60.0, 0.01)
+        assert len(erfc_calls) == 2
+        monkeypatch.setattr(dk, "remainder_R_with_dp", lambda p, t, dp: (
+            dk.remainder_R(p, t, dp), dk.remainder_R_dp(p, t, dp)))
+        separate = build(0.1, 1.0, p0, 60.0, 0.01)
+        for a, b in zip(shared[:6], separate[:6]):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
     def test_initial_rate(self, beam_profile):
         assert beam_profile.omega[0] == pytest.approx(5.642)
         assert beam_profile.Omega[0] == 0.0
@@ -189,7 +207,7 @@ def _reference_Omega(prof, tq):
     t0, t1 = t[idx], t[idx + 1]
     w0, w1 = prof.omega[idx], prof.omega[idx + 1]
     s = np.clip(tq - t0, 0.0, t1 - t0)
-    out = prof.Omega[idx] + w0 * s + 0.5 * (w1 - w0) / (t1 - t0) * s * s
+    out = prof.Omega[idx] + w0 * s + 0.5 * ((w1 - w0) / (t1 - t0)) * s * s
     beyond = tq > t[-1]
     if prof.mode == "beam":
         return np.where(beyond, prof.Omega[-1] + prof.beam_tail.omega_inf * (tq - t[-1]), out)
@@ -228,6 +246,9 @@ def _tables_and_queries(draw):
 
 class TestLocator:
     @given(case=_tables_and_queries(), mode=st.sampled_from(["beam", "delta"]))
+    # a subnormal half-slope: 0.5 * (w1 - w0) / (t1 - t0) rounds differently
+    @example(case=(np.array([0.0, 0.75]), np.array([0.0, 2.1999999999999997e-308]),
+                   np.array([np.nextafter(0.75, 0.0), 0.0, 0.75])), mode="delta")
     @settings(max_examples=150, deadline=None)
     def test_evaluators_match_interp_and_cell_model_bitwise(self, case, mode):
         t, omega, tq = case
