@@ -10,7 +10,9 @@ integrals dOmega = int domega and dOmega~ = int domega^2/omega, plus a lump
 term for the NO-event outcome when the total mass Omega(inf) is finite.
 The integral is evaluated over the tabulated profile in t and continued in
 the mass variable u with the constant-intensity late-time model (beam mode),
-where the integrand has closed form.
+where the integrand has closed form.  For several detection counts on one
+profile, :func:`fisher_info_many` does the n-independent part of that work
+once.
 
 A Monte Carlo score-variance estimator over sampled records provides an
 independent oracle for the quadrature, and the time-stationary constants
@@ -161,6 +163,13 @@ def sparse_limit_I(n: int, family: StateFamily, p0: float, dp: DeltaParams) -> f
 # the quadrature formula
 # ---------------------------------------------------------------------------
 
+def _s_n(family: StateFamily, n: int, u, ratio, phi, clipped):
+    """S_n from its n-independent parts: ``ratio = dOmega/u``, the intensity
+    log-derivative ``phi`` and ``clipped = max(dOmega~/u - ratio^2, 0)``."""
+    hn = _hn_vec(family, n, u)
+    return ((n - 1.0 - u * hn) * ratio + phi) ** 2 + (n - 1.0) * clipped
+
+
 def fisher_info(n: int, family: StateFamily, profile: it.IntensityProfile,
                 rtol: float = 1e-3, atol: float = 1e-9) -> FisherReport:
     """Information carried by n ordered arrival times (plus the NO outcome).
@@ -213,8 +222,7 @@ def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile
     distinct = tuple(dict.fromkeys(n_values))
     bulk = {}
     for n in distinct:
-        hn = _hn_vec(family, n, u)
-        s_vals = ((n - 1.0 - u * hn) * ratio + phi) ** 2 + (n - 1.0) * clipped
+        s_vals = _s_n(family, n, u, ratio, phi, clipped)
         with np.errstate(over="ignore"):
             y = np.exp(_log_weight(family, n, u, logs)) * om * s_vals
         y2 = y[::2]
@@ -286,8 +294,7 @@ def _beam_tail_group(ns, family: StateFamily, profile: it.IntensityProfile,
     logs = _weight_logs(family, uu)
     tails = {}
     for n in ns:
-        hn = _hn_vec(family, n, uu)
-        s_vals = ((n - 1.0 - uu * hn) * ratio + phi_inf) ** 2 + (n - 1.0) * clipped
+        s_vals = _s_n(family, n, uu, ratio, phi_inf, clipped)
         with np.errstate(over="ignore"):
             w = np.exp(_log_weight(family, n, uu, logs))
         tails[n] = float((w * s_vals) @ weights)
