@@ -65,9 +65,9 @@ def _parse_floats(text: str):
 
 
 def _parse_ints(text: str):
-    """A comma list of detection counts: integers >= 1."""
+    """A non-empty comma list of detection counts: integers >= 1."""
     values = _parse_floats(text)
-    if not all(v.is_integer() and v >= 1 for v in values):
+    if not values or not all(v.is_integer() and v >= 1 for v in values):
         raise ConfigError(f"detection counts must be integers >= 1, got {text!r}")
     return [int(v) for v in values]
 

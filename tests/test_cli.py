@@ -228,7 +228,7 @@ class TestErrors:
     @pytest.mark.parametrize("argv", [
         [cmd, "--n-list", bad]
         for cmd in ("fisher", "sweep-density")
-        for bad in ("1.5", "0", "-2", "1,nan", "2,inf")
+        for bad in ("1.5", "0", "-2", "1,nan", "2,inf", "")
     ] + [["sample", "--n", "0"], ["sample", "--n", "-3"]])
     def test_bad_detection_counts(self, beam_cfg, tmp_path, capsys, argv):
         out = tmp_path / "x.csv"

@@ -374,16 +374,16 @@ def beam_profiles():
 
 class TestBatchedInformation:
     @pytest.mark.parametrize("r0", [1e-4, 0.01, 1.0, 56.42, 1000.0])
-    @pytest.mark.parametrize("family", [COH, QF, StateFamily.fock(5),
-                                        StateFamily.fock(60)], ids=lambda f: f"{f.kind}{f.param:g}")
+    @pytest.mark.parametrize("family", [COH, QF, StateFamily.fock(5), StateFamily.fock(60)],
+                             ids=lambda f: f"{f.kind}{f.param:g}")
     def test_beam_matches_per_n_bitwise(self, beam_profiles, r0, family):
         _assert_batch_matches_oracle(UNSORTED_NS, family, beam_profiles[r0])
 
     def test_fock_around_particle_number(self, beam_profiles):
         # n = N - 1, N and N + 1, on a profile whose thinning check passes
-        for fam in (StateFamily.fock(3), StateFamily.fock(4)):
-            ns = (fam.param + 1, fam.param - 1, fam.param, 1)
-            ns = tuple(int(n) for n in ns)
+        for big_n in (3, 4):
+            fam = StateFamily.fock(big_n)
+            ns = (big_n + 1, big_n - 1, big_n, 1)
             _assert_batch_matches_oracle(ns, fam, beam_profiles[1e-4])
             assert fisher_info_many(ns, fam, beam_profiles[1e-4])[0].value == 0.0
 
