@@ -72,6 +72,38 @@ def _parse_ints(text: str):
     return [int(v) for v in values]
 
 
+# the least value of each count flag, and the parser of each list flag
+_COUNT_FLOORS = {"points": 1, "pair_points": 2, "count": 1, "n": 1}
+_LIST_PARSERS = {"n_list": _parse_ints, "r0_list": _parse_floats,
+                 "eps_list": _parse_floats, "navg_list": _parse_floats}
+
+
+def _writable(path: str) -> bool:
+    if os.path.exists(path):
+        return os.path.isfile(path) and os.access(path, os.W_OK)
+    folder = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(folder) and os.access(folder, os.W_OK)
+
+
+def _check_flags(args):
+    """Reject bad counts, lists and output paths before any work is done.
+
+    Each raises :class:`ConfigError` (exit 2); the list flags are replaced
+    by their parsed values.
+    """
+    for name, floor in _COUNT_FLOORS.items():
+        value = getattr(args, name, floor)
+        if value < floor:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {floor}, got {value}")
+    for name, parse in _LIST_PARSERS.items():
+        if hasattr(args, name):
+            setattr(args, name, parse(getattr(args, name)))
+    for name in ("out", "pair_out"):
+        path = getattr(args, name, "")
+        if path and not _writable(path):
+            raise ConfigError(f"cannot write --{name.replace('_', '-')} {path!r}")
+
+
 def _write_rows(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
@@ -88,12 +120,12 @@ def cmd_intensity(args) -> int:
     scn = _load_scenario(args.config)
     curves = []
     if args.eps_list:
-        for eps in _parse_floats(args.eps_list):
+        for eps in args.eps_list:
             if scn.beam:
                 raise ConfigError("eps sweeps need a finite-mode base config")
             curves.append((f"eps={eps:g}", replace(scn, eps=eps)))
     if args.navg_list:
-        for navg in _parse_floats(args.navg_list):
+        for navg in args.navg_list:
             curves.append((f"navg={navg:g}", scn.at_navg(navg)))
     if args.include_beam or scn.beam:
         curves.append(("beam", scn.at_navg(math.inf)))
@@ -121,7 +153,7 @@ def cmd_density(args) -> int:
     scn = _load_scenario(args.config)
     if not scn.beam:
         raise ConfigError("density curves are defined for the beam config (mode=beam)")
-    r0_list = _parse_floats(args.r0_list) if args.r0_list else [scn.r0]
+    r0_list = args.r0_list or [scn.r0]
     kinds = [k.strip() for k in args.families.split(",") if k.strip()]
     profiles = [(r0, it.build_profile(replace(scn, r0=r0), t_max=args.t_max, dt=args.dt))
                 for r0 in r0_list]
@@ -155,9 +187,8 @@ def cmd_fisher(args) -> int:
     scn = _load_scenario(args.config)
     fam = _family(args.family, scn)
     prof = it.build_profile(scn, t_max=args.t_max, dt=args.dt)
-    n_list = _parse_ints(args.n_list)
     rows = [(n, scn.r0, rep.value, rep.conditional, rep.p_tot, rep.noevent_part)
-            for n, rep in zip(n_list, fi.fisher_info_many(n_list, fam, prof))]
+            for n, rep in zip(args.n_list, fi.fisher_info_many(args.n_list, fam, prof))]
     _write_rows(args.out, ("n", "r0", "I_n", "I_n_cond", "p_n_tot", "noevent_part"), rows)
     print(f"wrote {len(rows)} information rows to {args.out}")
     return 0
@@ -168,7 +199,7 @@ def cmd_sweep_density(args) -> int:
     if not scn.beam:
         raise ConfigError("the density sweep runs in beam mode")
     fam = _family(args.family, scn)
-    table = fi.density_sweep(_parse_ints(args.n_list), _parse_floats(args.r0_list),
+    table = fi.density_sweep(args.n_list, args.r0_list,
                              fam, scn.p0, dk.DeltaParams(scn.a, scn.m),
                              t_max=args.t_max, dt=args.dt)
     rows = []
@@ -181,8 +212,6 @@ def cmd_sweep_density(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.n < 1:
-        raise ConfigError(f"the detection count --n must be >= 1, got {args.n}")
     scn = _load_scenario(args.config)
     fam = _family(args.family, scn)
     prof = it.build_profile(scn, t_max=args.t_max, dt=args.dt, derivative=False)
@@ -275,6 +304,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

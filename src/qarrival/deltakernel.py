@@ -178,10 +178,8 @@ def _remainder(pieces):
 
 
 def _remainder_dp(pieces):
-    """dR_p(t)/dp from the :func:`_remainder_pieces` (p > 0 only)."""
+    """dR_p(t)/dp from the :func:`_remainder_pieces` of a p > 0."""
     q, t, alpha, beta, e1, e2, g = pieces
-    if np.any(q <= 0.0):
-        raise ModeError("remainder derivative is implemented for p > 0 sources")
     near = np.abs(q - alpha) < _TAYLOR_REL_WIDTH * alpha
     b2 = beta * beta
     expq = np.exp(-b2 * q * q)  # unimodular on the physical ray
@@ -207,14 +205,22 @@ def remainder_R(p, t, dp: DeltaParams):
     return _complex_out(_remainder(_remainder_pieces(p, t, dp)))
 
 
+def _positive_pieces(p, t, dp: DeltaParams):
+    """:func:`_remainder_pieces` for the derivative, which needs p > 0 itself:
+    the pieces hold |p|, whose derivative has the wrong sign for p < 0."""
+    if not np.all(np.asarray(p) > 0.0):
+        raise ModeError("remainder derivative is implemented for p > 0 sources")
+    return _remainder_pieces(p, t, dp)
+
+
 def remainder_R_dp(p, t, dp: DeltaParams):
     """Momentum derivative of the transient remainder (p > 0 only)."""
-    return _complex_out(_remainder_dp(_remainder_pieces(p, t, dp)))
+    return _complex_out(_remainder_dp(_positive_pieces(p, t, dp)))
 
 
 def remainder_R_with_dp(p, t, dp: DeltaParams):
     """``(remainder_R, remainder_R_dp)`` from one set of erfc evaluations."""
-    pieces = _remainder_pieces(p, t, dp)
+    pieces = _positive_pieces(p, t, dp)
     return _complex_out(_remainder(pieces)), _complex_out(_remainder_dp(pieces))
 
 

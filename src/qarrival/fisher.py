@@ -14,9 +14,12 @@ where the integrand has closed form.  For several detection counts on one
 profile, :func:`fisher_info_many` does the n-independent part of that work
 once.
 
-A Monte Carlo score-variance estimator over sampled records provides an
-independent oracle for the quadrature, and the time-stationary constants
-give the exact sparse-beam limits.
+A Monte Carlo score-variance estimator provides an independent oracle for
+the quadrature: it scores sampled records with the exact p0-derivative of
+their log-likelihood, read from the profile's own ``domega`` and ``dOmega``
+(a complete record scores sum_i domega/omega - H_n(Omega(t_n)) dOmega(t_n)),
+so it builds no profile and carries no finite-difference step.  The
+time-stationary constants give the exact sparse-beam limits.
 """
 
 from __future__ import annotations
@@ -70,6 +73,12 @@ def _hn_vec(family: StateFamily, n: int, u):
         return np.zeros_like(u)
     with np.errstate(divide="ignore"):
         return np.where(u < big_n, (big_n - n) / np.where(u < big_n, big_n - u, 1.0), 0.0)
+
+
+def _require_derivative(profile: it.IntensityProfile):
+    if not profile.has_derivative:
+        raise ModeError("profile was built without momentum derivatives; "
+                        "rebuild with derivative=True")
 
 
 def _weight_logs(family: StateFamily, u: np.ndarray):
@@ -197,9 +206,7 @@ def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile
     n_values = tuple(n_values)
     if any(n < 1 for n in n_values):
         raise ValueError("n must be >= 1")
-    if not profile.has_derivative:
-        raise ModeError("profile was built without momentum derivatives; "
-                        "rebuild with derivative=True")
+    _require_derivative(profile)
     t = profile.t
     u = profile.Omega
     om = profile.omega
@@ -345,50 +352,65 @@ class McScore:
 
 
 def mc_score_variance(n: int, family: StateFamily, profile: it.IntensityProfile,
-                      samples: int, seed: int, fd_step: float = 1e-3,
-                      profile_builder=None) -> McScore:
-    """Sample variance of the finite-difference score at the true momentum.
+                      samples: int, seed: int) -> McScore:
+    """Sample variance of the score at the true momentum.
 
-    Draws records at p0, evaluates the score as a central difference of the
-    log-likelihood over profiles rebuilt at p0 +- fd_step (the NO branch
-    contributes d log(1 - p_tot)), and reports the variance with its
-    jackknife standard error.  ``profile_builder`` overrides how the shifted
-    profiles are produced (synthetic models in tests).
+    Draws records at p0, scores each exactly from the profile's own
+    momentum derivatives (:func:`_score_batch`), and reports the variance
+    with its jackknife standard error.  No profile is built.
     """
     if samples < 10_000:
         raise ValueError("use at least 1e4 samples for a stable variance")
-    scn = profile.scn
-    if profile_builder is None:
-        t_max = float(profile.t[-1])
-        dt = float(profile.t[-1] - profile.t[-2])
-
-        def profile_builder(p0):
-            return it.build_profile(scn.at_p0(p0), t_max=t_max, dt=dt)
-
-    prof_plus = profile_builder(scn.p0 + fd_step)
-    prof_minus = profile_builder(scn.p0 - fd_step)
-
-    def scores(times, n_det):
-        loc = prof_plus.locate(times)  # the shifted profiles share one grid
-        ll_p = pr.log_likelihood_batch(loc, n_det, family, prof_plus)
-        ll_m = pr.log_likelihood_batch(loc, n_det, family, prof_minus)
-        return (ll_p - ll_m) / (2.0 * fd_step)
-
-    score = scores(*pr.sample_times_matrix(n, family, profile, samples, seed))
+    _require_derivative(profile)
+    score = _score_batch(*pr.sample_times_matrix(n, family, profile, samples, seed),
+                         family, profile)
     bad = ~np.isfinite(score)
     resampled = int(bad.sum())
     if resampled:
-        # degenerate likelihood at the shifted momentum: redraw those records
-        score[bad] = scores(*pr.sample_times_matrix(n, family, profile, resampled,
-                                                    seed, stream_index=1))
-        warnings.warn(f"{resampled} records had degenerate shifted likelihoods and "
-                      "were redrawn")
+        # records the model gives zero likelihood: redraw them
+        score[bad] = _score_batch(*pr.sample_times_matrix(n, family, profile, resampled,
+                                                          seed, stream_index=1),
+                                  family, profile)
+        warnings.warn(f"{resampled} records had degenerate likelihoods and were redrawn")
     var = float(np.var(score, ddof=1))
     se = _jackknife_se_of_variance(score)
     mean = float(np.mean(score))
     mean_se = float(np.std(score, ddof=1) / math.sqrt(samples))
     return McScore(variance=var, std_error=se, mean=mean, mean_se=mean_se,
                    samples=samples, resampled=resampled)
+
+
+def _score_batch(times, n_det, family: StateFamily, profile: it.IntensityProfile):
+    """d/dp0 of :func:`process.log_likelihood_batch` for each record.
+
+    A complete record scores
+    ``sum_i domega(t_i)/omega(t_i) - H_n(U) dOmega(t_n)`` with
+    ``U = Omega(t_n)``, since ``d/du log F_n = -H_n``; an intensity that the
+    likelihood floors at ``process.OMEGA_FLOOR`` is constant there and
+    contributes 0.  A short record scores
+    ``d/dp0 log(1 - p_tot) = -total_prob_dp / noevent_mass``, or NaN where
+    that mass, and so its likelihood, is 0.
+    """
+    loc = profile.locate(times)
+    n = loc.idx.shape[1]
+    full = n_det == n
+    some_short = not full.all()
+    if some_short:
+        loc = loc[full]
+    om = profile.omega_at(loc)
+    live = om > pr.OMEGA_FLOOR
+    score = np.sum(np.where(live, profile.domega_at(loc) / np.where(live, om, 1.0), 0.0),
+                   axis=1)
+    last = loc[:, -1]
+    u_last = profile.Omega_at(last)
+    score -= _hn_vec(family, n, u_last) * profile.dOmega_at(last)
+    if not some_short:
+        return score
+    out = np.empty(full.shape)
+    out[full] = score
+    mass = pr.noevent_mass(n, family, profile)
+    out[~full] = -pr.total_prob_dp(n, family, profile) / mass if mass > 0.0 else np.nan
+    return out
 
 
 def _jackknife_se_of_variance(x):
@@ -432,10 +454,9 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
     if profile.mode != "beam":
         raise ModeError("the estimator study is implemented for beam profiles")
     scn = profile.scn
-    t_max = float(profile.t[-1])
-    dt = float(profile.t[-1] - profile.t[-2])
     p_grid = np.linspace(scn.p0 - bracket, scn.p0 + bracket, grid_points)
-    profiles = [it.build_profile(scn.at_p0(p), t_max=t_max, dt=dt) for p in p_grid]
+    profiles = [it.build_profile(scn.at_p0(p), t_max=profile.t_max, dt=profile.dt)
+                for p in p_grid]
     loglik = np.zeros((datasets, grid_points))
     for start in range(0, datasets, chunk):
         block = min(chunk, datasets - start)
@@ -444,7 +465,7 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
             stream_index=2 + start)
         if np.any(n_det < n):
             raise ModeError("beam records must always reach n detections")
-        loc = profiles[0].locate(times)  # the grid profiles share one grid
+        loc = profile.locate(times)  # the grid profiles share the input's grid
         for j, prof_j in enumerate(profiles):
             per_record = pr.log_likelihood_batch(loc, n_det, family, prof_j)
             loglik[start:start + block, j] += per_record.reshape(block, -1).sum(axis=1)

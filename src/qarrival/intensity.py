@@ -16,14 +16,19 @@ carry a fitted power-law tail estimate for the total-mass extrapolation.
 Pointwise evaluation is split in two.  ``IntensityProfile.locate`` finds
 the grid cell of each query time once (a :class:`Locator`: int32 cell
 index, offset into the cell, and the points at and past the last node), and
-``omega_at``/``Omega_at`` read any profile on the same grid from it.  With
-the per-profile slope table ``(omega[1:] - omega[:-1]) / (t[1:] - t[:-1])``
-the linear interpolant ``slope * s + omega`` is the expression
+the evaluators read any profile on the same grid from it.  One linear cell
+model serves ``omega_at`` and its momentum derivative ``domega_at``, and one
+quadratic cell model serves ``Omega_at`` and ``dOmega_at``; each table has a
+per-cell slope, ``(y[1:] - y[:-1]) / (t[1:] - t[:-1])``, cached on first
+use.  The linear interpolant ``slope * s + y`` is the expression
 ``np.interp`` evaluates, so results equal it bit for bit; profiles that
-share a grid (the momentum grids of the Monte Carlo and maximum-likelihood
-studies) pay for the cell search once.  For a few points at a time, where
-numpy's per-call overhead dominates, the same cell formulas also run on
-Python-float copies of the tables, with the same results.
+share a grid (the momentum grid of the maximum-likelihood study) pay for
+the cell search once.  Past the grid the derivatives continue as their
+values do: a beam's ``domega`` stays at ``domega_dp0_inf`` and its
+``dOmega`` grows linearly, a finite profile holds 0 and ``dOmega[-1]``.
+For a few points at a time, where numpy's per-call overhead dominates, the
+cell formulas of ``omega_at``/``Omega_at`` also run on Python-float copies
+of the tables, with the same results.
 """
 
 from __future__ import annotations
@@ -111,6 +116,8 @@ class IntensityProfile:
     beam_tail: dk.BeamAsymptotes | None = None
     finite_tail: FiniteTail | None = None
     has_derivative: bool = True
+    t_max: float | None = None  # the grid arguments build_profile resolved
+    dt: float | None = None
 
     # -- pointwise evaluators --------------------------------------------
 
@@ -118,6 +125,11 @@ class IntensityProfile:
     def _slope(self):
         """Per-cell slope of omega (the table ``np.interp`` builds), kept after first use."""
         return (self.omega[1:] - self.omega[:-1]) / (self.t[1:] - self.t[:-1])
+
+    @cached_property
+    def _dslope(self):
+        """Per-cell slope of domega, kept after first use."""
+        return (self.domega[1:] - self.domega[:-1]) / (self.t[1:] - self.t[:-1])
 
     @cached_property
     def _cell_lists(self):
@@ -146,27 +158,45 @@ class IntensityProfile:
             raise ValueError("locator was taken on a different time grid")
         return tq
 
-    def omega_at(self, tq):
+    def _linear(self, tq, y, slope, tail):
+        """Linear cell model of the table ``y`` (``np.interp``, bit for bit),
+        the constant ``tail`` past the grid."""
         loc = self._cells(tq)
-        out = self._slope[loc.idx] * loc.s + self.omega[loc.idx]
+        out = slope[loc.idx] * loc.s + y[loc.idx]
         if loc.past is not None:
-            tail = self.beam_tail.omega_inf if self.mode == "beam" else 0.0
             out = np.where(loc.past, tail, out)
         if loc.at is not None:  # np.interp returns the last node's value there
-            out = np.where(loc.at, self.omega[-1], out)
+            out = np.where(loc.at, y[-1], out)
         return float(out) if out.ndim == 0 else out
 
-    def Omega_at(self, tq):
+    def _quadratic(self, tq, Y, y, slope, rate):
+        """Quadratic cell model of ``Y``, the trapezoid integral of ``y``; past
+        the grid it grows at ``rate``, or stays at ``Y[-1]`` for None."""
         loc = self._cells(tq)
         idx, s = loc.idx, loc.s
-        out = self.Omega[idx] + self.omega[idx] * s + 0.5 * self._slope[idx] * s * s
+        out = Y[idx] + y[idx] * s + 0.5 * slope[idx] * s * s
         if loc.past is not None:
-            if self.mode == "beam":
-                tail = self.Omega[-1] + self.beam_tail.omega_inf * (loc.tq - self.t[-1])
-            else:
-                tail = self.Omega[-1]
+            tail = Y[-1] if rate is None else Y[-1] + rate * (loc.tq - self.t[-1])
             out = np.where(loc.past, tail, out)
         return float(out) if out.ndim == 0 else out
+
+    def omega_at(self, tq):
+        tail = self.beam_tail.omega_inf if self.mode == "beam" else 0.0
+        return self._linear(tq, self.omega, self._slope, tail)
+
+    def domega_at(self, tq):
+        """p0-derivative of :meth:`omega_at` at fixed times."""
+        tail = self.beam_tail.domega_dp0_inf if self.mode == "beam" else 0.0
+        return self._linear(tq, self.domega, self._dslope, tail)
+
+    def Omega_at(self, tq):
+        rate = self.beam_tail.omega_inf if self.mode == "beam" else None
+        return self._quadratic(tq, self.Omega, self.omega, self._slope, rate)
+
+    def dOmega_at(self, tq):
+        """p0-derivative of :meth:`Omega_at` at fixed times."""
+        rate = self.beam_tail.domega_dp0_inf if self.mode == "beam" else None
+        return self._quadratic(tq, self.dOmega, self.domega, self._dslope, rate)
 
     # Per-point evaluators on Python floats, for single records where numpy's
     # per-call overhead dominates: the cell search and the cell formulas of
@@ -307,7 +337,8 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
     Finite modes get the exact momentum derivative from a second solve on
     the differentiated drive.  ``derivative=False`` skips it; such profiles
     serve density and sampling work but cannot feed the information
-    quadrature.
+    quadrature.  The profile records the resolved ``t_max`` and ``dt``, so
+    profiles at other momenta can be built on the same grid.
     """
     if scn.beam:
         mode = "beam"
@@ -327,7 +358,8 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
             scn=scn, mode=mode, t=t,
             omega=r0 * g, Omega=r0 * G, domega=r0 * gdot,
             dOmega=r0 * dG, dOmega_tilde=r0 * dG_tilde,
-            Omega_inf=math.inf, dOmega_inf=math.nan, beam_tail=asym)
+            Omega_inf=math.inf, dOmega_inf=math.nan, beam_tail=asym,
+            t_max=t_max, dt=dt)
 
     kernel = pg.gaussian_kernel_g(scn, grid) if mode == "gaussian" else None
     pref = scn.navg * scn.gamma if mode == "gaussian" else scn.a * scn.navg
@@ -356,7 +388,7 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
             scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=zeros,
             dOmega=zeros, dOmega_tilde=zeros,
             Omega_inf=Omega_inf, dOmega_inf=math.nan,
-            finite_tail=tail, has_derivative=False)
+            finite_tail=tail, has_derivative=False, t_max=t_max, dt=dt)
 
     domega = 2.0 * pref * np.real(np.conj(amp) * damp)
     dOmega = cumulative_trapezoid(domega, t, initial=0.0)
@@ -371,4 +403,5 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
     return IntensityProfile(
         scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=domega,
         dOmega=dOmega, dOmega_tilde=dOmega_tilde,
-        Omega_inf=Omega_inf, dOmega_inf=dOmega_inf, finite_tail=tail)
+        Omega_inf=Omega_inf, dOmega_inf=dOmega_inf, finite_tail=tail,
+        t_max=t_max, dt=dt)

@@ -89,14 +89,18 @@ def log_joint_density(times, family: StateFamily, profile: IntensityProfile):
     return log_family_Fn(family, len(ts), u_last) + float(np.log(omega).sum())
 
 
+# the floor of the intensities in log_likelihood_batch
+OMEGA_FLOOR = 1e-300
+
+
 def log_likelihood_batch(times, n_det, family: StateFamily, profile: IntensityProfile):
     """Log-likelihood of sampled records, one per row of ``times``.
 
     ``times`` is the ``(count, n)`` matrix of :func:`sample_times_matrix`,
     or a :class:`Locator` taken on it, so that profiles on one grid share
     the cell search.  Rows with fewer than n detections score the log of
-    the NO-event mass; in complete rows the intensity is floored at 1e-300,
-    where :func:`log_joint_density` would return -inf.
+    the NO-event mass; in complete rows the intensity is floored at
+    ``OMEGA_FLOOR``, where :func:`log_joint_density` would return -inf.
     """
     loc = times if isinstance(times, Locator) else profile.locate(times)
     n = loc.idx.shape[1]
@@ -105,7 +109,7 @@ def log_likelihood_batch(times, n_det, family: StateFamily, profile: IntensityPr
     if some_short:
         loc = loc[full]
     om = profile.omega_at(loc)
-    ll = np.sum(np.log(np.maximum(om, 1e-300)), axis=1)
+    ll = np.sum(np.log(np.maximum(om, OMEGA_FLOOR)), axis=1)
     u_last = np.atleast_1d(profile.Omega_at(loc[:, -1]))
     ll += np.atleast_1d(log_family_Fn(family, n, u_last))
     if not some_short:

@@ -237,3 +237,25 @@ class TestErrors:
         assert rc == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--points", "0"],
+        ["intensity", "--points", "0", "--t-max", "5"],
+        ["intensity", "--points", "-3", "--t-max", "5"],
+        ["density", "--pair-points", "0", "--pair-out", "{tmp}/pair.csv"],
+        ["sample", "--count", "-5"],
+        ["sample", "--count", "0"],
+        ["fisher", "--out", "{tmp}/missing/x.csv"],
+        ["sample", "--out", "{tmp}/missing/x.csv"],
+        ["density", "--pair-out", "{tmp}/missing/pair.csv"],
+        ["fisher", "--out", "{tmp}"],
+    ])
+    def test_bad_output_flags(self, beam_cfg, tmp_path, capsys, argv):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "x.csv")]
+        rc = main(argv + ["--config", beam_cfg])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.csv"))

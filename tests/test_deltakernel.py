@@ -104,6 +104,13 @@ class TestRemainder:
         with pytest.raises(ModeError):
             remainder_R_with_dp(0.0, 3.0, DP)
 
+    @pytest.mark.parametrize("p", [-1.0, -DP.alpha, np.array([0.5, -0.5]), math.nan])
+    def test_derivative_rejects_nonpositive_momentum(self, p):
+        # the pieces hold |p|; the sign check must see p itself
+        for fn in (remainder_R_dp, remainder_R_with_dp):
+            with pytest.raises(ModeError):
+                fn(p, 3.0, DP)
+
     def test_bracket_bounded(self):
         ts = np.geomspace(1e-3, 1e3, 200)
         for p in (0.2, 1.0, 5.0):

@@ -180,6 +180,8 @@ class TestFiniteInformation:
             prof = build_profile(narrow_scn, t_max=40.0, dt=5e-3, derivative=False)
         with pytest.raises(ModeError):
             fisher_info(1, StateFamily.coherent(1000.0), prof)
+        with pytest.raises(ModeError):
+            mc_score_variance(1, StateFamily.coherent(1000.0), prof, samples=10_000, seed=0)
 
 
 class TestMonteCarlo:
@@ -194,30 +196,66 @@ class TestMonteCarlo:
 
     def test_stationary_reference(self, make_flat_profile):
         # synthetic constant-intensity model: coherent information = n (dw/w)^2
-        builder = make_flat_profile(omega0=0.2, slope=0.03)
-        prof = builder(1.0)
-        mc = mc_score_variance(4, COH, prof, samples=30_000, seed=12,
-                               profile_builder=builder)
+        prof = make_flat_profile(omega0=0.2, slope=0.03)(1.0)
+        mc = mc_score_variance(4, COH, prof, samples=30_000, seed=12)
         expect = 4.0 * (0.03 / 0.2) ** 2
         assert abs(mc.variance - expect) <= 3.0 * mc.std_error
         # and the quadrature reproduces the same stationary value
         assert fisher_info(4, COH, prof).value == pytest.approx(expect, rel=1e-6)
 
-    def test_fd_step_stability(self, beam_profile_r1):
-        a = mc_score_variance(1, COH, beam_profile_r1, samples=30_000, seed=8,
-                              fd_step=1e-3)
-        b = mc_score_variance(1, COH, beam_profile_r1, samples=30_000, seed=8,
-                              fd_step=5e-4)
-        assert abs(a.variance - b.variance) <= max(a.std_error, 1e-6)
+    def test_exact_score_matches_finite_differences(self, beam_profile_r1):
+        # the central difference of the log-likelihood over rebuilt profiles
+        # approaches the exact score as h^2 on the same records
+        times, n_det = pr.sample_times_matrix(2, COH, beam_profile_r1, 20_000, seed=8)
+        exact = fisher._score_batch(times, n_det, COH, beam_profile_r1)
+        errs = [np.max(np.abs(exact - _fd_score(times, n_det, COH, beam_profile_r1, h)))
+                for h in (2e-3, 1e-3, 5e-4, 2.5e-4)]
+        assert errs[1] <= 1e-3
+        for coarse, fine in zip(errs, errs[1:]):
+            assert 3.5 <= coarse / fine <= 4.5
+
+    @pytest.mark.parametrize("family", [StateFamily.coherent(100.0),
+                                        StateFamily.quasifree(100.0),
+                                        StateFamily.fock(100)], ids=lambda f: f.kind)
+    def test_exact_score_on_finite_profile(self, delta_profile, family):
+        n = 12
+        times, n_det = pr.sample_times_matrix(n, family, delta_profile, 20_000, seed=5)
+        exact = fisher._score_batch(times, n_det, family, delta_profile)
+        full = n_det == n
+        assert 0 < full.sum() < full.size
+        assert np.any(times[full] > delta_profile.t[-1])  # past the grid, omega = 0
+        fds = [_fd_score(times, n_det, family, delta_profile, h) for h in (1e-3, 5e-4)]
+        errs = [np.max(np.abs(exact[full] - fd[full])) for fd in fds]
+        assert errs[0] <= 2e-5
+        assert 3.5 <= errs[0] / errs[1] <= 4.5
+        # short records: d log(1 - p_tot)/dp0 with the profile's fixed-slope
+        # dOmega_inf, which the refitted tails of rebuilt profiles do not share
+        closed = (-pr.total_prob_dp(n, family, delta_profile)
+                  / pr.noevent_mass(n, family, delta_profile))
+        assert np.all(exact[~full] == closed)
 
     def test_minimum_samples_enforced(self, beam_profile_r1):
         with pytest.raises(ValueError):
             mc_score_variance(1, COH, beam_profile_r1, samples=100, seed=0)
 
 
+def _fd_score(times, n_det, family, profile, h):
+    """Central difference of the batched log-likelihood over profiles rebuilt
+    at p0 +- h on the input grid: the finite-difference score."""
+    scn = profile.scn
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # slow-tail warnings of finite profiles
+        plus, minus = (build_profile(scn.at_p0(scn.p0 + sign * h),
+                                     t_max=profile.t_max, dt=profile.dt)
+                       for sign in (1.0, -1.0))
+    return (pr.log_likelihood_batch(times, n_det, family, plus)
+            - pr.log_likelihood_batch(times, n_det, family, minus)) / (2.0 * h)
+
+
 def test_study_profiles_share_one_grid(beam_profile_r1, monkeypatch):
-    # the shifted profiles of both studies are built on one grid, which is
-    # what lets them share a single cell locator per sample block
+    # the Monte Carlo score builds no profile; the estimator study builds its
+    # momentum grid on the input profile's own grid, so one cell locator
+    # taken on the input serves every grid profile
     built = []
 
     def spy(*args, **kwargs):
@@ -226,12 +264,12 @@ def test_study_profiles_share_one_grid(beam_profile_r1, monkeypatch):
 
     monkeypatch.setattr(intensity, "build_profile", spy)
     mc_score_variance(1, COH, beam_profile_r1, samples=10_000, seed=1)
-    assert len(built) == 2
+    assert len(built) == 0
     mle_variance_study(2, COH, beam_profile_r1, datasets=4, records_per_dataset=8,
                        seed=1, grid_points=5)
-    assert len(built) == 7
-    for prof in built[1:]:
-        assert np.array_equal(prof.t, built[0].t)
+    assert len(built) == 5
+    for prof in built:
+        assert np.array_equal(prof.t, beam_profile_r1.t)
 
 
 # ---------------------------------------------------------------------------

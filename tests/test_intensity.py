@@ -183,35 +183,47 @@ def test_beam_family_members_converge_to_beam_curve(beam_scn):
 # ---------------------------------------------------------------------------
 
 def _table_profile(t, omega, mode):
-    """Profile over an arbitrary table; beam mode continues at omega_inf = 0.7."""
+    """Profile over an arbitrary table; beam mode continues at omega_inf = 0.7
+    and domega_dp0_inf = -0.3.  The derivative table is a signed reflection
+    of ``omega``."""
     scn = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0, navg=math.inf, r0=1.0)
-    tail = BeamAsymptotes(omega_inf=0.7, domega_dp0_inf=0.0, c0=0.0, c_sqrt=0.0,
+    tail = BeamAsymptotes(omega_inf=0.7, domega_dp0_inf=-0.3, c0=0.0, c_sqrt=0.0,
                           c_lin=0.0, dc_t32=0.0) if mode == "beam" else None
-    zeros = np.zeros_like(t)
+    domega = omega[::-1] - 25.0
     return IntensityProfile(scn=scn, mode=mode, t=t, omega=omega,
                             Omega=cumulative_trapezoid(omega, t, initial=0.0),
-                            domega=zeros, dOmega=zeros, dOmega_tilde=zeros,
+                            domega=domega,
+                            dOmega=cumulative_trapezoid(domega, t, initial=0.0),
+                            dOmega_tilde=np.zeros_like(t),
                             Omega_inf=math.inf, dOmega_inf=math.nan, beam_tail=tail)
 
 
-def _reference_omega(prof, tq):
-    """np.interp with the constant continuation past the last node."""
-    tail = prof.beam_tail.omega_inf if prof.mode == "beam" else 0.0
-    return np.where(tq > prof.t[-1], tail, np.interp(tq, prof.t, prof.omega))
+def _reference_omega(prof, tq, deriv=False):
+    """np.interp with the constant continuation past the last node; of
+    ``domega`` with ``deriv``."""
+    if deriv:
+        y, tail = prof.domega, prof.beam_tail.domega_dp0_inf if prof.mode == "beam" else 0.0
+    else:
+        y, tail = prof.omega, prof.beam_tail.omega_inf if prof.mode == "beam" else 0.0
+    return np.where(tq > prof.t[-1], tail, np.interp(tq, prof.t, y))
 
 
-def _reference_Omega(prof, tq):
-    """The quadratic cell model written out cell by cell, as first specified."""
+def _reference_Omega(prof, tq, deriv=False):
+    """The quadratic cell model written out cell by cell, as first specified;
+    of ``(dOmega, domega)`` with ``deriv``."""
+    big, y = (prof.dOmega, prof.domega) if deriv else (prof.Omega, prof.omega)
     t = prof.t
     idx = np.clip(np.searchsorted(t, tq, side="right") - 1, 0, len(t) - 2)
     t0, t1 = t[idx], t[idx + 1]
-    w0, w1 = prof.omega[idx], prof.omega[idx + 1]
+    w0, w1 = y[idx], y[idx + 1]
     s = np.clip(tq - t0, 0.0, t1 - t0)
-    out = prof.Omega[idx] + w0 * s + 0.5 * ((w1 - w0) / (t1 - t0)) * s * s
+    out = big[idx] + w0 * s + 0.5 * ((w1 - w0) / (t1 - t0)) * s * s
     beyond = tq > t[-1]
     if prof.mode == "beam":
-        return np.where(beyond, prof.Omega[-1] + prof.beam_tail.omega_inf * (tq - t[-1]), out)
-    return np.where(beyond, prof.Omega[-1], out)
+        bt = prof.beam_tail
+        rate = bt.domega_dp0_inf if deriv else bt.omega_inf
+        return np.where(beyond, big[-1] + rate * (tq - t[-1]), out)
+    return np.where(beyond, big[-1], out)
 
 
 def _bits(x):
@@ -258,6 +270,10 @@ class TestLocator:
         for q in (tq, loc):
             assert np.array_equal(_bits(prof.omega_at(q)), _bits(_reference_omega(prof, tq)))
             assert np.array_equal(_bits(prof.Omega_at(q)), _bits(_reference_Omega(prof, tq)))
+            assert np.array_equal(_bits(prof.domega_at(q)),
+                                  _bits(_reference_omega(prof, tq, deriv=True)))
+            assert np.array_equal(_bits(prof.dOmega_at(q)),
+                                  _bits(_reference_Omega(prof, tq, deriv=True)))
 
     @given(case=_tables_and_queries(), mode=st.sampled_from(["beam", "delta"]))
     @settings(max_examples=150, deadline=None)
@@ -283,6 +299,11 @@ class TestLocator:
                                  [0.0, t[-1], t[-1] + 3.0]]).reshape(-1, 2)
             assert np.array_equal(_bits(prof.omega_at(tq)), _bits(_reference_omega(prof, tq)))
             assert np.array_equal(_bits(prof.Omega_at(tq)), _bits(_reference_Omega(prof, tq)))
+            for q in (tq, prof.locate(tq)):
+                assert np.array_equal(_bits(prof.domega_at(q)),
+                                      _bits(_reference_omega(prof, tq, deriv=True)))
+                assert np.array_equal(_bits(prof.dOmega_at(q)),
+                                      _bits(_reference_Omega(prof, tq, deriv=True)))
 
     def test_locator_shared_across_profiles_on_one_grid(self, beam_scn):
         a = build_profile(beam_scn, t_max=20.0)
@@ -303,6 +324,10 @@ class TestLocator:
             a.omega_at(loc)
         with pytest.raises(ValueError):
             a.Omega_at(loc)
+        with pytest.raises(ValueError):
+            a.domega_at(loc)
+        with pytest.raises(ValueError):
+            a.dOmega_at(loc)
 
     def test_scalar_in_scalar_out(self, beam_profile, delta_profile):
         for prof in (beam_profile, delta_profile):
@@ -311,5 +336,7 @@ class TestLocator:
                 for q in (tq, loc, prof.locate([tq])[0]):
                     assert type(prof.omega_at(q)) is float
                     assert type(prof.Omega_at(q)) is float
+                    assert type(prof.domega_at(q)) is float
+                    assert type(prof.dOmega_at(q)) is float
                 assert prof.omega_at(loc) == _reference_omega(prof, np.array(tq))
                 assert prof.Omega_at(loc) == _reference_Omega(prof, np.array(tq))
