@@ -4,8 +4,8 @@ Subcommands read a flat key=value scenario config and emit CSV (or a
 pass/fail report).  Every run is deterministic given its arguments; Monte
 Carlo paths use counter-based seeded streams.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical-tolerance
-failure, 4 verification failure.
+Exit codes: 0 success, 2 configuration or output error, 3
+numerical-tolerance failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -26,17 +26,6 @@ from . import process as pr
 from . import verify as vf
 from .errors import ConfigError, QArrivalError, ToleranceError
 from .scenario import Scenario, StateFamily, log_family_Fn
-
-THREADS_ENV = "QARRIVAL_THREADS"
-
-
-def _max_workers():
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return min(4, os.cpu_count() or 1)
-
 
 def _load_scenario(path: str) -> Scenario:
     try:
@@ -104,8 +93,18 @@ def _check_flags(args):
             raise ConfigError(f"cannot write --{name.replace('_', '-')} {path!r}")
 
 
+@contextmanager
+def _output(path):
+    """Open an output file; a failed write (disk full, say) exits 2."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _write_rows(path, header, rows):
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{v:.10g}" if isinstance(v, float) else str(v)
@@ -131,13 +130,8 @@ def cmd_intensity(args) -> int:
         curves.append(("beam", scn.at_navg(math.inf)))
     if not curves:
         curves.append(("base", scn))
-
-    def build(item):
-        label, s = item
-        return label, it.build_profile(s, t_max=args.t_max, dt=args.dt)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        profiles = list(pool.map(build, curves))
+    profiles = [(label, it.build_profile(s, t_max=args.t_max, dt=args.dt))
+                for label, s in curves]
     rows = []
     for label, prof in profiles:
         stride = max(1, len(prof.t) // args.points)
@@ -216,7 +210,7 @@ def cmd_sample(args) -> int:
     fam = _family(args.family, scn)
     prof = it.build_profile(scn, t_max=args.t_max, dt=args.dt, derivative=False)
     batch = pr.sample_batch(args.n, fam, prof, args.count, args.seed)
-    with open(args.out, "w") as fh:
+    with _output(args.out) as fh:
         fh.write("# n_detected,t_1..t_k,terminated\n")
         for rec in batch.records:
             parts = [str(rec.n_detected)]

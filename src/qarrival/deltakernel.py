@@ -54,25 +54,9 @@ def erfc_c(z):
     Faddeeva-based (``scipy.special.erfc``); pinned by the test suite to
     1e-12 relative against mpmath on the measurement ray and on |z| <= 30
     with Re z >= -5.  Where exp(-z^2) overflows, the result is infinite;
-    use :func:`erfc_c_scaled` there.
+    the scaled :func:`erfcx_c` stays finite there.
     """
     return _complex_ufunc(erfc, z)
-
-
-def erfc_c_scaled(z):
-    """erfc with automatic switching to the scaled form on overflow.
-
-    Returns ``(values, scaled)`` where ``scaled`` marks entries holding
-    exp(z^2) erfc(z) instead of erfc(z) because the plain value is not
-    representable in double precision.
-    """
-    z = np.asarray(z, dtype=complex)
-    arr = np.atleast_1d(z)
-    scaled = np.real(arr * arr) < -700.0
-    vals = np.where(scaled, erfcx(arr), erfc(arr))
-    if z.ndim == 0:
-        return complex(vals[0]), bool(scaled[0])
-    return vals, scaled
 
 
 # ---------------------------------------------------------------------------

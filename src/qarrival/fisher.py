@@ -313,16 +313,12 @@ def _beam_tail_group(ns, family: StateFamily, profile: it.IntensityProfile,
 def _report(n: int, family: StateFamily, profile: it.IntensityProfile,
             detection: float) -> FisherReport:
     """Add the NO-event part to the detection part and condition on n."""
-    p_tot = pr.total_prob(n, family, profile)
-    mass = pr.noevent_mass(n, family, profile) if profile.mode != "beam" else 0.0
-    if mass > 0.0:
-        dp_tot = pr.total_prob_dp(n, family, profile)
-        noevent = dp_tot * dp_tot / mass
-    else:
-        noevent = 0.0
+    mass = pr.noevent_mass(n, family, profile)
+    p_tot = 1.0 - mass
+    dp_tot = pr.total_prob_dp(n, family, profile) if mass > 0.0 else 0.0
+    noevent = dp_tot * dp_tot / mass if mass > 0.0 else 0.0
     value = detection + noevent
     if mass > 0.0 and p_tot > 0.0:
-        dp_tot = pr.total_prob_dp(n, family, profile)
         conditional = (value - dp_tot * dp_tot / (p_tot * mass)) / p_tot
     else:
         conditional = value if p_tot > 0.0 else math.nan

@@ -28,26 +28,21 @@ from .scenario import StateFamily, log_family_Fn
 class ArrivalRecord:
     """One sampled detection sequence.
 
-    ``times`` holds the recorded arrivals (strictly increasing);
-    ``terminated`` is set when the NO-event outcome occurred before the
-    requested count was reached, in which case len(times) < requested.
+    ``times`` holds the recorded arrivals, a row prefix of
+    :func:`sample_times_matrix`; the record is ``terminated`` when the
+    NO-event outcome occurred before the requested count was reached.
     """
 
     requested: int
     times: np.ndarray = field(repr=False)
-    terminated: bool = False
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", t)
-        if not (t[1:] > t[:-1]).all():  # also rejects NaN neighbours
-            raise ValueError("arrival times must be strictly increasing")
-        if self.terminated and t.size >= self.requested:
-            raise ValueError("terminated record cannot hold all requested arrivals")
 
     @property
     def n_detected(self) -> int:
-        return int(self.times.size)
+        return len(self.times)
+
+    @property
+    def terminated(self) -> bool:
+        return len(self.times) < self.requested
 
 
 @dataclass(frozen=True)
@@ -207,14 +202,6 @@ def total_prob_dp(n: int, family: StateFamily, profile: IntensityProfile):
     return profile.dOmega_inf * math.exp(log_term)
 
 
-def log_likelihood(record: ArrivalRecord, family: StateFamily, profile: IntensityProfile):
-    """Log-likelihood of a record, including the NO-event lump outcome."""
-    if record.terminated:
-        mass = noevent_mass(record.requested, family, profile)
-        return math.log(mass) if mass > 0.0 else -math.inf
-    return log_joint_density(record.times, family, profile)
-
-
 # ---------------------------------------------------------------------------
 # Sampling by time change
 # ---------------------------------------------------------------------------
@@ -251,17 +238,11 @@ def _uniforms(seed: int, stream_index, count: int, draws: int):
     return np.clip(u, 1e-300, 1.0 - 1e-16)
 
 
-def sample_arrivals(n: int, family: StateFamily, profile: IntensityProfile,
-                    seed: int, index: int = 0) -> ArrivalRecord:
-    """Draw one detection sequence from its own counter-based substream."""
-    batch = _sample_core(n, family, profile, seed, stream_index=index, count=1)
-    return batch[0]
-
-
 def sample_batch(n: int, family: StateFamily, profile: IntensityProfile,
                  count: int, seed: int) -> SampleBatch:
-    """Draw ``count`` records vectorised from the batch substream 0."""
-    records = _sample_core(n, family, profile, seed, stream_index=0, count=count)
+    """Draw ``count`` records from the batch substream 0."""
+    times, n_det = sample_times_matrix(n, family, profile, count, seed)
+    records = [ArrivalRecord(n, row[:k]) for row, k in zip(times, n_det.tolist())]
     return SampleBatch(records=records, seed=seed, requested=n,
                        scenario_hash=_scenario_hash(profile, family))
 
@@ -289,15 +270,6 @@ def sample_times_matrix(n: int, family: StateFamily, profile: IntensityProfile,
         u = np.where(surv, u_next, u)
         alive = surv
     return times, np.sum(~np.isnan(times), axis=1)
-
-
-def _sample_core(n, family, profile, seed, stream_index, count):
-    times, n_det = sample_times_matrix(n, family, profile, count, seed, stream_index)
-    records = []
-    for row, nd in zip(times, n_det):
-        records.append(ArrivalRecord(requested=n, times=row[:int(nd)],
-                                     terminated=bool(nd < n)))
-    return records
 
 
 # ---------------------------------------------------------------------------

@@ -67,15 +67,6 @@ class ComplexSeries:
                 f"series has {vals.shape} values for a grid of {self.grid.n_nodes} nodes")
         object.__setattr__(self, "values", vals)
 
-    def to_csv(self, path, name: str = "series"):
-        """Write the series as CSV with columns t, re, im."""
-        t = self.grid.times
-        with open(path, "w") as fh:
-            fh.write(f"# quantity: {name}\n")
-            fh.write("t,re,im\n")
-            for ti, v in zip(t, self.values):
-                fh.write(f"{ti:.12g},{v.real:.16g},{v.imag:.16g}\n")
-
 
 # ---------------------------------------------------------------------------
 # Closed-form Gaussian matrix elements (hbar = 1)

@@ -1,8 +1,12 @@
+import errno
+import io
 import math
+import os
 
 import numpy as np
 import pytest
 
+from qarrival import cli
 from qarrival.cli import main
 from qarrival.intensity import build_profile
 from qarrival.scenario import Scenario
@@ -259,3 +263,22 @@ class TestErrors:
         assert rc == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["fisher", "--n-list", "1"],
+        ["sample", "--n", "2", "--count", "10", "--t-max", "30"],
+    ])
+    def test_write_failure(self, beam_cfg, tmp_path, capsys, monkeypatch, argv):
+        # a disk that fills up while the output is written
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fake_open(path, mode="r", *rest, **kw):
+            return FullDisk() if "w" in mode else open(path, mode, *rest, **kw)
+
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        rc = main(argv + ["--config", beam_cfg, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error: cannot write") and err.count("\n") == 1

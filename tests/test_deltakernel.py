@@ -5,10 +5,9 @@ import pytest
 
 from qarrival.deltakernel import (BeamAsymptotes, DeltaParams, beam_asymptotes,
                                   beam_intensity, beam_intensity_dp, erfc_c,
-                                  erfc_c_scaled, erfcx_c, f_p,
-                                  f_superposition, remainder_R, remainder_R_dp,
-                                  remainder_R_with_dp, renewal_kernel_solution,
-                                  transmission_T)
+                                  erfcx_c, f_p, f_superposition, remainder_R,
+                                  remainder_R_dp, remainder_R_with_dp,
+                                  renewal_kernel_solution, transmission_T)
 from qarrival.errors import ModeError, ToleranceError
 from qarrival.propagate import (TimeGrid, gaussian_free_at_origin,
                                 monochromatic_drive, solve_renewal)
@@ -31,8 +30,6 @@ class TestErfcContract:
         vals = erfc_c(z)
         assert vals.shape == (2, 2) and erfcx_c(z).shape == (2, 2)
         assert vals[1, 0] == erfc_c(1.0)
-        scaled_vals, scaled = erfc_c_scaled(z)
-        assert scaled_vals.shape == scaled.shape == (2, 2)
 
     def test_scalar_in_scalar_out(self):
         assert isinstance(erfc_c(1.0), complex) and isinstance(erfcx_c(1.0 + 1.0j), complex)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from qarrival.deltakernel import erfc_c, erfc_c_scaled, erfcx_c
+from qarrival.deltakernel import erfc_c, erfcx_c
 
 mp.mp.dps = 30
 
@@ -65,13 +65,3 @@ class TestScaledForm:
     def test_agreement_where_plain_is_finite(self):
         z = 4.0 * RAY
         assert abs(erfcx_c(z) - np.exp(z * z) * erfc_c(z)) / abs(erfcx_c(z)) < 1e-12
-
-    def test_overflow_switches_to_scaled(self):
-        vals, scaled = erfc_c_scaled(np.array([2.0 - 28.0j, 1.0 + 0.0j]))
-        assert scaled[0] and not scaled[1]
-        ex = complex(mp.exp(mp.mpc(2, -28) ** 2) * mp.erfc(mp.mpc(2, -28)))
-        assert abs(vals[0] - ex) / abs(ex) < 1e-12
-
-    def test_scalar_interface(self):
-        val, flag = erfc_c_scaled(1.0 + 0.0j)
-        assert flag is False and val == pytest.approx(0.15729920705028513)

@@ -6,13 +6,11 @@ from scipy.integrate import quad
 from scipy.stats import binom, chisquare, geom, kstest, poisson
 
 from qarrival.errors import ConfigError
-from qarrival.process import (ArrivalRecord, first_arrival_series_coeffs,
-                              joint_density, log_joint_density, log_likelihood,
-                              log_likelihood_batch, noevent_mass,
-                              sample_arrivals, sample_batch,
-                              sample_times_matrix, spatial_char,
-                              spatial_char_beam, total_prob, total_prob_dp,
-                              total_prob_integral)
+from qarrival.process import (first_arrival_series_coeffs, joint_density,
+                              log_joint_density, log_likelihood_batch,
+                              noevent_mass, sample_batch, sample_times_matrix,
+                              spatial_char, spatial_char_beam, total_prob,
+                              total_prob_dp, total_prob_integral)
 from qarrival.intensity import build_profile
 from qarrival.scenario import Scenario, StateFamily, family_Fn
 
@@ -143,23 +141,23 @@ class TestSampling:
 
     def test_per_record_streams(self, beam_profile):
         coh = StateFamily.coherent(1.0)
-        r5a = sample_arrivals(2, coh, beam_profile, seed=5, index=5)
-        r5b = sample_arrivals(2, coh, beam_profile, seed=5, index=5)
-        r6 = sample_arrivals(2, coh, beam_profile, seed=5, index=6)
-        assert np.array_equal(r5a.times, r5b.times)
-        assert not np.array_equal(r5a.times, r6.times)
+        r5a, _ = sample_times_matrix(2, coh, beam_profile, 1, seed=5, stream_index=5)
+        r5b, _ = sample_times_matrix(2, coh, beam_profile, 1, seed=5, stream_index=5)
+        r6, _ = sample_times_matrix(2, coh, beam_profile, 1, seed=5, stream_index=6)
+        assert np.array_equal(r5a, r5b)
+        assert not np.array_equal(r5a, r6)
 
     def test_record_invariants(self, delta_profile):
+        # records are the rows of the sample matrix, cut at the detected count
         qf = StateFamily.quasifree(100.0)
         batch = sample_batch(4, qf, delta_profile, 300, seed=9)
-        for rec in batch.records:
+        times, n_det = sample_times_matrix(4, qf, delta_profile, 300, seed=9)
+        assert 0 < np.sum(n_det < 4) < 300
+        assert len(batch.records) == 300
+        for rec, row, k in zip(batch.records, times, n_det):
             assert np.all(np.diff(rec.times) > 0)
-            assert rec.terminated == (rec.n_detected < 4)
-
-    @pytest.mark.parametrize("times", [[1.0, math.nan, 2.0], [1.0, math.inf, math.inf]])
-    def test_record_rejects_nan_and_repeated_infinity(self, times):
-        with pytest.raises(ValueError):
-            ArrivalRecord(requested=3, times=times)
+            assert np.array_equal(rec.times.view(np.uint64), row[:k].view(np.uint64))
+            assert rec.n_detected == k and rec.terminated == (k < 4)
 
     def test_constant_rate_interarrivals_exponential(self):
         # fast beam: omega ~ a r0 const; coherent arrivals are then a plain
@@ -234,17 +232,13 @@ class TestSampling:
 
 
 class TestLikelihood:
-    def test_full_record(self, beam_profile):
-        coh = StateFamily.coherent(1.0)
-        rec = ArrivalRecord(requested=2, times=[0.5, 1.5])
-        assert log_likelihood(rec, coh, beam_profile) == pytest.approx(
-            log_joint_density([0.5, 1.5], coh, beam_profile))
-
     def test_terminated_record(self, delta_profile):
+        # rows short of n score the log of the NO-event mass, whatever they hold
         coh = StateFamily.coherent(100.0)
-        rec = ArrivalRecord(requested=40, times=[5.0], terminated=True)
-        assert log_likelihood(rec, coh, delta_profile) == pytest.approx(
-            math.log(noevent_mass(40, coh, delta_profile)))
+        times = np.full((2, 40), np.nan)
+        times[0, 0] = 5.0
+        ll = log_likelihood_batch(times, np.array([1, 0]), coh, delta_profile)
+        assert np.all(ll == math.log(noevent_mass(40, coh, delta_profile)))
 
 
 class TestBatchLikelihood:

@@ -262,14 +262,3 @@ class TestDeltaLimitConvergence:
             scaled = math.sqrt(scn.gamma / scn.a) * h.values
             sups.append(max(abs(scaled[i] - f.values[i]) for i in idx))
         assert all(a > b for a, b in zip(sups, sups[1:]))
-
-
-def test_series_csv_roundtrip(tmp_path):
-    grid = TimeGrid(1.0, 0.25)
-    s = ComplexSeries(grid, np.arange(grid.n_nodes) * (1 + 2j))
-    path = tmp_path / "series.csv"
-    s.to_csv(path, name="test-quantity")
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# quantity: test-quantity"
-    assert lines[1] == "t,re,im"
-    assert len(lines) == 2 + grid.n_nodes
