@@ -207,6 +207,7 @@ def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile
     if any(n < 1 for n in n_values):
         raise ValueError("n must be >= 1")
     _require_derivative(profile)
+    pr.checked_omega_inf(family, profile)
     t = profile.t
     u = profile.Omega
     om = profile.omega

@@ -14,7 +14,7 @@ beam profile continues with its constant late-time model; finite profiles
 carry a fitted power-law tail estimate for the total-mass extrapolation.
 
 Pointwise evaluation is split in two.  ``IntensityProfile.locate`` finds
-the grid cell of each query time once (a :class:`Locator`: int32 cell
+the grid cell of each query time once (a :class:`Locator`: ``intp`` cell
 index, offset into the cell, and the points at and past the last node), and
 the evaluators read any profile on the same grid from it.  One linear cell
 model serves ``omega_at`` and its momentum derivative ``domega_at``, and one
@@ -29,6 +29,14 @@ values do: a beam's ``domega`` stays at ``domega_dp0_inf`` and its
 For a few points at a time, where numpy's per-call overhead dominates, the
 cell formulas of ``omega_at``/``Omega_at`` also run on Python-float copies
 of the tables, with the same results.
+
+The cell search of ``locate`` (over ``t[1:-1]``) and of ``invert_Omega``
+(over ``Omega[1:-1]``) is a :class:`_BucketIndex`: about one bucket per
+node over the table's range, a guess from the query's bucket, one step
+forward, and a check of the answer against its two neighbouring nodes.
+The few points that fail the check (NaN times of short records, points
+in buckets that hold several nodes) go to ``np.searchsorted``, so every
+index is the one ``np.searchsorted(table, q, side="right")`` returns.
 """
 
 from __future__ import annotations
@@ -74,7 +82,8 @@ class FiniteTail:
 class Locator:
     """Grid cells of a set of query times (see :meth:`IntensityProfile.locate`).
 
-    ``idx`` is the cell of each point, clamped to the first and last cell;
+    ``idx`` is the cell of each point (``intp``, which numpy gathers with
+    as it is), clamped to the first and last cell;
     ``s = max(tq - t[idx], 0)`` is the offset into it.  ``past`` marks the
     points beyond ``t[-1]`` and ``at`` those exactly at it (each None when
     there are none).  Past ``t[-1]`` the offset overruns the last cell; the
@@ -99,6 +108,69 @@ class Locator:
         return Locator(self.t, self.idx[key], self.s[key], self.tq[key],
                        None if self.past is None else self.past[key],
                        None if self.at is None else self.at[key])
+
+
+@dataclass(frozen=True, slots=True)
+class _BucketIndex:
+    """``np.searchsorted(table[1:-1], q, side="right")``, O(1) per point.
+
+    ``[table[0], table[-2]]`` is cut into one bucket more than the table
+    has interior nodes, so that on a uniform grid each bucket is narrower
+    than a cell and holds at most one node.  A query's bucket is
+    ``(c - table[0]) * scale``, truncated, where
+    ``c = clamp(q, table[0], table[-2])`` and ``scale`` keeps the last node
+    below the bucket count.  The clamp leaves the answer unchanged (0 below
+    ``table[1]``, the node count from ``table[-2]`` on).  ``lo[b]`` counts
+    the interior nodes in the buckets before ``b``.  A query takes
+    ``r = lo[b]``, steps to ``r + 1`` if ``table[r + 1] <= c``, and is kept
+    if ``table[r] <= q`` and ``c < table[r + 1]``: the table's end nodes
+    are the sentinels, and for a sorted table only the answer passes.  The
+    points that fail (NaN, points below ``table[0]``, points past the
+    second node of their bucket) go to ``np.searchsorted``, so the result
+    is exact whatever ``lo`` holds; ``lo`` only decides how many fail.  A
+    table whose interior spans no finite scale gets one bucket.
+    """
+
+    table: np.ndarray
+    lo: np.ndarray  # intp, one entry per bucket
+    first: float    # table[0]
+    last: float     # table[-2]
+    base: float
+    scale: float
+
+    @classmethod
+    def build(cls, table: np.ndarray) -> _BucketIndex:
+        inner = table[1:-1]
+        m = inner.size
+        if m == 0:  # every answer is 0; an infinite end node stops the step
+            table = np.array([table[0], math.inf])
+        first, last = float(table[0]), float(table[-2])
+        span = last - first
+        buckets = m + 1
+        scale = buckets / span if 0.0 < span < math.inf else 0.0
+        if scale in (0.0, math.inf):  # base 0 keeps (c - base) * 0 finite
+            return cls(table, np.zeros(1, dtype=np.intp), first, last, 0.0, 0.0)
+        while span * scale >= buckets:  # the last node's bucket must exist
+            scale = math.nextafter(scale, 0.0)
+        # a node's bucket is the query formula at the node (the clamp is a no-op there)
+        counts = np.bincount(((inner - first) * scale).astype(np.intp), minlength=buckets)
+        lo = np.zeros(buckets, dtype=np.intp)
+        np.cumsum(counts[:-1], out=lo[1:])
+        return cls(table, lo, first, last, first, scale)
+
+    def search(self, q: np.ndarray) -> np.ndarray:
+        """Right-sided insertion points of ``q`` (any shape) as ``intp``."""
+        flat = q.reshape(-1)
+        # fmax/fmin also map NaN into range, so the cast never sees it
+        c = np.fmin(np.fmax(flat, self.first), self.last)
+        r = self.lo[((c - self.base) * self.scale).astype(np.intp)]
+        upper = self.table[1:]  # upper[r] is table[r + 1]
+        r += upper[r] <= c
+        ok = (self.table[r] <= flat) & (c < upper[r])
+        if np.count_nonzero(ok) < ok.size:
+            miss = np.flatnonzero(~ok)
+            r[miss] = np.searchsorted(self.table[1:-1], flat[miss], side="right")
+        return r.reshape(q.shape)
 
 
 @dataclass(frozen=True)
@@ -132,6 +204,16 @@ class IntensityProfile:
         return (self.domega[1:] - self.domega[:-1]) / (self.t[1:] - self.t[:-1])
 
     @cached_property
+    def _cell_index(self):
+        """Bucket index over the interior nodes ``t[1:-1]``, kept after first use."""
+        return _BucketIndex.build(self.t)
+
+    @cached_property
+    def _mass_index(self):
+        """Bucket index over the interior masses ``Omega[1:-1]``, kept after first use."""
+        return _BucketIndex.build(self.Omega)
+
+    @cached_property
     def _cell_lists(self):
         """``t[1:-1]``, ``t``, ``omega``, ``_slope`` and ``Omega`` as lists of
         Python floats for the per-point evaluators, kept after first use."""
@@ -143,9 +225,8 @@ class IntensityProfile:
         tq = np.asarray(tq, dtype=float)
         t = self.t
         # a search over the interior nodes returns the cell index already
-        # clamped to [0, len(t) - 2]; int32 halves the index memory of a
-        # sample block
-        idx = np.searchsorted(t[1:-1], tq, side="right").astype(np.int32)
+        # clamped to [0, len(t) - 2]
+        idx = self._cell_index.search(tq)
         s = np.maximum(tq - t[idx], 0.0)
         past, at = tq > t[-1], tq == t[-1]
         return Locator(t, idx, s, tq, past if np.count_nonzero(past) else None,
@@ -247,11 +328,13 @@ class IntensityProfile:
         inside = u <= self.Omega[-1]
         if np.any(inside):
             ui = u[inside]
-            idx = np.clip(np.searchsorted(self.Omega, ui, side="right") - 1, 0, len(self.t) - 2)
-            # ties on flat segments: step back to the first cell with slope
-            t0, t1 = self.t[idx], self.t[idx + 1]
-            w0, w1 = self.omega[idx], self.omega[idx + 1]
-            kappa = (w1 - w0) / (t1 - t0)
+            # the interior search is the cell of the last node at or below u,
+            # in [0, len(t) - 2]; on a flat run of Omega (omega = 0) that is
+            # the run's last node, where the next cell with mass starts
+            idx = self._mass_index.search(ui)
+            t0, t1 = self.t[idx], self.t[1:][idx]
+            w0 = self.omega[idx]
+            kappa = self._slope[idx]
             c = ui - self.Omega[idx]
             disc = np.sqrt(np.maximum(w0 * w0 + 2.0 * kappa * c, 0.0))
             with np.errstate(divide="ignore", invalid="ignore"):

@@ -125,10 +125,21 @@ def joint_density(times, family: StateFamily, profile: IntensityProfile):
 # Total detection probabilities
 # ---------------------------------------------------------------------------
 
-def _omega_inf(profile_or_value):
+def checked_omega_inf(family: StateFamily, profile_or_value) -> float:
+    """Omega(inf) of a profile (or the value itself), checked against the family.
+
+    A Fock(N) source has Omega(inf) = N times an absorption probability, so a
+    finite value above N (past the profile build's relative slack of 1e-9)
+    belongs to another source and raises :class:`ConfigError`.
+    """
     if isinstance(profile_or_value, IntensityProfile):
-        return profile_or_value.Omega_inf
-    return float(profile_or_value)
+        u_inf = profile_or_value.Omega_inf
+    else:
+        u_inf = float(profile_or_value)
+    if family.kind == "fock" and math.isfinite(u_inf) and u_inf > family.param * (1.0 + 1e-9):
+        raise ConfigError(f"Omega(inf) = {u_inf:.6g} exceeds the particle number "
+                          f"{family.param:g} of the Fock family")
+    return u_inf
 
 
 def noevent_mass(n: int, family: StateFamily, profile_or_value):
@@ -139,7 +150,7 @@ def noevent_mass(n: int, family: StateFamily, profile_or_value):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    u_inf = _omega_inf(profile_or_value)
+    u_inf = checked_omega_inf(family, profile_or_value)
     if math.isinf(u_inf):
         return 0.0
     if u_inf == 0.0:
@@ -152,7 +163,7 @@ def noevent_mass(n: int, family: StateFamily, profile_or_value):
 
 def total_prob(n: int, family: StateFamily, profile_or_value):
     """Probability of at least n detections; exactly 1 in beam mode."""
-    u_inf = _omega_inf(profile_or_value)
+    u_inf = checked_omega_inf(family, profile_or_value)
     if math.isinf(u_inf):
         return 1.0
     return 1.0 - noevent_mass(n, family, u_inf)
@@ -163,7 +174,7 @@ def total_prob_integral(n: int, family: StateFamily, profile_or_value,
     """Cross-validation path: direct integral of F_n(u) u^(n-1)/(n-1)!."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    u_inf = _omega_inf(profile_or_value)
+    u_inf = checked_omega_inf(family, profile_or_value)
 
     def integrand(u):
         return np.exp(log_family_Fn(family, n, u) + (n - 1) * np.log(np.maximum(u, 1e-300))
@@ -193,9 +204,9 @@ def total_prob_dp(n: int, family: StateFamily, profile: IntensityProfile):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    u_inf = checked_omega_inf(family, profile)
     if profile.mode == "beam":
         return 0.0
-    u_inf = profile.Omega_inf
     if u_inf <= 0.0:
         return 0.0
     log_term = log_family_Fn(family, n, u_inf) + (n - 1) * math.log(u_inf) - gammaln(n)
@@ -257,11 +268,11 @@ def sample_times_matrix(n: int, family: StateFamily, profile: IntensityProfile,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    u_inf = checked_omega_inf(family, profile)
     vs = _uniforms(seed, stream_index, count, n)
     u = np.zeros(count)
     alive = np.ones(count, dtype=bool)
     times = np.full((count, n), np.nan)
-    u_inf = profile.Omega_inf
     for k in range(n):
         u_next = _next_u(family, u, vs[k], k)
         surv = alive & (u_next < u_inf)

@@ -10,7 +10,7 @@ from scipy.special import gammaln
 from qarrival import fisher, intensity
 from qarrival import process as pr
 from qarrival.deltakernel import DeltaParams
-from qarrival.errors import ModeError, ToleranceError
+from qarrival.errors import ConfigError, ModeError, ToleranceError
 from qarrival.fisher import (FisherReport, density_sweep, fisher_conditional,
                              fisher_info, fisher_info_many, i_infinity,
                              mc_score_variance, mle_variance_study,
@@ -169,6 +169,15 @@ class TestFiniteInformation:
         vals = [fisher_info(n, coh, delta_profile).value for n in ns]
         k = int(np.argmax(vals))
         assert 0 < k < len(vals) - 1
+
+    @pytest.mark.parametrize("ns", [(4,), (1, 6), (6, 7, 11)])
+    def test_fock_below_profile_mass_rejected(self, delta_profile, ns):
+        # Omega(inf) = 11.78 > 5: at n = 4 this was a "grid too coarse"
+        # ToleranceError, at n = 6..11 a silent I_n = 0 with p_tot = 1
+        with pytest.raises(ConfigError, match="particle number"):
+            fisher_info_many(ns, StateFamily.fock(5), delta_profile)
+        with pytest.raises(ConfigError, match="particle number"):
+            mc_score_variance(ns[0], StateFamily.fock(5), delta_profile, samples=10_000, seed=0)
 
     def test_conditional_guard(self, narrow_profile):
         rep = fisher_info(2, StateFamily.coherent(1000.0), narrow_profile)

@@ -14,7 +14,8 @@ from qarrival.deltakernel import (BeamAsymptotes, DeltaParams, beam_asymptotes,
                                   beam_intensity)
 from qarrival.errors import ConfigError, RangeError
 from qarrival.intensity import IntensityProfile, build_profile
-from qarrival.scenario import Scenario
+from qarrival.process import sample_times_matrix
+from qarrival.scenario import Scenario, StateFamily
 
 
 class TestBeamProfile:
@@ -266,7 +267,7 @@ class TestLocator:
         t, omega, tq = case
         prof = _table_profile(t, omega, mode)
         loc = prof.locate(tq)
-        assert loc.idx.dtype == np.int32
+        assert loc.idx.dtype == np.intp
         for q in (tq, loc):
             assert np.array_equal(_bits(prof.omega_at(q)), _bits(_reference_omega(prof, tq)))
             assert np.array_equal(_bits(prof.Omega_at(q)), _bits(_reference_Omega(prof, tq)))
@@ -340,3 +341,157 @@ class TestLocator:
                     assert type(prof.dOmega_at(q)) is float
                 assert prof.omega_at(loc) == _reference_omega(prof, np.array(tq))
                 assert prof.Omega_at(loc) == _reference_Omega(prof, np.array(tq))
+
+
+# ---------------------------------------------------------------------------
+# Bucket index: the exact cell search of locate and invert_Omega
+# ---------------------------------------------------------------------------
+
+_EDGE_QUERIES = [math.nan, math.inf, -math.inf, -0.0, 0.0, -1.0, -1e300, 1e300, 5e-324]
+
+
+def _queries_around(table):
+    """Every node, its two float neighbours, and the edge queries."""
+    return np.concatenate([table, np.nextafter(table, -np.inf), np.nextafter(table, np.inf),
+                           _EDGE_QUERIES])
+
+
+def _assert_search_exact(table, q):
+    """The bucket index of ``table`` answers as a search of its interior."""
+    index = intensity._BucketIndex.build(table)
+    inner = table[1:-1]
+    for shaped in (q, q.reshape(-1, 1), q[: q.size // 2 * 2].reshape(2, -1)):
+        idx = index.search(shaped)
+        assert idx.dtype == np.intp and idx.shape == shaped.shape
+        assert np.array_equal(idx, np.searchsorted(inner, shaped, side="right"))
+    for x in q[:20]:
+        idx = index.search(np.asarray(x))
+        assert idx.shape == () and idx == np.searchsorted(inner, x, side="right")
+
+
+@st.composite
+def _sorted_tables_and_queries(draw):
+    """A sorted table of two or more nodes with flat runs, from wide, narrow
+    and subnormal spans, and queries anywhere (NaN and +-inf included) and
+    at its nodes."""
+    values = draw(st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e300, 1e300),
+                                     st.floats(1.0, 1.0 + 1e-12), st.floats(-1e-310, 1e-310)),
+                           min_size=2, max_size=30))
+    repeats = draw(st.lists(st.integers(1, 4), min_size=len(values), max_size=len(values)))
+    table = np.sort(np.repeat(np.array(values, dtype=float), repeats))
+    anywhere = draw(st.lists(st.floats(), max_size=30))
+    ends = float(table[0]), float(table[-1])  # min/max keep one zero for [0.0, -0.0]
+    inside = draw(st.lists(st.floats(min(ends), max(ends)), max_size=30))
+    return table, np.concatenate([np.array(anywhere + inside, dtype=float),
+                                  _queries_around(table)])
+
+
+class TestBucketIndex:
+    @given(case=_sorted_tables_and_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_search_equals_searchsorted(self, case):
+        _assert_search_exact(*case)
+
+    @pytest.mark.parametrize("table", [
+        [0.0, 1.0], [2.0, 2.0], [0.0, 2.0, 5.0], [2.0, 2.0, 2.0], [0.0, 1.0, 3.0, 4.0],
+        [1.0, 1.0, 3.0, 5.0], [1.0, 3.0, 3.0, 3.0], [-0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 1.0, 2.0],
+        [-1e308, 0.0, 1e308], [-1e308, -1e307, 1e307, 1e308], [0.0, 5e-324, 1e-323, 2e-323]])
+    def test_small_tables(self, table):
+        # no interior node up to three of them, ties, a span that overflows,
+        # subnormal spacings
+        table = np.array(table, dtype=float)
+        _assert_search_exact(table, _queries_around(table))
+
+    def test_built_grids_and_masses(self, beam_profile_r1, delta_profile):
+        rng = np.random.default_rng(8)
+        for prof in (beam_profile_r1, delta_profile):
+            for table in (prof.t, prof.Omega):
+                q = np.concatenate([rng.uniform(-1.0, 1.2 * table[-1], 50_000),
+                                    _queries_around(table)])
+                _assert_search_exact(table, q)
+
+    @pytest.mark.parametrize("mode", ["beam", "delta"])
+    def test_two_node_grid_has_no_interior(self, mode):
+        # t[1:-1] is empty, so every point sits in the one cell
+        prof = _table_profile(np.array([0.0, 1.5]), np.array([1.0, 2.0]), mode)
+        tq = np.array([0.0, -0.0, 0.7, 1.5, 2.0, -1.0, math.nan, math.inf])
+        assert np.array_equal(prof.locate(tq).idx, np.zeros(tq.size, dtype=np.intp))
+        finite = tq[np.isfinite(tq)]
+        assert np.array_equal(_bits(prof.omega_at(finite)), _bits(_reference_omega(prof, finite)))
+        assert np.array_equal(_bits(prof.Omega_at(finite)), _bits(_reference_Omega(prof, finite)))
+
+
+def _reference_invert(prof, u):
+    """Inside the grid, the inversion as first written: a full-table search,
+    a clamp, and the slope from the two cell nodes."""
+    idx = np.clip(np.searchsorted(prof.Omega, u, side="right") - 1, 0, len(prof.t) - 2)
+    t0, t1 = prof.t[idx], prof.t[idx + 1]
+    w0, w1 = prof.omega[idx], prof.omega[idx + 1]
+    kappa = (w1 - w0) / (t1 - t0)
+    c = u - prof.Omega[idx]
+    disc = np.sqrt(np.maximum(w0 * w0 + 2.0 * kappa * c, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(np.abs(kappa) > 1e-300 * np.abs(w0 + disc),
+                     2.0 * c / (w0 + disc),
+                     np.where(w0 > 0, c / np.where(w0 > 0, w0, 1.0), 0.0))
+    return t0 + np.clip(s, 0.0, t1 - t0)
+
+
+@pytest.fixture(scope="module")
+def gaussian_profile(packet_scn):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return build_profile(dataclasses.replace(packet_scn, eps=0.5), t_max=45.0, dt=5e-3)
+
+
+def test_inversion_matches_full_search_bitwise(beam_profile_r1, beam_profile, delta_profile,
+                                               gaussian_profile):
+    rng = np.random.default_rng(9)
+    for prof in (beam_profile_r1, beam_profile, delta_profile, gaussian_profile):
+        top = prof.Omega[-1]
+        nodes = prof.Omega
+        u = np.concatenate([rng.uniform(0.0, top, 50_000), nodes, np.nextafter(nodes, -np.inf),
+                            np.nextafter(nodes, np.inf), [0.0, -0.0, top]])
+        u = u[(u >= 0.0) & (u <= top)]
+        assert np.array_equal(_bits(prof.invert_Omega(u)), _bits(_reference_invert(prof, u)))
+        for x in (0.0, float(nodes[len(nodes) // 2]), top):
+            assert prof.invert_Omega(x) == _reference_invert(prof, np.array([x]))[0]
+
+
+def test_fast_path_serves_sampled_block(beam_profile_r1, monkeypatch):
+    """At most 1 % of a sampled block's points reach np.searchsorted, in the
+    sampler's inversion and in locate (a count, not a timing)."""
+    fallback = []
+    searchsorted = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        fallback.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    prof = dataclasses.replace(beam_profile_r1)  # fresh caches
+    monkeypatch.setattr(intensity.np, "searchsorted", counting)
+    times, _ = sample_times_matrix(5, StateFamily.coherent(1.0), prof, 64_000, 21)
+    points = np.count_nonzero(~np.isnan(times))
+    assert points == times.size
+    assert sum(fallback) <= 0.01 * points
+    fallback.clear()
+    prof.locate(times)
+    assert sum(fallback) <= 0.01 * points
+
+
+def test_uniform_grid_buckets_hold_one_node(delta_profile, monkeypatch):
+    """On a uniform grid every bucket is narrower than a cell, so locate
+    sends only the undetected (NaN) times of short records to the fallback."""
+    fallback = []
+    searchsorted = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        fallback.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    times, _ = sample_times_matrix(5, StateFamily.coherent(100.0), delta_profile, 64_000, 21)
+    undetected = np.count_nonzero(np.isnan(times))
+    assert 0 < undetected < 0.01 * times.size
+    monkeypatch.setattr(intensity.np, "searchsorted", counting)
+    dataclasses.replace(delta_profile).locate(times)  # fresh caches
+    assert sum(fallback) - undetected <= 0.01 * (times.size - undetected)

@@ -127,6 +127,44 @@ class TestTotalProbDerivative:
             assert an == pytest.approx(fd, rel=1e-3, abs=1e-12)
 
 
+class TestFockParticleNumber:
+    """A Fock(N) source detects at most N particles, so its Omega(inf) <= N."""
+
+    ENTRY_POINTS = {
+        "noevent_mass": lambda fam, p: noevent_mass(3, fam, p),
+        "total_prob": lambda fam, p: total_prob(6, fam, p),
+        "total_prob_integral": lambda fam, p: total_prob_integral(2, fam, p),
+        "total_prob_dp": lambda fam, p: total_prob_dp(4, fam, p),
+        "sample_times_matrix": lambda fam, p: sample_times_matrix(3, fam, p, 10, 0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_profile_mass_above_n_rejected(self, delta_profile, entry):
+        # the navg = 100 point profile holds Omega(inf) = 11.78
+        assert 5.0 < delta_profile.Omega_inf < 12.0
+        with pytest.raises(ConfigError, match="particle number"):
+            self.ENTRY_POINTS[entry](StateFamily.fock(5), delta_profile)
+        self.ENTRY_POINTS[entry](StateFamily.fock(12), delta_profile)
+
+    def test_value_above_n_rejected(self):
+        fam = StateFamily.fock(5)
+        for u_inf in (5.0 * (1.0 + 2e-9), 11.56):
+            with pytest.raises(ConfigError):
+                noevent_mass(3, fam, u_inf)
+            with pytest.raises(ConfigError):
+                total_prob(3, fam, u_inf)
+        # the profile build's relative slack of 1e-9 is allowed
+        for u_inf in (5.0, 5.0 * (1.0 + 5e-10)):
+            assert total_prob(3, fam, u_inf) + noevent_mass(3, fam, u_inf) == pytest.approx(1.0)
+
+    def test_beams_accept_fock(self, beam_profile):
+        fam = StateFamily.fock(2)
+        assert total_prob(2, fam, beam_profile) == 1.0
+        assert total_prob_dp(2, fam, beam_profile) == 0.0
+        times, n_det = sample_times_matrix(3, fam, beam_profile, 50, 0)
+        assert np.all(n_det == 2) and np.all(np.isnan(times[:, 2]))
+
+
 class TestSampling:
     def test_negative_seed_rejected(self, beam_profile):
         with pytest.raises(ConfigError):
