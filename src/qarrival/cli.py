@@ -11,6 +11,7 @@ numerical-tolerance failure, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -233,7 +234,10 @@ def cmd_verify(args) -> int:
     return 4 if failed else 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and each call of :func:`main` gets a fresh namespace."""
     top = argparse.ArgumentParser(prog="qarrival",
                                   description="arrival-time statistics for absorptive detectors")
     sub = top.add_subparsers(dest="command", required=True)

@@ -9,10 +9,12 @@ where S_n combines the log-derivative of the intensity with the running
 integrals dOmega = int domega and dOmega~ = int domega^2/omega, plus a lump
 term for the NO-event outcome when the total mass Omega(inf) is finite.
 The integral is evaluated over the tabulated profile in t and continued in
-the mass variable u with the constant-intensity late-time model (beam mode),
-where the integrand has closed form.  For several detection counts on one
-profile, :func:`fisher_info_many` does the n-independent part of that work
-once.
+the mass variable u with the constant-intensity late-time model (beam mode).
+That continuation is exact for the coherent family (upper incomplete gamma
+functions) and the quasi-free family (incomplete beta functions in
+1/(1+u)); the fixed-number family integrates it on Gauss-Legendre panels.
+For several detection counts on one profile, :func:`fisher_info_many` does
+the n-independent part of that work once.
 
 A Monte Carlo score-variance estimator provides an independent oracle for
 the quadrature: it scores sampled records with the exact p0-derivative of
@@ -29,13 +31,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import beta, betainc, expn, gammaincc, gammaln
 
 from . import intensity as it
 from . import process as pr
 from .deltakernel import DeltaParams
 from .errors import ModeError, ToleranceError
-from .quadrature import geometric_edges, integrate_panels, panel_nodes, uniform_edges
+from .quadrature import integrate_panels, panel_nodes, uniform_edges
 from .scenario import StateFamily, family_logs, log_family_Fn_from_logs
 
 
@@ -114,6 +116,12 @@ def i_infinity(p0: float, dp: DeltaParams) -> float:
 # stationary constants and sparse limits
 # ---------------------------------------------------------------------------
 
+# F_(N-1) vanishes like (1 - u/N) at u = N while (u H_(N-1))^2 grows like
+# (1 - u/N)^-2, so an integral over mass that reaches N diverges there
+_FOCK_ENDPOINT = ("{} diverges for the fixed-number family at n = N-1 "
+                  "(non-integrable endpoint)")
+
+
 def stationary_constant(n: int, family: StateFamily, check_tol: float = 1e-8) -> StationaryConstants:
     """Quadrature of F_n(u) u^(n-1) [n - u H_n(u)]^2 / (n-1)! over all mass.
 
@@ -133,21 +141,18 @@ def stationary_constant(n: int, family: StateFamily, check_tol: float = 1e-8) ->
         if n > big_n:
             return StationaryConstants(n, 0.0)
         if n == big_n - 1:
-            raise ToleranceError(
-                "stationary constant diverges for the fixed-number family at n = N-1 "
-                "(non-integrable endpoint)")
+            raise ToleranceError(_FOCK_ENDPOINT.format("stationary constant"))
         val = float(integrate_panels(integrand, uniform_edges(0.0, big_n, 384), 24))
         return StationaryConstants(n, val)
 
-    u_head = n + 60.0 + 14.0 * math.sqrt(n)
     if family.kind == "coherent":
+        u_head = n + 60.0 + 14.0 * math.sqrt(n)
         val = float(integrate_panels(integrand, uniform_edges(0.0, u_head, 192), 24))
         closed = float(n)
     else:
-        u_big = 1e10
-        edges = np.concatenate([uniform_edges(0.0, u_head, 192),
-                                geometric_edges(u_head, u_big, 16)[1:]])
-        val = float(integrate_panels(integrand, edges, 24)) + n / u_big
+        # in x = 1/(1+u) the integrand is the polynomial n (1-x)^(n-1) (n - (n+1)(1-x))^2
+        val = float(integrate_panels(lambda x: integrand((1.0 - x) / x) / (x * x),
+                                     uniform_edges(0.0, 1.0, 64), 24))
         closed = n / (n + 2.0)
     if abs(val - closed) > check_tol * max(1.0, closed):
         raise ToleranceError(
@@ -197,11 +202,13 @@ def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile
     """:func:`fisher_info` for each detection count in ``n_values``, in order.
 
     The work that does not depend on n (the intensity ratios, the
-    trapezoid spacings, the logs of the family weight, and the tail panels
-    of the beam) is done once per call; each report equals the one
-    :func:`fisher_info` gives for its n alone, bit for bit.  Duplicates
-    are allowed.  The thinning check raises for the first failing n in
-    list order.
+    trapezoid spacings and the logs of the family weight) is done once per
+    call, and the coherent and quasi-free beam tails of all counts in one
+    vectorised pass; each report equals the one :func:`fisher_info` gives
+    for its n alone, bit for bit.  Duplicates are allowed.  The thinning
+    check raises for the first failing n in list order, and so does the
+    divergence of the fixed-number family at n = N-1 on a beam, whose mass
+    reaches N.
     """
     n_values = tuple(n_values)
     if any(n < 1 for n in n_values):
@@ -236,14 +243,19 @@ def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile
         y2 = y[::2]
         bulk[n] = (float((d * (y[1:] + y[:-1]) / 2.0).sum()),
                    float((d2 * (y2[1:] + y2[:-1]) / 2.0).sum()))
-    tails = (_beam_tails(distinct, family, profile) if profile.mode == "beam"
-             else dict.fromkeys(distinct, 0.0))
+    endpoint = (family.param - 1
+                if profile.mode == "beam" and family.kind == "fock" else None)
+    tails = (_beam_tails(tuple(n for n in distinct if n != endpoint), family, profile)
+             if profile.mode == "beam" else dict.fromkeys(distinct, 0.0))
 
     reports = {}
     for n in distinct:
+        if n == endpoint:
+            raise ToleranceError(_FOCK_ENDPOINT.format("beam information"))
         fine, coarse = bulk[n]
         detection = fine + tails[n]
-        # thinning check on the tabulated part only (the tail is panel-resolved)
+        # thinning check on the tabulated part only (the tail is exact, or
+        # panel-resolved for the fixed-number family)
         if abs(fine - coarse) > rtol * abs(detection) + atol:
             raise ToleranceError(
                 f"profile grid too coarse for the information integral at n={n} "
@@ -256,6 +268,145 @@ def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile
 def _beam_tails(n_values, family: StateFamily, profile: it.IntensityProfile) -> dict:
     """Integrals past the beam grid, continued in the mass variable u.
 
+    Past the grid the intensity is the constant omega_inf, so dOmega and
+    dOmega~ grow linearly in u with slopes ``phi = domega_inf/omega_inf``
+    and ``phi^2``.  The coherent and quasi-free tails then have closed
+    forms (:func:`_beam_tail_closed`); the fixed-number tail is integrated
+    on panels (:func:`_fock_tails`).
+    """
+    if family.kind == "fock":
+        return _fock_tails(n_values, family, profile)
+    u_end = profile.Omega[-1]
+    bt = profile.beam_tail
+    phi = bt.domega_dp0_inf / bt.omega_inf
+    c1 = profile.dOmega[-1] - phi * u_end
+    d = profile.dOmega_tilde[-1] - phi * phi * u_end - 2.0 * c1 * phi
+    return dict(zip(n_values,
+                    _beam_tail_closed(family.kind, n_values, u_end, phi, c1, d).tolist()))
+
+
+def _beam_tail_closed(kind: str, n_values, u_end: float, phi: float, c1: float,
+                      d: float) -> np.ndarray:
+    """Exact integrals of w_n S_n over ``[u_end, inf)`` for the coherent or
+    quasi-free weight w_n, one per count in ``n_values``.
+
+    With ``dOmega = phi u + c1`` and ``dOmega~ = phi^2 u + c3`` past the
+    grid, ``ratio = phi + c1/u`` and ``clipped = max(d/u - c1^2/u^2, 0)``
+    where ``d = c3 - 2 c1 phi``; ``clipped`` is positive past
+    ``u* = c1^2/d`` only, and nowhere when ``d <= 0``.  The coherent tail
+    is a sum of upper incomplete gamma functions, the quasi-free one (in
+    ``x = 1/(1+u)``) of incomplete beta functions; notes/decisions.md
+    derives both.
+    """
+    n = np.asarray(n_values, dtype=float)
+    if kind == "coherent":
+        return _coherent_tail(n, u_end, phi, c1, d)
+    return _quasifree_tail(n, u_end, phi, c1, d)
+
+
+def _gamma_pair(n: np.ndarray, x: float):
+    """``Gamma(n-1, x)/(n-2)!`` and ``Gamma(n-2, x)/(n-2)!`` for counts n,
+    0 at n = 1 (where the factor n - 1 in front of them vanishes)."""
+    g1 = np.where(n >= 2.0, gammaincc(np.maximum(n - 1.0, 1.0), x), 0.0)
+    g2 = np.where(n >= 3.0, gammaincc(np.maximum(n - 2.0, 1.0), x) / np.maximum(n - 2.0, 1.0),
+                  np.where(n == 2.0, expn(1, x), 0.0))
+    return g1, g2
+
+
+def _coherent_tail(n: np.ndarray, u_end: float, phi: float, c1: float, d: float):
+    """Coherent tail: ``S_n = A^2 + (n-1) clipped`` with
+    ``A = -phi v - c1 (v+1)/u`` and ``v = u - n``.
+
+    Each square is integrated as a centred moment
+    ``int_U^inf (u-s)^2 u^(s-1) e^-u du = s Gamma(s,U) + U^s e^-U (U+1-s)``
+    (from ``Gamma(s+1,U) = s Gamma(s,U) + U^s e^-U``), since the raw
+    moments cancel terms of size n^2 phi^2 down to n phi^2.
+    """
+    log_u, lgn = math.log(u_end), gammaln(n)
+
+    def edge(s):  # U^s e^-U / (n-1)!, times the common factor U + 1 - n
+        return np.exp(s * log_u - u_end - lgn) * (u_end + 1.0 - n)
+
+    g1, g2 = _gamma_pair(n, u_end)
+    v2 = n * gammaincc(n, u_end) + edge(n)      # int w v^2
+    v11 = g1 + edge(n - 1.0)                    # int w v (v+1)/u
+    v00 = g2 + edge(n - 2.0)                    # int w (v+1)^2/u^2
+    total = phi * phi * v2 + 2.0 * phi * c1 * v11 + c1 * c1 * v00
+    if d > 0.0:
+        g1, g2 = _gamma_pair(n, max(u_end, c1 * c1 / d))
+        total += d * g1 - c1 * c1 * g2
+    return total
+
+
+def _quasifree_tail(n: np.ndarray, u_end: float, phi: float, c1: float, d: float):
+    """Quasi-free tail: in ``x = 1/(1+u)`` the integrand is
+    ``n (1-x)^(n-3) P(x)`` on ``[0, 1/(1+U)]``, where
+    ``P = B^2 + (n-1) x (d (1-x) - c1^2 x)`` (the second term on
+    ``x < 1/(1+u*)`` only) and
+    ``B = phi ((n+1) x - 1)(1-x) + c1 x ((n+1) x - 2)``.  At n = 1, ``B``
+    has the factor ``1 - x``, which is divided out; for n >= 2, ``P`` is
+    carried in powers of x and of ``y = 1 - x`` for :func:`_beta_integral`.
+    """
+    out = np.empty_like(n)
+    one = n == 1.0
+    if one.any():  # B = (1-x)(e0 + e1 x)
+        e0, e1 = -phi, 2.0 * (phi - c1)
+        x_end = 1.0 / (1.0 + u_end)
+        out[one] = x_end * (e0 * e0 + x_end * (e0 * e1 + x_end * e1 * e1 / 3.0))
+    n = n[~one]
+    zero = np.zeros_like(n)
+    total = _beta_integral(
+        n, u_end,
+        _square(-phi + zero, (n + 2.0) * phi - 2.0 * c1, (n + 1.0) * (c1 - phi)),
+        _square((n - 1.0) * c1, n * (phi - 2.0 * c1), (n + 1.0) * (c1 - phi)))
+    if d > 0.0:
+        k1, k2 = (n - 1.0) * d, (n - 1.0) * (d + c1 * c1)
+        total += _beta_integral(n, max(u_end, c1 * c1 / d),
+                                np.stack([zero, k1, -k2, zero, zero]),
+                                np.stack([k1 - k2, 2.0 * k2 - k1, -k2, zero, zero]))
+    out[~one] = n * total
+    return out
+
+
+def _square(q0, q1, q2) -> np.ndarray:
+    """Coefficients of ``(q0 + q1 z + q2 z^2)^2``, one column per count."""
+    return np.stack([q0 * q0, 2.0 * q0 * q1, q1 * q1 + 2.0 * q0 * q2, 2.0 * q1 * q2, q2 * q2])
+
+
+def _beta_integral(n: np.ndarray, u_low: float, px: np.ndarray, py: np.ndarray):
+    """``int_0^X (1-x)^(n-3) P(x) dx`` at ``X = 1/(1+u_low)``, one per count
+    n >= 2, for ``P = sum_k px[k] x^k = sum_k py[k] (1-x)^k``.
+
+    In powers of x the terms are incomplete beta functions for n >= 3 and,
+    at n = 2, ``-log(1-X) - sum_{j<=k} X^j/j``.  That difference is summed
+    as its remainder ``sum_{j>k} X^j/j`` for X <= 1/2, where it would
+    cancel.  For X > 1/2 the weight ``1/(1-x)`` piles up at x = 1, where
+    the powers of x cancel down to ``P(1)``; there the powers of
+    ``y = 1 - x`` are used, whose terms are ``P(1) log1p(1/u_low)`` and
+    ``(1 - (1-X)^k)/k``.
+    """
+    x_end = 1.0 / (1.0 + u_low)
+    k = np.arange(5.0)[:, None]
+    out = np.empty_like(n)
+    two = n == 2.0
+    if two.any() and x_end > 0.5:
+        ell = math.log1p(1.0 / u_low)  # -log(1 - X)
+        kk = k[1:]
+        out[two] = py[0, two] * ell + np.sum(py[1:, two] * (-np.expm1(-kk * ell) / kk), axis=0)
+    elif two.any():
+        j = np.arange(1.0, 60.0)
+        tail_sums = np.cumsum((x_end ** j / j)[::-1])[::-1]  # sum_{j' >= j}, small end first
+        out[two] = np.sum(px[:, two] * tail_sums[:5, None], axis=0)
+    many = ~two
+    if many.any():
+        a, b = k + 1.0, n[many] - 2.0
+        out[many] = np.sum(px[:, many] * beta(a, b) * betainc(a, b, x_end), axis=0)
+    return out
+
+
+def _fock_tails(n_values, family: StateFamily, profile: it.IntensityProfile) -> dict:
+    """Fixed-number tails on uniform Gauss-Legendre panels up to ``N``.
+
     The panel edges depend on n only through the head of the uniform part,
     so counts with the same head share one panel set; one set is alive at
     a time.
@@ -264,36 +415,25 @@ def _beam_tails(n_values, family: StateFamily, profile: it.IntensityProfile) -> 
     groups = {}
     for n in n_values:
         u_head = max(u_end * (1.0 + 1e-12), n + 60.0 + 14.0 * math.sqrt(n), u_end + 60.0)
-        if family.kind == "fock":
-            u_head = min(u_head, family.param)
-        groups.setdefault(u_head, []).append(n)
+        groups.setdefault(min(u_head, family.param), []).append(n)
     tails = {}
     for u_head, ns in groups.items():
-        if family.kind == "fock" and not u_head > u_end:
+        if not u_head > u_end:
             tails.update(dict.fromkeys(ns, 0.0))
         else:
-            tails.update(_beam_tail_group(ns, family, profile, u_head))
+            tails.update(_fock_tail_group(ns, family, profile, u_head))
     return tails
 
 
-def _beam_tail_group(ns, family: StateFamily, profile: it.IntensityProfile,
+def _fock_tail_group(ns, family: StateFamily, profile: it.IntensityProfile,
                      u_head: float) -> dict:
-    """Tail integrals for the counts ``ns`` that share the head ``u_head``.
-
-    Past the grid the intensity is the constant omega_inf, so dOmega and
-    dOmega~ grow linearly in u and S_n has closed form on the panel nodes.
-    """
+    """Tail integrals for the counts ``ns`` that share the head ``u_head``;
+    S_n has closed form on the panel nodes."""
     u_end = profile.Omega[-1]
     bt = profile.beam_tail
     w_inf, wd_inf = bt.omega_inf, bt.domega_dp0_inf
     phi_inf = wd_inf / w_inf
-    if family.kind == "quasifree":
-        u_big = max(1e9, 1e4 * u_head)
-        edges = np.concatenate([uniform_edges(u_end, u_head, 192),
-                                geometric_edges(u_head, u_big, 16)[1:]])
-    else:
-        edges = uniform_edges(u_end, u_head, 256)
-    uu, weights = panel_nodes(edges, 24)
+    uu, weights = panel_nodes(uniform_edges(u_end, u_head, 256), 24)
     dt_model = (uu - u_end) / w_inf
     dom = profile.dOmega[-1] + wd_inf * dt_model
     domt = profile.dOmega_tilde[-1] + (wd_inf * wd_inf / w_inf) * dt_model
@@ -306,8 +446,6 @@ def _beam_tail_group(ns, family: StateFamily, profile: it.IntensityProfile,
         with np.errstate(over="ignore"):
             w = np.exp(_log_weight(family, n, uu, logs))
         tails[n] = float((w * s_vals) @ weights)
-        if family.kind == "quasifree":
-            tails[n] += n * phi_inf ** 2 / u_big
     return tails
 
 
@@ -433,6 +571,11 @@ class MleStudy:
     variance_se: float     # moment-based standard error of that variance
     crb: float             # one-parameter bound 1/(records * I_n)
     mean: float
+
+    @property
+    def efficiency(self) -> float:
+        """``crb / variance``: 1 for an estimator that reaches the bound."""
+        return self.crb / self.variance if self.variance > 0.0 else math.inf
 
 
 def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile,

@@ -227,7 +227,9 @@ class IntensityProfile:
         # a search over the interior nodes returns the cell index already
         # clamped to [0, len(t) - 2]
         idx = self._cell_index.search(tq)
-        s = np.maximum(tq - t[idx], 0.0)
+        # the offset is taken in the clamped cell, so that the cell formulas
+        # stay finite past the grid (at +inf too), where the tail replaces them
+        s = np.maximum(np.minimum(tq, t[-1]) - t[idx], 0.0)
         past, at = tq > t[-1], tq == t[-1]
         return Locator(t, idx, s, tq, past if np.count_nonzero(past) else None,
                        at if np.count_nonzero(at) else None)

@@ -228,8 +228,8 @@ def check_mc_vs_quadrature(samples: int = 100_000, datasets: int = 10_000,
     return _result(
         "mc-vs-quadrature", ok,
         f"score-variance z = {['%.2f' % z for z in zs]} (|z|<=3); MLE var "
-        f"{mle.variance:.4f} >= bound {bound:.4f} (CRB {mle.crb:.4f}, "
-        f"{datasets}x{records} records)", t0)
+        f"{mle.variance:.4f} >= bound {bound:.4f} (CRB {mle.crb:.4f}, efficiency "
+        f"CRB/var {mle.efficiency:.3f}, {datasets}x{records} records)", t0)
 
 
 def check_early_series():

@@ -282,3 +282,24 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("configuration error: cannot write") and err.count("\n") == 1
+
+
+def test_parser_built_once_without_leaking_defaults(beam_cfg, tmp_path, monkeypatch):
+    # one parser serves every call; a subcommand's defaults (density's
+    # t_max = 30) stay out of the next call's namespace
+    grids = []
+
+    def spy(scn, t_max=None, dt=None, **kw):
+        grids.append((t_max, dt))
+        return build_profile(scn, t_max=t_max, dt=dt, **kw)
+
+    monkeypatch.setattr(cli.it, "build_profile", spy)
+    parser = cli.build_parser()
+    out = str(tmp_path / "x.csv")
+    assert main(["density", "--config", beam_cfg, "--out", out, "--points", "5"]) == 0
+    assert main(["fisher", "--config", beam_cfg, "--out", out, "--n-list", "1"]) == 0
+    assert main(["density", "--config", beam_cfg, "--out", out, "--points", "5",
+                 "--dt", "0.01"]) == 0
+    assert main(["fisher", "--config", beam_cfg, "--out", out, "--n-list", "1"]) == 0
+    assert grids == [(30.0, None), (None, None), (30.0, 0.01), (None, None)]
+    assert cli.build_parser() is parser

@@ -274,8 +274,9 @@ def test_study_profiles_share_one_grid(beam_profile_r1, monkeypatch):
     monkeypatch.setattr(intensity, "build_profile", spy)
     mc_score_variance(1, COH, beam_profile_r1, samples=10_000, seed=1)
     assert len(built) == 0
-    mle_variance_study(2, COH, beam_profile_r1, datasets=4, records_per_dataset=8,
-                       seed=1, grid_points=5)
+    study = mle_variance_study(2, COH, beam_profile_r1, datasets=4, records_per_dataset=8,
+                               seed=1, grid_points=5)
+    assert study.efficiency == study.crb / study.variance
     assert len(built) == 5
     for prof in built:
         assert np.array_equal(prof.t, beam_profile_r1.t)
@@ -331,6 +332,9 @@ def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
 
     tail_val = 0.0
     if profile.mode == "beam":
+        if family.kind == "fock" and n == family.param - 1:
+            raise ToleranceError("beam information diverges for the fixed-number family "
+                                 "at n = N-1 (non-integrable endpoint)")
         bt = profile.beam_tail
         tail_state = (u[-1], bt.omega_inf, bt.domega_dp0_inf,
                       profile.dOmega[-1], profile.dOmega_tilde[-1])
@@ -387,10 +391,28 @@ def _report_bits(rep):
                              rep.p_tot, rep.conditional]).view(np.uint64).tolist())
 
 
+def _closed_tail(family, profile):
+    """Whether the beam tail of ``family`` on ``profile`` has closed form: its
+    reports then differ from the oracle's panel tail by the panels' own
+    error, up to 6e-12 of I_n."""
+    return profile.mode == "beam" and family.kind != "fock"
+
+
+def _assert_reports_close(got, expected, family, profile):
+    if not _closed_tail(family, profile):
+        assert _report_bits(got) == _report_bits(expected)
+        return
+    assert got.n == expected.n and got.p_tot == expected.p_tot
+    for field in ("value", "detection_part", "noevent_part", "conditional"):
+        assert abs(getattr(got, field) - getattr(expected, field)) <= 1e-11 * expected.value
+
+
 def _assert_batch_matches_oracle(ns, family, profile):
-    """Every report field equals the per-n oracle's bit for bit; where the
-    oracle's thinning check fails, the batch raises the same error for the
-    first failing n in list order."""
+    """Every report equals the one :func:`fisher_info` gives for its n alone,
+    bit for bit, and the per-n oracle's: bit for bit, or within 1e-11 of I_n
+    where the tail has closed form.  Where the oracle raises (the thinning
+    check, the fixed-number endpoint), the batch raises the same error for
+    the first failing n in list order."""
     expected = []
     for n in ns:
         try:
@@ -399,14 +421,17 @@ def _assert_batch_matches_oracle(ns, family, profile):
             with pytest.raises(ToleranceError) as got:
                 fisher_info_many(ns, family, profile)
             assert str(got.value) == str(exc)
-            assert got.value.estimate == exc.estimate
             assert got.value.achieved == exc.achieved
+            if _closed_tail(family, profile) and exc.estimate is not None:
+                assert got.value.estimate == pytest.approx(exc.estimate, rel=1e-11)
+            else:
+                assert got.value.estimate == exc.estimate
             return
     got = fisher_info_many(ns, family, profile)
-    assert [_report_bits(r) for r in got] == [_report_bits(r) for r in expected]
-    for n in dict.fromkeys(ns):
-        assert _report_bits(fisher_info(n, family, profile)) == \
-            _report_bits(_oracle_fisher_info(n, family, profile))
+    assert [_report_bits(r) for r in got] == \
+        [_report_bits(fisher_info(n, family, profile)) for n in ns]
+    for rep, exp in zip(got, expected):
+        _assert_reports_close(rep, exp, family, profile)
 
 
 UNSORTED_NS = (3, 1, 8, 2, 2, 6, 4, 5, 7, 5)
@@ -427,12 +452,37 @@ class TestBatchedInformation:
         _assert_batch_matches_oracle(UNSORTED_NS, family, beam_profiles[r0])
 
     def test_fock_around_particle_number(self, beam_profiles):
-        # n = N - 1, N and N + 1, on a profile whose thinning check passes
+        # n = N and N + 1 on a profile whose thinning check passes; n = N - 1
+        # diverges at u = N and raises in list order
         for big_n in (3, 4):
             fam = StateFamily.fock(big_n)
-            ns = (big_n + 1, big_n - 1, big_n, 1)
+            ns = (big_n + 1, big_n, 1)
             _assert_batch_matches_oracle(ns, fam, beam_profiles[1e-4])
             assert fisher_info_many(ns, fam, beam_profiles[1e-4])[0].value == 0.0
+            with_endpoint = (big_n + 1, big_n - 1, big_n, 1)
+            _assert_batch_matches_oracle(with_endpoint, fam, beam_profiles[1e-4])
+            with pytest.raises(ToleranceError, match="n = N-1"):
+                fisher_info_many(with_endpoint, fam, beam_profiles[1e-4])
+
+    @pytest.mark.parametrize("big_n", [12, 60])
+    @pytest.mark.parametrize("r0", [1e-4, 1000.0])
+    def test_fock_endpoint_count_diverges_on_beam(self, beam_profiles, big_n, r0):
+        # the tail integrand grows like 1/(1 - u/N) at u = N, as for the
+        # stationary constant: I_11 of Fock(12) read 13.57, 15.46 and 17.35
+        # on 256, 1024 and 4096 tail panels; past u = N (r0 = 1000) the
+        # trapezoid over the grid returned a number too
+        fam = StateFamily.fock(big_n)
+        prof = beam_profiles[r0]
+        with pytest.raises(ToleranceError, match="n = N-1") as got:
+            fisher_info(big_n - 1, fam, prof)
+        with pytest.raises(ToleranceError, match="n = N-1") as got_many:
+            fisher_info_many((1, big_n - 1, big_n), fam, prof)
+        with pytest.raises(ToleranceError) as stationary:
+            stationary_constant(big_n - 1, fam)
+        assert str(got.value) == str(got_many.value) == \
+            str(stationary.value).replace("stationary constant", "beam information")
+        # the neighbours still have a value where the grid resolves them
+        assert fisher_info_many((big_n - 2, big_n), fam, beam_profiles[1e-4])[0].value > 0.0
 
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_finite_profiles_match_per_n_bitwise(self, packet_scn, eps):
@@ -463,8 +513,9 @@ class TestBatchedInformation:
             fisher_info_many(ns, COH, prof)
         with pytest.raises(ToleranceError) as alone:
             _oracle_fisher_info(first, COH, prof)
-        assert (got.value.estimate, got.value.achieved) == \
-            (alone.value.estimate, alone.value.achieved)
+        # the estimate carries the closed-form tail, the oracle's the panel tail
+        assert got.value.achieved == alone.value.achieved
+        assert got.value.estimate == pytest.approx(alone.value.estimate, rel=1e-11)
 
     def test_bad_count_rejected_before_any_work(self, beam_profile, monkeypatch):
         def fail(*args):
@@ -484,5 +535,97 @@ class TestBatchedInformation:
             for j, r0 in enumerate(r0s[1:], start=1):
                 prof = build_profile(Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0,
                                               navg=math.inf, r0=r0))
-                col = [_oracle_fisher_info(n, fam, prof).value for n in ns]
-                assert table.info[:, j].tolist() == col
+                for n, got in zip(ns, table.info[:, j]):
+                    want = _oracle_fisher_info(n, fam, prof).value
+                    assert abs(got - want) <= 1e-11 * want
+                assert table.info[:, j].tolist() == \
+                    [rep.value for rep in fisher_info_many(ns, fam, prof)]
+
+
+# ---------------------------------------------------------------------------
+# Closed-form beam tails against mpmath
+# ---------------------------------------------------------------------------
+
+TAIL_NS = tuple(range(1, 9)) + (20, 60)
+
+
+def _mp_tail(kind, n, u_end, phi, c1, d):
+    """The tail integral of F_n u^(n-1)/(n-1)! S_n over [u_end, inf) at 30
+    digits, written from the definitions of S_n, ratio and clipped and split
+    where clipped switches on.  The coherent weight is cut where it has
+    fallen below 1e-40 of its mass; the quasi-free integral is taken in
+    ``x = 1/(1+u)``, over a finite range."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        u_end, phi, c1, d = (mp.mpf(v) for v in (u_end, phi, c1, d))
+        log_fact = mp.loggamma(n)
+
+        def f(u):
+            ratio = phi + c1 / u
+            clipped = max(d / u - c1 * c1 / u ** 2, 0)
+            if kind == "coherent":
+                w = mp.exp((n - 1) * mp.log(u) - u - log_fact)
+                hn = 1
+            else:
+                w = n * mp.exp((n - 1) * mp.log(u) - (n + 1) * mp.log1p(u))
+                hn = mp.mpf(n + 1) / (1 + u)
+            return w * (((n - 1 - u * hn) * ratio + phi) ** 2 + (n - 1) * clipped)
+
+        pts = [u_end]
+        if d > 0 and c1 * c1 / d > u_end:
+            pts.append(c1 * c1 / d)
+        if kind == "coherent":
+            far = max(pts[-1], n) + 40 * mp.sqrt(n) + 100
+            pts = pts + [q for q in (n, far) if q > pts[-1]]
+            return float(mp.quad(f, pts, method="gauss-legendre"))
+        xs = [1 / (1 + u) for u in reversed(pts)]
+        return float(mp.quad(lambda x: f((1 - x) / x) / (x * x), [0] + xs,
+                             method="gauss-legendre"))
+
+
+def _tail_constants(profile):
+    """U, phi, c1 and d of the linear continuation past the beam grid."""
+    bt = profile.beam_tail
+    u_end = profile.Omega[-1]
+    phi = bt.domega_dp0_inf / bt.omega_inf
+    c1 = profile.dOmega[-1] - phi * u_end
+    c3 = profile.dOmega_tilde[-1] - phi * phi * u_end
+    return u_end, phi, c1, c3 - 2.0 * c1 * phi
+
+
+class TestClosedFormTails:
+    @pytest.mark.parametrize("p0", [0.6, 1.0, 1.7])
+    @pytest.mark.parametrize("family", [COH, QF], ids=lambda f: f.kind)
+    def test_grid_profiles_match_mpmath(self, beam_profiles, p0, family):
+        for r0 in (1e-4, 0.01, 1.0, 56.42, 1000.0):
+            prof = beam_profiles[r0] if p0 == 1.0 else build_profile(
+                Scenario(m=1.0, a=0.1, eps=0.0, p0=p0, navg=math.inf, r0=r0))
+            consts = _tail_constants(prof)
+            got = fisher._beam_tail_closed(family.kind, TAIL_NS, *consts)
+            for n, tail, rep in zip(TAIL_NS, got, fisher_info_many(TAIL_NS, family, prof)):
+                assert abs(tail - _mp_tail(family.kind, n, *consts)) <= 1e-12 * rep.value
+
+    @pytest.mark.parametrize("consts", [
+        (0.5, 0.3, 0.8, 0.2),     # u* = 3.2 > U: clipped switches on inside the tail
+        (0.5, 0.3, 0.8, -0.1),    # d < 0: clipped vanishes everywhere
+        (3.0, 0.2, -1.5, 0.0),    # d = 0
+        (2.0, -0.4, 0.0, 0.05),   # c1 = 0: u* = 0
+        (40.0, 0.1, 30.0, 1.0),   # u* = 900 > U, far out in the weight
+    ])
+    @pytest.mark.parametrize("kind", ["coherent", "quasifree"])
+    def test_synthetic_constants_match_mpmath(self, consts, kind):
+        ns = (1, 2, 3, 5, 20, 60)
+        for n, tail in zip(ns, fisher._beam_tail_closed(kind, ns, *consts)):
+            ref = _mp_tail(kind, n, *consts)
+            assert abs(tail - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("u_end", [0.5, 3.0])  # x = 1/(1+U) on both sides of 1/2
+    def test_counts_in_any_order(self, u_end):
+        # one vectorised pass gives each count the bits it gets alone
+        ns = (60, 2, 1, 7, 2, 3)
+        for kind in ("coherent", "quasifree"):
+            got = fisher._beam_tail_closed(kind, ns, u_end, 0.3, 0.8, 0.2)
+            alone = [fisher._beam_tail_closed(kind, (n,), u_end, 0.3, 0.8, 0.2)[0]
+                     for n in ns]
+            assert got.tolist() == alone

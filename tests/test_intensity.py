@@ -386,6 +386,32 @@ def _sorted_tables_and_queries(draw):
                                   _queries_around(table)])
 
 
+@pytest.mark.parametrize("which", ["beam", "finite"])
+def test_evaluators_at_infinity(beam_profile_r1, delta_profile, which):
+    # the cell formulas were evaluated at +inf before the tail replaced them,
+    # which warned "invalid value encountered in add" (an error under the
+    # test filter); the finite times keep their bits
+    prof = beam_profile_r1 if which == "beam" else delta_profile
+    t = np.array([0.0, 1.0, prof.t[-1], prof.t[-1] + 3.0])
+    evaluators = ((prof.omega_at, _reference_omega, False),
+                  (prof.domega_at, _reference_omega, True),
+                  (prof.Omega_at, _reference_Omega, False),
+                  (prof.dOmega_at, _reference_Omega, True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [f(np.append(t, np.inf)) for f, _, _ in evaluators]
+        scalars = [f(math.inf) for f, _, _ in evaluators]
+    for vals, (_, reference, deriv) in zip(got, evaluators):
+        assert np.array_equal(_bits(vals[:-1]), _bits(reference(prof, t, deriv=deriv)))
+    if which == "beam":
+        bt = prof.beam_tail
+        expected = [bt.omega_inf, bt.domega_dp0_inf, math.inf,
+                    math.copysign(math.inf, bt.domega_dp0_inf)]
+    else:
+        expected = [0.0, 0.0, prof.Omega[-1], prof.dOmega[-1]]
+    assert [vals[-1] for vals in got] == expected == scalars
+
+
 class TestBucketIndex:
     @given(case=_sorted_tables_and_queries())
     @settings(max_examples=300, deadline=None)
