@@ -37,14 +37,21 @@ def _load_scenario(path: str) -> Scenario:
 
 
 def _family(kind: str, scn: Scenario) -> StateFamily:
+    """The family ``kind`` of the config's source.  A beam's infinite mass
+    goes through the particle-number check here, so a Fock family on a
+    beam exits 2 before any profile is built."""
     param = 1.0 if scn.beam else scn.navg
     if kind == "fock":
-        return StateFamily.fock(int(round(param)))
-    if kind == "coherent":
-        return StateFamily.coherent(param)
-    if kind == "quasifree":
-        return StateFamily.quasifree(param)
-    raise ConfigError(f"unknown family {kind!r}")
+        family = StateFamily.fock(int(round(param)))
+    elif kind == "coherent":
+        family = StateFamily.coherent(param)
+    elif kind == "quasifree":
+        family = StateFamily.quasifree(param)
+    else:
+        raise ConfigError(f"unknown family {kind!r}")
+    if scn.beam:
+        pr.checked_omega_inf(family, math.inf)
+    return family
 
 
 def _parse_floats(text: str):
@@ -149,30 +156,28 @@ def cmd_density(args) -> int:
     if not scn.beam:
         raise ConfigError("density curves are defined for the beam config (mode=beam)")
     r0_list = args.r0_list or [scn.r0]
-    kinds = [k.strip() for k in args.families.split(",") if k.strip()]
+    families = [_family(k.strip(), scn) for k in args.families.split(",") if k.strip()]
     profiles = [(r0, it.build_profile(replace(scn, r0=r0), t_max=args.t_max, dt=args.dt))
                 for r0 in r0_list]
     tv = np.linspace(0.0, args.t_max, args.points)
     rows = []
     for r0, prof in profiles:
         om, cum = prof.omega_at(tv), prof.Omega_at(tv)
-        for kind in kinds:
-            fam = _family(kind, scn)
+        for fam in families:
             p1 = om * np.exp(log_family_Fn(fam, 1, cum))
-            rows.extend((kind, r0, float(t), float(v)) for t, v in zip(tv, p1))
+            rows.extend((fam.kind, r0, float(t), float(v)) for t, v in zip(tv, p1))
     _write_rows(args.out, ("family", "r0", "t", "p1"), rows)
     if args.pair_out:
         rows2 = []
         tg = np.linspace(1e-3, args.t_max, args.pair_points)
         for r0, prof in profiles:
             om, cum_t = prof.omega_at(tg), prof.Omega_at(tg)
-            for kind in kinds:
-                fam = _family(kind, scn)
+            for fam in families:
                 logf2 = log_family_Fn(fam, 2, cum_t)
                 for i, t1 in enumerate(tg):
                     for j in range(i + 1, len(tg)):
                         lw = logf2[j] + math.log(om[i]) + math.log(om[j])
-                        rows2.append((kind, r0, float(t1), float(tg[j]), math.exp(lw)))
+                        rows2.append((fam.kind, r0, float(t1), float(tg[j]), math.exp(lw)))
         _write_rows(args.pair_out, ("family", "r0", "t1", "t2", "p2"), rows2)
     print(f"wrote densities to {args.out}")
     return 0

@@ -298,20 +298,27 @@ def beam_intensity(t, p0: float, r0: float, dp: DeltaParams):
     return dp.a * r0 * np.abs(bracket) ** 2
 
 
-def beam_intensity_dp(t, p0: float, r0: float, dp: DeltaParams):
-    """Exact momentum derivative of the beam intensity.
+def beam_intensity_with_dp(t, p0: float, r0: float, dp: DeltaParams):
+    """``(beam_intensity, beam_intensity_dp)`` from one set of erfc evaluations.
 
-    Chain rule through the remainder, using d/dz erfc(z) = -2/sqrt(pi)
-    exp(-z^2); cross-checked against central finite differences by the
-    test suite.
+    The derivative is the chain rule through the remainder, using
+    d/dz erfc(z) = -2/sqrt(pi) exp(-z^2); the beam profile tables and
+    :func:`beam_intensity_dp` both come from here.
     """
     if p0 <= 0.0:
         raise ModeError("beam derivative is implemented for p0 > 0")
     rem, rem_dp = remainder_R_with_dp(p0, t, dp)
     bracket = transmission_T(p0, dp) + rem
-    dT = dp.alpha / (p0 + dp.alpha) ** 2
-    dbracket = dT + rem_dp
-    return 2.0 * dp.a * r0 * np.real(np.conj(bracket) * dbracket)
+    dbracket = dp.alpha / (p0 + dp.alpha) ** 2 + rem_dp
+    return (dp.a * r0 * np.abs(bracket) ** 2,
+            2.0 * dp.a * r0 * np.real(np.conj(bracket) * dbracket))
+
+
+def beam_intensity_dp(t, p0: float, r0: float, dp: DeltaParams):
+    """Exact momentum derivative of the beam intensity (p0 > 0), as the beam
+    profile tabulates it; cross-checked against central finite differences
+    of :func:`beam_intensity` by the test suite and criterion 11."""
+    return beam_intensity_with_dp(t, p0, r0, dp)[1]
 
 
 @dataclass(frozen=True)

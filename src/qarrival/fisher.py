@@ -12,7 +12,8 @@ The integral is evaluated over the tabulated profile in t and continued in
 the mass variable u with the constant-intensity late-time model (beam mode).
 That continuation is exact for the coherent family (upper incomplete gamma
 functions) and the quasi-free family (incomplete beta functions in
-1/(1+u)); the fixed-number family integrates it on Gauss-Legendre panels.
+1/(1+u)); a fixed-number family has no beam, whose infinite mass exceeds
+any particle number N (its beam limit is the coherent family).
 For several detection counts on one profile, :func:`fisher_info_many` does
 the n-independent part of that work once.
 
@@ -37,7 +38,7 @@ from . import intensity as it
 from . import process as pr
 from .deltakernel import DeltaParams
 from .errors import ModeError, ToleranceError
-from .quadrature import integrate_panels, panel_nodes, uniform_edges
+from .quadrature import integrate_panels, uniform_edges
 from .scenario import StateFamily, family_logs, log_family_Fn_from_logs
 
 
@@ -116,34 +117,24 @@ def i_infinity(p0: float, dp: DeltaParams) -> float:
 # stationary constants and sparse limits
 # ---------------------------------------------------------------------------
 
-# F_(N-1) vanishes like (1 - u/N) at u = N while (u H_(N-1))^2 grows like
-# (1 - u/N)^-2, so an integral over mass that reaches N diverges there
-_FOCK_ENDPOINT = ("{} diverges for the fixed-number family at n = N-1 "
-                  "(non-integrable endpoint)")
-
-
 def stationary_constant(n: int, family: StateFamily, check_tol: float = 1e-8) -> StationaryConstants:
     """Quadrature of F_n(u) u^(n-1) [n - u H_n(u)]^2 / (n-1)! over all mass.
 
     For the coherent and quasi-free families the closed forms n and
-    n/(n+2) are asserted against the quadrature at ``check_tol``.
+    n/(n+2) are asserted against the quadrature at ``check_tol``; the
+    time-stationary (beam) limit of a fixed-number source is the coherent
+    family, so there is no fixed-number constant.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if family.kind == "fock":
+        raise ModeError("stationary constants exist for the coherent and quasi-free "
+                        "families only")
 
     def integrand(u):
         with np.errstate(over="ignore"):
             w = np.exp(_log_weight(family, n, u))
         return w * (n - u * _hn_vec(family, n, u)) ** 2
-
-    if family.kind == "fock":
-        big_n = family.param
-        if n > big_n:
-            return StationaryConstants(n, 0.0)
-        if n == big_n - 1:
-            raise ToleranceError(_FOCK_ENDPOINT.format("stationary constant"))
-        val = float(integrate_panels(integrand, uniform_edges(0.0, big_n, 384), 24))
-        return StationaryConstants(n, val)
 
     if family.kind == "coherent":
         u_head = n + 60.0 + 14.0 * math.sqrt(n)
@@ -206,9 +197,7 @@ def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile
     call, and the coherent and quasi-free beam tails of all counts in one
     vectorised pass; each report equals the one :func:`fisher_info` gives
     for its n alone, bit for bit.  Duplicates are allowed.  The thinning
-    check raises for the first failing n in list order, and so does the
-    divergence of the fixed-number family at n = N-1 on a beam, whose mass
-    reaches N.
+    check raises for the first failing n in list order.
     """
     n_values = tuple(n_values)
     if any(n < 1 for n in n_values):
@@ -243,19 +232,14 @@ def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile
         y2 = y[::2]
         bulk[n] = (float((d * (y[1:] + y[:-1]) / 2.0).sum()),
                    float((d2 * (y2[1:] + y2[:-1]) / 2.0).sum()))
-    endpoint = (family.param - 1
-                if profile.mode == "beam" and family.kind == "fock" else None)
-    tails = (_beam_tails(tuple(n for n in distinct if n != endpoint), family, profile)
+    tails = (_beam_tails(distinct, family, profile)
              if profile.mode == "beam" else dict.fromkeys(distinct, 0.0))
 
     reports = {}
     for n in distinct:
-        if n == endpoint:
-            raise ToleranceError(_FOCK_ENDPOINT.format("beam information"))
         fine, coarse = bulk[n]
         detection = fine + tails[n]
-        # thinning check on the tabulated part only (the tail is exact, or
-        # panel-resolved for the fixed-number family)
+        # thinning check on the tabulated part only (the tail is exact)
         if abs(fine - coarse) > rtol * abs(detection) + atol:
             raise ToleranceError(
                 f"profile grid too coarse for the information integral at n={n} "
@@ -270,12 +254,11 @@ def _beam_tails(n_values, family: StateFamily, profile: it.IntensityProfile) -> 
 
     Past the grid the intensity is the constant omega_inf, so dOmega and
     dOmega~ grow linearly in u with slopes ``phi = domega_inf/omega_inf``
-    and ``phi^2``.  The coherent and quasi-free tails then have closed
-    forms (:func:`_beam_tail_closed`); the fixed-number tail is integrated
-    on panels (:func:`_fock_tails`).
+    and ``phi^2``, and the tails have closed forms
+    (:func:`_beam_tail_closed`).  Only the coherent and quasi-free families
+    reach here: a fixed-number family on a beam fails the particle-number
+    check of :func:`process.checked_omega_inf`.
     """
-    if family.kind == "fock":
-        return _fock_tails(n_values, family, profile)
     u_end = profile.Omega[-1]
     bt = profile.beam_tail
     phi = bt.domega_dp0_inf / bt.omega_inf
@@ -402,51 +385,6 @@ def _beta_integral(n: np.ndarray, u_low: float, px: np.ndarray, py: np.ndarray):
         a, b = k + 1.0, n[many] - 2.0
         out[many] = np.sum(px[:, many] * beta(a, b) * betainc(a, b, x_end), axis=0)
     return out
-
-
-def _fock_tails(n_values, family: StateFamily, profile: it.IntensityProfile) -> dict:
-    """Fixed-number tails on uniform Gauss-Legendre panels up to ``N``.
-
-    The panel edges depend on n only through the head of the uniform part,
-    so counts with the same head share one panel set; one set is alive at
-    a time.
-    """
-    u_end = profile.Omega[-1]
-    groups = {}
-    for n in n_values:
-        u_head = max(u_end * (1.0 + 1e-12), n + 60.0 + 14.0 * math.sqrt(n), u_end + 60.0)
-        groups.setdefault(min(u_head, family.param), []).append(n)
-    tails = {}
-    for u_head, ns in groups.items():
-        if not u_head > u_end:
-            tails.update(dict.fromkeys(ns, 0.0))
-        else:
-            tails.update(_fock_tail_group(ns, family, profile, u_head))
-    return tails
-
-
-def _fock_tail_group(ns, family: StateFamily, profile: it.IntensityProfile,
-                     u_head: float) -> dict:
-    """Tail integrals for the counts ``ns`` that share the head ``u_head``;
-    S_n has closed form on the panel nodes."""
-    u_end = profile.Omega[-1]
-    bt = profile.beam_tail
-    w_inf, wd_inf = bt.omega_inf, bt.domega_dp0_inf
-    phi_inf = wd_inf / w_inf
-    uu, weights = panel_nodes(uniform_edges(u_end, u_head, 256), 24)
-    dt_model = (uu - u_end) / w_inf
-    dom = profile.dOmega[-1] + wd_inf * dt_model
-    domt = profile.dOmega_tilde[-1] + (wd_inf * wd_inf / w_inf) * dt_model
-    ratio = dom / uu
-    clipped = np.maximum(domt / uu - ratio * ratio, 0.0)
-    logs = _weight_logs(family, uu)
-    tails = {}
-    for n in ns:
-        s_vals = _s_n(family, n, uu, ratio, phi_inf, clipped)
-        with np.errstate(over="ignore"):
-            w = np.exp(_log_weight(family, n, uu, logs))
-        tails[n] = float((w * s_vals) @ weights)
-    return tails
 
 
 def _report(n: int, family: StateFamily, profile: it.IntensityProfile,
@@ -593,6 +531,7 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
     """
     if profile.mode != "beam":
         raise ModeError("the estimator study is implemented for beam profiles")
+    pr.checked_omega_inf(family, profile)  # before the grid profiles are built
     scn = profile.scn
     p_grid = np.linspace(scn.p0 - bracket, scn.p0 + bracket, grid_points)
     profiles = [it.build_profile(scn.at_p0(p), t_max=profile.t_max, dt=profile.dt)

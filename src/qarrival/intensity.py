@@ -84,12 +84,12 @@ class Locator:
 
     ``idx`` is the cell of each point (``intp``, which numpy gathers with
     as it is), clamped to the first and last cell;
-    ``s = max(tq - t[idx], 0)`` is the offset into it.  ``past`` marks the
+    ``s = max(min(tq, t[-1]) - t[idx], 0)`` is the offset into it, so it
+    stays inside the cell and finite (at ``+inf`` too).  ``past`` marks the
     points beyond ``t[-1]`` and ``at`` those exactly at it (each None when
-    there are none).  Past ``t[-1]`` the offset overruns the last cell; the
-    evaluators replace those points with the profile's continuation, so it
-    is never read there.  Indexing a locator selects points, as indexing
-    ``tq`` would.
+    there are none).  Past ``t[-1]`` the evaluators replace the cell
+    formula with the profile's continuation, so its value is never read
+    there.  Indexing a locator selects points, as indexing ``tq`` would.
     """
 
     t: np.ndarray
@@ -374,11 +374,7 @@ def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
     """r0-independent beam tabulation: per-density intensity g = omega/r0."""
     dp_obj = dk.DeltaParams(a, m)
     t = _beam_grid(t_max, dt)
-    rem, rem_dp = dk.remainder_R_with_dp(p0, t, dp_obj)
-    bracket = dk.transmission_T(p0, dp_obj) + rem
-    dbracket = dp_obj.alpha / (p0 + dp_obj.alpha) ** 2 + rem_dp
-    g = a * np.abs(bracket) ** 2
-    gdot = 2.0 * a * np.real(np.conj(bracket) * dbracket)
+    g, gdot = dk.beam_intensity_with_dp(t, p0, 1.0, dp_obj)
     asym = dk.beam_asymptotes(p0, 1.0, dp_obj)  # unit density; scaled later
     G = cumulative_trapezoid(g, t, initial=0.0)
     # cusp-aware first cell: g = c0 + c_sqrt sqrt(t) + c_lin t locally

@@ -18,9 +18,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from .errors import ConfigError
+from .errors import ConfigError, ModeError
 from .intensity import IntensityProfile, Locator
-from .quadrature import geometric_edges, integrate_panels, uniform_edges
+from .quadrature import integrate_panels, uniform_edges
 from .scenario import StateFamily, log_family_Fn
 
 
@@ -69,6 +69,7 @@ def log_joint_density(times, family: StateFamily, profile: IntensityProfile):
     per-call overhead would outweigh the arithmetic; the cell formulas and
     the logs are those of :func:`log_likelihood_batch`, bit for bit.
     """
+    checked_omega_inf(family, profile)
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("need an ordered vector of at least one arrival time")
@@ -97,6 +98,7 @@ def log_likelihood_batch(times, n_det, family: StateFamily, profile: IntensityPr
     the NO-event mass; in complete rows the intensity is floored at
     ``OMEGA_FLOOR``, where :func:`log_joint_density` would return -inf.
     """
+    checked_omega_inf(family, profile)
     loc = times if isinstance(times, Locator) else profile.locate(times)
     n = loc.idx.shape[1]
     full = n_det == n
@@ -129,16 +131,21 @@ def checked_omega_inf(family: StateFamily, profile_or_value) -> float:
     """Omega(inf) of a profile (or the value itself), checked against the family.
 
     A Fock(N) source has Omega(inf) = N times an absorption probability, so a
-    finite value above N (past the profile build's relative slack of 1e-9)
-    belongs to another source and raises :class:`ConfigError`.
+    value above N (past the profile build's relative slack of 1e-9) belongs
+    to another source and raises :class:`ConfigError`.  That includes a
+    beam's infinite mass: the beam is the limit of infinitely many particles
+    at fixed density, and for a fixed-number source that limit is the
+    coherent family (:func:`spatial_char_beam`).
     """
     if isinstance(profile_or_value, IntensityProfile):
         u_inf = profile_or_value.Omega_inf
     else:
         u_inf = float(profile_or_value)
-    if family.kind == "fock" and math.isfinite(u_inf) and u_inf > family.param * (1.0 + 1e-9):
+    if family.kind == "fock" and u_inf > family.param * (1.0 + 1e-9):
+        beam = ("; the beam limit of a fixed-number source is the coherent family"
+                if math.isinf(u_inf) else "")
         raise ConfigError(f"Omega(inf) = {u_inf:.6g} exceeds the particle number "
-                          f"{family.param:g} of the Fock family")
+                          f"{family.param:g} of the Fock family{beam}")
     return u_inf
 
 
@@ -171,29 +178,19 @@ def total_prob(n: int, family: StateFamily, profile_or_value):
 
 def total_prob_integral(n: int, family: StateFamily, profile_or_value,
                         order: int = 24):
-    """Cross-validation path: direct integral of F_n(u) u^(n-1)/(n-1)!."""
+    """Cross-validation path: direct integral of F_n(u) u^(n-1)/(n-1)! up to a
+    finite Omega(inf); a beam's totals are exactly 1 (:func:`total_prob`)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     u_inf = checked_omega_inf(family, profile_or_value)
+    if math.isinf(u_inf):
+        raise ModeError("the integral path needs a finite Omega(inf)")
 
     def integrand(u):
         return np.exp(log_family_Fn(family, n, u) + (n - 1) * np.log(np.maximum(u, 1e-300))
                       - gammaln(n))
 
-    if math.isinf(u_inf):
-        if family.kind == "fock":
-            u_inf = family.param
-        elif family.kind == "coherent":
-            u_cut = n + 60.0 + 14.0 * math.sqrt(n)
-            return float(integrate_panels(integrand, uniform_edges(0.0, u_cut, 64), order))
-        else:
-            u_big = 1e10
-            edges = np.concatenate([uniform_edges(0.0, max(4.0 * n, 40.0), 48),
-                                    geometric_edges(max(4.0 * n, 40.0), u_big, 12)[1:]])
-            val = integrate_panels(integrand, edges, order)
-            return float(val + n / u_big)  # analytic power-tail remainder
-    edges = uniform_edges(0.0, u_inf, 96)
-    return float(integrate_panels(integrand, edges, order))
+    return float(integrate_panels(integrand, uniform_edges(0.0, u_inf, 96), order))
 
 
 def total_prob_dp(n: int, family: StateFamily, profile: IntensityProfile):

@@ -49,14 +49,6 @@ def uniform_edges(a: float, b: float, n_panels: int):
     return np.linspace(a, b, n_panels + 1)
 
 
-def geometric_edges(a: float, b: float, per_decade: int = 8):
-    """Logarithmically spaced panel edges on [a, b], a > 0."""
-    if not 0.0 < a < b:
-        raise ValueError("geometric edges need 0 < a < b")
-    n = max(1, int(np.ceil(np.log10(b / a) * per_decade)))
-    return a * (b / a) ** np.linspace(0.0, 1.0, n + 1)
-
-
 def oscillatory_edges(a: float, b: float, max_phase_rate: float,
                       phase_per_panel: float = 2.0 * np.pi,
                       min_panels: int = 8, max_panels: int = 20000,

@@ -265,6 +265,30 @@ class TestErrors:
         assert not list(tmp_path.rglob("*.csv"))
 
     @pytest.mark.parametrize("argv", [
+        ["density", "--families", "bogus"],
+        ["density", "--families", "coherent,fock", "--pair-out", "{tmp}/pair.csv"],
+        ["fisher", "--family", "fock"],
+        ["sweep-density", "--family", "fock"],
+        ["sample", "--family", "fock"],
+    ])
+    def test_bad_family_before_any_profile(self, beam_cfg, tmp_path, capsys, monkeypatch,
+                                           argv):
+        # a beam holds infinitely many particles, more than any Fock(N) has;
+        # its fixed-number limit is the coherent family
+        def fail(*args, **kwargs):
+            raise AssertionError("built a profile before checking the family")
+
+        monkeypatch.setattr(cli.it, "build_profile", fail)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        rc = main(argv + ["--config", beam_cfg, "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        if "fock" in argv[2]:
+            assert "coherent family" in err
+        assert not list(tmp_path.rglob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
         ["fisher", "--n-list", "1"],
         ["sample", "--n", "2", "--count", "10", "--t-max", "30"],
     ])

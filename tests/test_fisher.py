@@ -16,7 +16,7 @@ from qarrival.fisher import (FisherReport, density_sweep, fisher_conditional,
                              mc_score_variance, mle_variance_study,
                              sparse_limit_I, stationary_constant)
 from qarrival.intensity import build_profile
-from qarrival.quadrature import geometric_edges, integrate_panels, uniform_edges
+from qarrival.quadrature import integrate_panels, uniform_edges
 from qarrival.scenario import Scenario, StateFamily, log_family_Fn
 
 DP = DeltaParams(0.1, 1.0)
@@ -36,13 +36,27 @@ class TestStationaryConstants:
     def test_quasifree_single(self):
         assert stationary_constant(1, QF).value == pytest.approx(1.0 / 3.0, abs=1e-10)
 
-    def test_fock_quadrature_runs(self):
-        val = stationary_constant(2, StateFamily.fock(12)).value
-        assert val > 0.0
+    def test_fock_quadrature_runs(self, monkeypatch):
+        # the time-stationary limit of a fixed-number source is the coherent
+        # family, so the Fock quadrature is gone: n = 2 of Fock(12), which
+        # used to run it, raises before any quadrature runs
+        def fail(*args, **kwargs):
+            raise AssertionError("ran the quadrature for a Fock family")
+
+        monkeypatch.setattr(fisher, "integrate_panels", fail)
+        with pytest.raises(ModeError, match="coherent and quasi-free"):
+            stationary_constant(2, StateFamily.fock(12))
 
     def test_fock_divergent_order_raises(self):
-        with pytest.raises(ToleranceError):
+        # n = N - 1 used to diverge at u = N and raise ToleranceError
+        with pytest.raises(ModeError, match="coherent and quasi-free"):
             stationary_constant(11, StateFamily.fock(12))
+
+    def test_fock_unsupported(self):
+        # n = N and n = N + 1 (which used to read 0) are rejected too
+        for n in (12, 13):
+            with pytest.raises(ModeError):
+                stationary_constant(n, StateFamily.fock(12))
 
 
 class TestSparseLimit:
@@ -310,8 +324,15 @@ def _oracle_tail_S(n, family, u, tail_state):
         + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
 
 
+def _geometric_edges(a, b, per_decade):
+    """Logarithmically spaced panel edges on [a, b], a > 0."""
+    n = max(1, int(np.ceil(np.log10(b / a) * per_decade)))
+    return a * (b / a) ** np.linspace(0.0, 1.0, n + 1)
+
+
 def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
     """The quadrature for one n as it was written before the batched pass."""
+    pr.checked_omega_inf(family, profile)
     t = profile.t
     u = profile.Omega
     om = profile.omega
@@ -332,9 +353,6 @@ def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
 
     tail_val = 0.0
     if profile.mode == "beam":
-        if family.kind == "fock" and n == family.param - 1:
-            raise ToleranceError("beam information diverges for the fixed-number family "
-                                 "at n = N-1 (non-integrable endpoint)")
         bt = profile.beam_tail
         tail_state = (u[-1], bt.omega_inf, bt.domega_dp0_inf,
                       profile.dOmega[-1], profile.dOmega_tilde[-1])
@@ -346,18 +364,13 @@ def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
 
         u_end = u[-1]
         u_head = max(u_end * (1.0 + 1e-12), n + 60.0 + 14.0 * math.sqrt(n), u_end + 60.0)
-        if family.kind == "fock":
-            u_head = min(u_head, family.param)
-            if u_head > u_end:
-                tail_val = float(integrate_panels(tail_integrand,
-                                                  uniform_edges(u_end, u_head, 256), 24))
-        elif family.kind == "coherent":
+        if family.kind == "coherent":
             tail_val = float(integrate_panels(tail_integrand,
                                               uniform_edges(u_end, u_head, 256), 24))
         else:
             u_big = max(1e9, 1e4 * u_head)
             edges = np.concatenate([uniform_edges(u_end, u_head, 192),
-                                    geometric_edges(u_head, u_big, 16)[1:]])
+                                    _geometric_edges(u_head, u_big, 16)[1:]])
             phi_inf = bt.domega_dp0_inf / bt.omega_inf
             tail_val = float(integrate_panels(tail_integrand, edges, 24)) \
                 + n * phi_inf ** 2 / u_big
@@ -391,15 +404,15 @@ def _report_bits(rep):
                              rep.p_tot, rep.conditional]).view(np.uint64).tolist())
 
 
-def _closed_tail(family, profile):
-    """Whether the beam tail of ``family`` on ``profile`` has closed form: its
-    reports then differ from the oracle's panel tail by the panels' own
-    error, up to 6e-12 of I_n."""
-    return profile.mode == "beam" and family.kind != "fock"
+def _closed_tail(profile):
+    """Whether ``profile`` is a beam, whose tail has closed form: its reports
+    then differ from the oracle's panel tail by the panels' own error, up to
+    6e-12 of I_n."""
+    return profile.mode == "beam"
 
 
-def _assert_reports_close(got, expected, family, profile):
-    if not _closed_tail(family, profile):
+def _assert_reports_close(got, expected, profile):
+    if not _closed_tail(profile):
         assert _report_bits(got) == _report_bits(expected)
         return
     assert got.n == expected.n and got.p_tot == expected.p_tot
@@ -411,18 +424,23 @@ def _assert_batch_matches_oracle(ns, family, profile):
     """Every report equals the one :func:`fisher_info` gives for its n alone,
     bit for bit, and the per-n oracle's: bit for bit, or within 1e-11 of I_n
     where the tail has closed form.  Where the oracle raises (the thinning
-    check, the fixed-number endpoint), the batch raises the same error for
-    the first failing n in list order."""
+    check for the first failing n in list order, the particle-number check
+    of a Fock family), the batch raises the same error."""
     expected = []
     for n in ns:
         try:
             expected.append(_oracle_fisher_info(n, family, profile))
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as got:
+                fisher_info_many(ns, family, profile)
+            assert str(got.value) == str(exc)
+            return
         except ToleranceError as exc:
             with pytest.raises(ToleranceError) as got:
                 fisher_info_many(ns, family, profile)
             assert str(got.value) == str(exc)
             assert got.value.achieved == exc.achieved
-            if _closed_tail(family, profile) and exc.estimate is not None:
+            if _closed_tail(profile) and exc.estimate is not None:
                 assert got.value.estimate == pytest.approx(exc.estimate, rel=1e-11)
             else:
                 assert got.value.estimate == exc.estimate
@@ -431,10 +449,20 @@ def _assert_batch_matches_oracle(ns, family, profile):
     assert [_report_bits(r) for r in got] == \
         [_report_bits(fisher_info(n, family, profile)) for n in ns]
     for rep, exp in zip(got, expected):
-        _assert_reports_close(rep, exp, family, profile)
+        _assert_reports_close(rep, exp, profile)
 
 
 UNSORTED_NS = (3, 1, 8, 2, 2, 6, 4, 5, 7, 5)
+
+
+def _fail_on_work(monkeypatch):
+    """Make weighting a profile or building one fail, so a test shows that
+    its input is rejected before any work."""
+    def fail(*args, **kwargs):
+        raise AssertionError("worked before checking the family")
+
+    monkeypatch.setattr(fisher, "_weight_logs", fail)
+    monkeypatch.setattr(intensity, "build_profile", fail)
 
 
 @pytest.fixture(scope="module")
@@ -451,38 +479,44 @@ class TestBatchedInformation:
     def test_beam_matches_per_n_bitwise(self, beam_profiles, r0, family):
         _assert_batch_matches_oracle(UNSORTED_NS, family, beam_profiles[r0])
 
-    def test_fock_around_particle_number(self, beam_profiles):
-        # n = N and N + 1 on a profile whose thinning check passes; n = N - 1
-        # diverges at u = N and raises in list order
-        for big_n in (3, 4):
+    def test_fock_around_particle_number(self, beam_profiles, beam_profile_r1, monkeypatch):
+        # a beam's infinite mass exceeds any particle number N, so every count
+        # is rejected before any work: n > N used to read I_n = 0 with
+        # p_tot = 1.  The counts around N keep their values on finite
+        # profiles, whose mass ends below N (test_finite_profiles_match_per_n_bitwise).
+        _fail_on_work(monkeypatch)
+        for big_n in (1, 3):
             fam = StateFamily.fock(big_n)
-            ns = (big_n + 1, big_n, 1)
-            _assert_batch_matches_oracle(ns, fam, beam_profiles[1e-4])
-            assert fisher_info_many(ns, fam, beam_profiles[1e-4])[0].value == 0.0
-            with_endpoint = (big_n + 1, big_n - 1, big_n, 1)
-            _assert_batch_matches_oracle(with_endpoint, fam, beam_profiles[1e-4])
-            with pytest.raises(ToleranceError, match="n = N-1"):
-                fisher_info_many(with_endpoint, fam, beam_profiles[1e-4])
+            near = tuple(n for n in (big_n - 1, big_n, big_n + 1) if n >= 1)
+            for prof in (beam_profiles[1e-4], beam_profiles[1000.0]):
+                for n in near:
+                    with pytest.raises(ConfigError, match="coherent family"):
+                        fisher_info(n, fam, prof)
+                with pytest.raises(ConfigError, match="particle number"):
+                    fisher_info_many((1,) + near, fam, prof)
+            with pytest.raises(ConfigError, match="particle number"):
+                mc_score_variance(1, fam, beam_profile_r1, samples=10_000, seed=0)
+            with pytest.raises(ConfigError, match="particle number"):
+                mle_variance_study(1, fam, beam_profile_r1, datasets=4,
+                                   records_per_dataset=8, seed=0, grid_points=5)
 
     @pytest.mark.parametrize("big_n", [12, 60])
     @pytest.mark.parametrize("r0", [1e-4, 1000.0])
-    def test_fock_endpoint_count_diverges_on_beam(self, beam_profiles, big_n, r0):
-        # the tail integrand grows like 1/(1 - u/N) at u = N, as for the
-        # stationary constant: I_11 of Fock(12) read 13.57, 15.46 and 17.35
-        # on 256, 1024 and 4096 tail panels; past u = N (r0 = 1000) the
-        # trapezoid over the grid returned a number too
+    def test_fock_endpoint_count_diverges_on_beam(self, beam_profiles, big_n, r0, monkeypatch):
+        # n = N - 1 used to diverge at u = N (I_11 of Fock(12) read 13.57,
+        # 15.46 and 17.35 on 256, 1024 and 4096 tail panels); it and its
+        # neighbours are now rejected before any work, as is the stationary
+        # constant the divergence shared
+        _fail_on_work(monkeypatch)
         fam = StateFamily.fock(big_n)
         prof = beam_profiles[r0]
-        with pytest.raises(ToleranceError, match="n = N-1") as got:
-            fisher_info(big_n - 1, fam, prof)
-        with pytest.raises(ToleranceError, match="n = N-1") as got_many:
+        for n in (big_n - 2, big_n - 1, big_n, big_n + 1):
+            with pytest.raises(ConfigError, match="coherent family"):
+                fisher_info(n, fam, prof)
+        with pytest.raises(ConfigError, match="particle number"):
             fisher_info_many((1, big_n - 1, big_n), fam, prof)
-        with pytest.raises(ToleranceError) as stationary:
+        with pytest.raises(ModeError):
             stationary_constant(big_n - 1, fam)
-        assert str(got.value) == str(got_many.value) == \
-            str(stationary.value).replace("stationary constant", "beam information")
-        # the neighbours still have a value where the grid resolves them
-        assert fisher_info_many((big_n - 2, big_n), fam, beam_profiles[1e-4])[0].value > 0.0
 
     @pytest.mark.parametrize("eps", [0.0, 0.5])
     def test_finite_profiles_match_per_n_bitwise(self, packet_scn, eps):

@@ -35,6 +35,16 @@ class TestBeamProfile:
         for a, b in zip(shared[:6], separate[:6]):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
+    @pytest.mark.parametrize("p0", [0.6, 1.0, 1.7])
+    def test_tables_are_the_checked_formulas(self, p0):
+        # criterion 11 checks beam_intensity_dp against finite differences of
+        # beam_intensity; the tables hold those two at unit density
+        dp_obj = DeltaParams(0.1, 1.0)
+        t, g, gdot = intensity._beam_tables(0.1, 1.0, p0, 60.0, 0.01)[:3]
+        for table, formula in ((g, dk.beam_intensity), (gdot, dk.beam_intensity_dp)):
+            assert np.array_equal(table.view(np.uint64),
+                                  formula(t, p0, 1.0, dp_obj).view(np.uint64))
+
     def test_initial_rate(self, beam_profile):
         assert beam_profile.omega[0] == pytest.approx(5.642)
         assert beam_profile.Omega[0] == 0.0

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binom, chisquare, geom, kstest, poisson
 
-from qarrival.errors import ConfigError
+from qarrival.errors import ConfigError, ModeError
 from qarrival.process import (first_arrival_series_coeffs, joint_density,
                               log_joint_density, log_likelihood_batch,
                               noevent_mass, sample_batch, sample_times_matrix,
@@ -22,9 +22,12 @@ class TestJointDensity:
         # p1(0+) -> a r0 for the uniform beam
         assert joint_density([t], coh, beam_profile) == pytest.approx(5.642, rel=1e-4)
 
-    def test_fock_exhausted(self, beam_profile):
-        fk = StateFamily.fock(2)
-        assert joint_density([1.0, 2.0, 3.0], fk, beam_profile) == 0.0
+    def test_fock_exhausted(self, delta_profile):
+        # Omega(inf) = 11.78 fits 12 particles, whose 13th arrival has weight 0
+        fk = StateFamily.fock(12)
+        times = np.linspace(16.0, 40.0, 13)
+        assert log_joint_density(times[:12], fk, delta_profile) > -math.inf
+        assert joint_density(times, fk, delta_profile) == 0.0
 
     def test_exponential_factorisation(self, beam_profile):
         # coherent two-arrival density = p1(t1) * omega(t2) e^{-(U2-U1)}
@@ -53,9 +56,13 @@ class TestJointDensity:
 
 class TestTotalProbability:
     def test_beam_certain_detection(self, beam_profile, families):
-        for fam in families.values():
+        for kind, fam in families.items():
             for n in (1, 3, 7):
-                assert total_prob(n, fam, beam_profile) == 1.0
+                if kind == "fock":  # no fixed-number beam (TestFockParticleNumber)
+                    with pytest.raises(ConfigError):
+                        total_prob(n, fam, beam_profile)
+                else:
+                    assert total_prob(n, fam, beam_profile) == 1.0
 
     def test_single_detection_closed_form(self, families):
         u = 2.9
@@ -136,6 +143,10 @@ class TestFockParticleNumber:
         "total_prob_integral": lambda fam, p: total_prob_integral(2, fam, p),
         "total_prob_dp": lambda fam, p: total_prob_dp(4, fam, p),
         "sample_times_matrix": lambda fam, p: sample_times_matrix(3, fam, p, 10, 0),
+        "log_joint_density": lambda fam, p: log_joint_density([20.0, 21.0], fam, p),
+        "joint_density": lambda fam, p: joint_density([20.0, 21.0], fam, p),
+        "log_likelihood_batch": lambda fam, p: log_likelihood_batch(
+            np.array([[20.0, 21.0]]), np.array([2]), fam, p),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -157,12 +168,24 @@ class TestFockParticleNumber:
         for u_inf in (5.0, 5.0 * (1.0 + 5e-10)):
             assert total_prob(3, fam, u_inf) + noevent_mass(3, fam, u_inf) == pytest.approx(1.0)
 
-    def test_beams_accept_fock(self, beam_profile):
-        fam = StateFamily.fock(2)
-        assert total_prob(2, fam, beam_profile) == 1.0
-        assert total_prob_dp(2, fam, beam_profile) == 0.0
-        times, n_det = sample_times_matrix(3, fam, beam_profile, 50, 0)
-        assert np.all(n_det == 2) and np.all(np.isnan(times[:, 2]))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_beams_reject_fock(self, beam_profile, entry):
+        # a beam's Omega(inf) is infinite, above any N; the beam limit of a
+        # fixed-number source is the coherent family.  Before, Fock(2) on a
+        # beam read p_tot = 1 for three detections.
+        for big_n in (2, 60):
+            with pytest.raises(ConfigError, match="coherent family"):
+                self.ENTRY_POINTS[entry](StateFamily.fock(big_n), beam_profile)
+        with pytest.raises(ConfigError, match="particle number"):
+            total_prob(3, StateFamily.fock(2), math.inf)
+
+    def test_integral_path_needs_finite_mass(self, beam_profile):
+        # a beam's totals are exactly 1 through total_prob
+        for fam in (StateFamily.coherent(1.0), StateFamily.quasifree(1.0)):
+            assert total_prob(2, fam, beam_profile) == 1.0
+            for where in (beam_profile, math.inf):
+                with pytest.raises(ModeError):
+                    total_prob_integral(2, fam, where)
 
 
 class TestSampling:
@@ -312,13 +335,19 @@ class TestBatchLikelihood:
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 34, 60])
-def test_joint_density_matches_batch_bitwise(beam_profile, n):
+def test_joint_density_matches_batch_bitwise(beam_profile, delta_profile, n):
     # the per-point path must give the batched likelihood's bits at any length
-    for fam in (StateFamily.coherent(5.0), StateFamily.quasifree(5.0), StateFamily.fock(60)):
-        times, n_det = sample_times_matrix(n, fam, beam_profile, 200, seed=n)
+    cases = [(fam, beam_profile, *sample_times_matrix(n, fam, beam_profile, 200, seed=n))
+             for fam in (StateFamily.coherent(5.0), StateFamily.quasifree(5.0))]
+    # Fock(60) on the finite profile, whose mass (11.78) ends below N: any
+    # ordered times on its grid form a complete row with F_n > 0, up to n = N
+    times = np.sort(np.random.default_rng(n).uniform(5.0, 44.9, (200, n)), axis=1)
+    cases.append((StateFamily.fock(60), delta_profile, times, np.full(200, n)))
+    for fam, prof, times, n_det in cases:
         assert np.all(n_det == n)
-        batch = log_likelihood_batch(times, n_det, fam, beam_profile)
-        rows = np.array([log_joint_density(row, fam, beam_profile) for row in times])
+        batch = log_likelihood_batch(times, n_det, fam, prof)
+        assert np.all(np.isfinite(batch))
+        rows = np.array([log_joint_density(row, fam, prof) for row in times])
         assert np.array_equal(rows.view(np.uint64), batch.view(np.uint64))
 
 
