@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .deltakernel import (DeltaParams, beam_asymptotes, beam_intensity,
-                          beam_intensity_dp, erfc_c, erfcx_c, f_p,
+                          beam_intensity_dp, erfc_c, f_p,
                           f_superposition, remainder_R, transmission_T)
 from .fisher import (FisherReport, density_sweep, fisher_conditional,
                      fisher_info, fisher_info_many, i_infinity,
@@ -24,7 +24,7 @@ __all__ = [
     "ArrivalRecord", "ComplexSeries", "DeltaParams", "FisherReport",
     "IntensityProfile", "SampleBatch", "Scenario", "StateFamily", "TimeGrid",
     "beam_asymptotes", "beam_intensity", "beam_intensity_dp", "build_profile",
-    "density_sweep", "erfc_c", "erfcx_c", "f_p", "f_superposition",
+    "density_sweep", "erfc_c", "f_p", "f_superposition",
     "family_F", "family_Fn", "family_Hn", "fisher_conditional", "fisher_info",
     "fisher_info_many", "gaussian_free_at_origin", "gaussian_kernel_g",
     "gaussian_overlap_h0", "i_infinity", "joint_density", "log_family_Fn",

@@ -4,8 +4,8 @@ Subcommands read a flat key=value scenario config and emit CSV (or a
 pass/fail report).  Every run is deterministic given its arguments; Monte
 Carlo paths use counter-based seeded streams.
 
-Exit codes: 0 success, 2 configuration or output error, 3
-numerical-tolerance failure, 4 verification failure.
+Exit codes: 0 success, 1 any other library error, 2 configuration or
+output error, 3 numerical-tolerance failure, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -247,9 +247,8 @@ def build_parser():
                                   description="arrival-time statistics for absorptive detectors")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="flat key=value scenario file")
+    def common(p):
+        p.add_argument("--config", required=True, help="flat key=value scenario file")
         p.add_argument("--t-max", type=float, default=None, help="tabulation horizon")
         p.add_argument("--dt", type=float, default=None, help="tabulation step")
 

@@ -8,7 +8,7 @@ solutions over the momentum wavefunction of the source gives the detection
 amplitude for arbitrary packets, and evaluating at a single momentum gives
 the uniform-beam intensity together with its exact momentum derivative.
 
-The complex erfc comes from scipy's Faddeeva-based ``erfc``/``erfcx``
+The complex erfc comes from scipy's Faddeeva-based ``erfc``
 (Zaghloul & Ali, ACM TOMS 38, 2011); the test suite pins it against
 mpmath on the ray that matters.
 """
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcx
+from scipy.special import erfc
 
 from .errors import ModeError, ToleranceError
 from .quadrature import integrate_panels, oscillatory_edges, refine_edges
@@ -38,23 +38,12 @@ def _complex_ufunc(fn, z):
     return complex(out) if np.ndim(out) == 0 else out
 
 
-def erfcx_c(z):
-    """Scaled complementary error function exp(z^2) erfc(z), complex z.
-
-    Faddeeva-based (``scipy.special.erfcx``): finite wherever the scaled
-    value is representable; for Re z < 0 it grows like 2 exp(z^2) and
-    overflows where the true value does.
-    """
-    return _complex_ufunc(erfcx, z)
-
-
 def erfc_c(z):
     """Complementary error function for complex argument.
 
     Faddeeva-based (``scipy.special.erfc``); pinned by the test suite to
     1e-12 relative against mpmath on the measurement ray and on |z| <= 30
-    with Re z >= -5.  Where exp(-z^2) overflows, the result is infinite;
-    the scaled :func:`erfcx_c` stays finite there.
+    with Re z >= -5.  Where exp(-z^2) overflows, the result is infinite.
     """
     return _complex_ufunc(erfc, z)
 
@@ -228,7 +217,7 @@ def f_p(p, t, dp: DeltaParams):
 
 
 def f_superposition(chi_hat, t, dp: DeltaParams, window, phase_rate0=0.0,
-                    rtol: float = 1e-7, order: int = 16, check: bool = True):
+                    rtol: float = 1e-7):
     """Detection amplitude f(t) = integral of f_p(t) chi_hat(p) dp.
 
     ``chi_hat`` is the (vectorised) momentum wavefunction, ``window`` the
@@ -238,9 +227,10 @@ def f_superposition(chi_hat, t, dp: DeltaParams, window, phase_rate0=0.0,
 
     The transmission part (no erfc, fast kinetic phase) and the remainder
     part (erfc factors, essentially non-oscillatory once the erfc argument
-    is large) are integrated on separately sized panel sets.  A one-step
-    panel refinement guards the tolerance; failure raises
-    :class:`ToleranceError` carrying the finer estimate.
+    is large) are integrated on separately sized 16-point Gauss-Legendre
+    panel sets.  A one-step panel refinement guards the tolerance and gives
+    the returned value; failure raises :class:`ToleranceError` carrying the
+    finer estimate.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     plo, phi = float(window[0]), float(window[1])
@@ -256,7 +246,7 @@ def f_superposition(chi_hat, t, dp: DeltaParams, window, phase_rate0=0.0,
     # amplitude scale of the problem; keeps the tolerance check meaningful
     # at times where f itself is exponentially small
     ref_scale = norm * integrate_panels(lambda p: np.abs(chi_hat(p)),
-                                        np.linspace(plo, phi, 33), order)
+                                        np.linspace(plo, phi, 33))
     atol = 1e-12 * max(ref_scale, 1e-300)
     for i, ti in enumerate(t_arr):
         rate_T = phase_rate0 + ti * pmax / dp.m
@@ -272,18 +262,16 @@ def f_superposition(chi_hat, t, dp: DeltaParams, window, phase_rate0=0.0,
         def part_R(p, ti=ti):
             return remainder_R(p, ti, dp) * chi_hat(p) * np.exp(-1j * ti * p * p / (2.0 * dp.m))
 
-        val = integrate_panels(part_T, edges_T, order) + integrate_panels(part_R, edges_R, order)
-        if check:
-            val2 = (integrate_panels(part_T, refine_edges(edges_T), order)
-                    + integrate_panels(part_R, refine_edges(edges_R), order))
-            err = abs(val2 - val)
-            if err > rtol * abs(val2) + atol:
-                raise ToleranceError(
-                    f"momentum superposition at t={ti:g} did not converge "
-                    f"(refinement moved the value by {err:.3e})",
-                    estimate=val2 * norm, achieved=err)
-            val = val2
-        out[i] = val * norm
+        val = integrate_panels(part_T, edges_T) + integrate_panels(part_R, edges_R)
+        val2 = (integrate_panels(part_T, refine_edges(edges_T))
+                + integrate_panels(part_R, refine_edges(edges_R)))
+        err = abs(val2 - val)
+        if err > rtol * abs(val2) + atol:
+            raise ToleranceError(
+                f"momentum superposition at t={ti:g} did not converge "
+                f"(refinement moved the value by {err:.3e})",
+                estimate=val2 * norm, achieved=err)
+        out[i] = val2 * norm
     return complex(out[0]) if np.ndim(t) == 0 else out
 
 

@@ -54,12 +54,6 @@ class FisherReport:
     conditional: float      # I_n^(c), information given >= n detections
 
 
-@dataclass(frozen=True)
-class StationaryConstants:
-    n: int
-    value: float
-
-
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
@@ -117,19 +111,31 @@ def i_infinity(p0: float, dp: DeltaParams) -> float:
 # stationary constants and sparse limits
 # ---------------------------------------------------------------------------
 
-def stationary_constant(n: int, family: StateFamily, check_tol: float = 1e-8) -> StationaryConstants:
+def _sparse_constant(n: int, family: StateFamily, what: str) -> float:
+    """C_n of the sparse-beam limit C_n * I_inf: n for the coherent family and
+    n/(n+2) for the quasi-free family.  The time-stationary (beam) limit of a
+    fixed-number source is the coherent family, so a Fock family raises
+    :class:`ModeError`, with ``what`` naming the caller's result."""
+    if family.kind == "coherent":
+        return float(n)
+    if family.kind == "quasifree":
+        return n / (n + 2.0)
+    raise ModeError(f"{what} exist for the coherent and quasi-free families only")
+
+
+# the agreement asserted between the stationary-constant quadrature and C_n
+_STATIONARY_TOL = 1e-8
+
+
+def stationary_constant(n: int, family: StateFamily) -> float:
     """Quadrature of F_n(u) u^(n-1) [n - u H_n(u)]^2 / (n-1)! over all mass.
 
-    For the coherent and quasi-free families the closed forms n and
-    n/(n+2) are asserted against the quadrature at ``check_tol``; the
-    time-stationary (beam) limit of a fixed-number source is the coherent
-    family, so there is no fixed-number constant.
+    The closed forms C_n of :func:`_sparse_constant` are asserted against
+    the quadrature at ``_STATIONARY_TOL``; there is no fixed-number constant.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if family.kind == "fock":
-        raise ModeError("stationary constants exist for the coherent and quasi-free "
-                        "families only")
+    closed = _sparse_constant(n, family, "stationary constants")
 
     def integrand(u):
         with np.errstate(over="ignore"):
@@ -139,29 +145,20 @@ def stationary_constant(n: int, family: StateFamily, check_tol: float = 1e-8) ->
     if family.kind == "coherent":
         u_head = n + 60.0 + 14.0 * math.sqrt(n)
         val = float(integrate_panels(integrand, uniform_edges(0.0, u_head, 192), 24))
-        closed = float(n)
     else:
         # in x = 1/(1+u) the integrand is the polynomial n (1-x)^(n-1) (n - (n+1)(1-x))^2
         val = float(integrate_panels(lambda x: integrand((1.0 - x) / x) / (x * x),
                                      uniform_edges(0.0, 1.0, 64), 24))
-        closed = n / (n + 2.0)
-    if abs(val - closed) > check_tol * max(1.0, closed):
+    if abs(val - closed) > _STATIONARY_TOL * max(1.0, closed):
         raise ToleranceError(
             f"stationary-constant quadrature {val!r} disagrees with the closed form "
-            f"{closed!r} beyond {check_tol:g}", estimate=val)
-    return StationaryConstants(n, val)
+            f"{closed!r} beyond {_STATIONARY_TOL:g}", estimate=val)
+    return val
 
 
 def sparse_limit_I(n: int, family: StateFamily, p0: float, dp: DeltaParams) -> float:
     """Vanishing-density limit of the beam information: C_n * I_inf(p0)."""
-    if family.kind == "coherent":
-        c_n = float(n)
-    elif family.kind == "quasifree":
-        c_n = n / (n + 2.0)
-    else:
-        raise ModeError("sparse-beam limits exist for the coherent and quasi-free "
-                        "families only")
-    return c_n * i_infinity(p0, dp)
+    return _sparse_constant(n, family, "sparse-beam limits") * i_infinity(p0, dp)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +172,13 @@ def _s_n(family: StateFamily, n: int, u, ratio, phi, clipped):
     return ((n - 1.0 - u * hn) * ratio + phi) ** 2 + (n - 1.0) * clipped
 
 
-def fisher_info(n: int, family: StateFamily, profile: it.IntensityProfile,
-                rtol: float = 1e-3, atol: float = 1e-9) -> FisherReport:
+# the grid-thinning check: dropping every other node may move the tabulated
+# integral by at most THINNING_RTOL * |detection part| + THINNING_ATOL
+THINNING_RTOL = 1e-3
+THINNING_ATOL = 1e-9
+
+
+def fisher_info(n: int, family: StateFamily, profile: it.IntensityProfile) -> FisherReport:
     """Information carried by n ordered arrival times (plus the NO outcome).
 
     The detection part integrates the tabulated profile in t and, for the
@@ -185,11 +187,11 @@ def fisher_info(n: int, family: StateFamily, profile: it.IntensityProfile,
     detection probability.  A grid-thinning check guards the tabulated
     integral; failure raises :class:`ToleranceError` with the estimate.
     """
-    return fisher_info_many((n,), family, profile, rtol, atol)[0]
+    return fisher_info_many((n,), family, profile)[0]
 
 
-def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile,
-                     rtol: float = 1e-3, atol: float = 1e-9) -> tuple[FisherReport, ...]:
+def fisher_info_many(n_values, family: StateFamily,
+                     profile: it.IntensityProfile) -> tuple[FisherReport, ...]:
     """:func:`fisher_info` for each detection count in ``n_values``, in order.
 
     The work that does not depend on n (the intensity ratios, the
@@ -240,7 +242,7 @@ def fisher_info_many(n_values, family: StateFamily, profile: it.IntensityProfile
         fine, coarse = bulk[n]
         detection = fine + tails[n]
         # thinning check on the tabulated part only (the tail is exact)
-        if abs(fine - coarse) > rtol * abs(detection) + atol:
+        if abs(fine - coarse) > THINNING_RTOL * abs(detection) + THINNING_ATOL:
             raise ToleranceError(
                 f"profile grid too coarse for the information integral at n={n} "
                 f"(thinning moved it by {abs(fine - coarse):.3e})",
@@ -500,6 +502,11 @@ def _jackknife_se_of_variance(x):
 # maximum-likelihood study (Cramer-Rao sanity)
 # ---------------------------------------------------------------------------
 
+# records scored per block of the estimator study: each block holds
+# max(1, MLE_BLOCK_RECORDS // records_per_dataset) datasets
+MLE_BLOCK_RECORDS = 640_000
+
+
 @dataclass(frozen=True)
 class MleStudy:
     n: int
@@ -518,16 +525,17 @@ class MleStudy:
 
 def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile,
                        datasets: int, records_per_dataset: int, seed: int,
-                       bracket: float = 0.5, grid_points: int = 41,
-                       chunk: int = 2500) -> MleStudy:
+                       bracket: float = 0.5, grid_points: int = 41) -> MleStudy:
     """Maximum-likelihood momentum estimates over many synthetic datasets.
 
     Each dataset holds ``records_per_dataset`` independent n-arrival
     records; the total log-likelihood is maximised over the bracket
     p0 +- ``bracket`` on a fixed momentum grid (vectorised across datasets)
     with a parabolic refinement of the winning node, which resolves the
-    optimum far below the sampling spread.  Returns the estimator variance
-    next to the one-parameter information bound.
+    optimum far below the sampling spread.  Records are drawn and scored
+    in blocks of at most ``MLE_BLOCK_RECORDS`` (whole datasets, at least
+    one).  Returns the estimator variance next to the one-parameter
+    information bound.
     """
     if profile.mode != "beam":
         raise ModeError("the estimator study is implemented for beam profiles")
@@ -537,6 +545,7 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
     profiles = [it.build_profile(scn.at_p0(p), t_max=profile.t_max, dt=profile.dt)
                 for p in p_grid]
     loglik = np.zeros((datasets, grid_points))
+    chunk = max(1, MLE_BLOCK_RECORDS // records_per_dataset)
     for start in range(0, datasets, chunk):
         block = min(chunk, datasets - start)
         times, n_det = pr.sample_times_matrix(

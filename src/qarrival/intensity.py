@@ -391,7 +391,7 @@ def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
     return t, g, gdot, G, dG, dG_tilde, asym
 
 
-def _fit_finite_tail(t, omega, navg, Omega_end, warn: bool = True):
+def _fit_finite_tail(t, omega, navg, Omega_end):
     """Estimate the intensity mass beyond the grid from a power-law fit."""
     n = len(t)
     lo = int(0.7 * n)
@@ -402,9 +402,8 @@ def _fit_finite_tail(t, omega, navg, Omega_end, warn: bool = True):
     slope, _ = np.polyfit(np.log(tt[good]), np.log(ww[good]), 1)
     slope = -slope
     if slope <= 1.05 or not np.isfinite(slope):
-        if warn:
-            warnings.warn("intensity tail decays too slowly for a reliable mass estimate; "
-                          "increase t_max", stacklevel=3)
+        warnings.warn("intensity tail decays too slowly for a reliable mass estimate; "
+                      "increase t_max", stacklevel=3)
         slope = 1.05
     mass = omega[-1] * t[-1] / (slope - 1.0)
     mass = min(mass, max(navg - Omega_end, 0.0))

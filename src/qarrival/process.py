@@ -10,7 +10,6 @@ family admits a closed-form conditional inverse CDF.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -48,14 +47,6 @@ class ArrivalRecord:
 @dataclass(frozen=True)
 class SampleBatch:
     records: list
-    seed: int
-    requested: int
-    scenario_hash: str
-
-
-def _scenario_hash(profile: IntensityProfile, family: StateFamily) -> str:
-    key = f"{profile.scn}|{profile.mode}|{family.kind}|{family.param}"
-    return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +167,7 @@ def total_prob(n: int, family: StateFamily, profile_or_value):
     return 1.0 - noevent_mass(n, family, u_inf)
 
 
-def total_prob_integral(n: int, family: StateFamily, profile_or_value,
-                        order: int = 24):
+def total_prob_integral(n: int, family: StateFamily, profile_or_value):
     """Cross-validation path: direct integral of F_n(u) u^(n-1)/(n-1)! up to a
     finite Omega(inf); a beam's totals are exactly 1 (:func:`total_prob`)."""
     if n < 1:
@@ -190,7 +180,7 @@ def total_prob_integral(n: int, family: StateFamily, profile_or_value,
         return np.exp(log_family_Fn(family, n, u) + (n - 1) * np.log(np.maximum(u, 1e-300))
                       - gammaln(n))
 
-    return float(integrate_panels(integrand, uniform_edges(0.0, u_inf, 96), order))
+    return float(integrate_panels(integrand, uniform_edges(0.0, u_inf, 96), 24))
 
 
 def total_prob_dp(n: int, family: StateFamily, profile: IntensityProfile):
@@ -251,8 +241,7 @@ def sample_batch(n: int, family: StateFamily, profile: IntensityProfile,
     """Draw ``count`` records from the batch substream 0."""
     times, n_det = sample_times_matrix(n, family, profile, count, seed)
     records = [ArrivalRecord(n, row[:k]) for row, k in zip(times, n_det.tolist())]
-    return SampleBatch(records=records, seed=seed, requested=n,
-                       scenario_hash=_scenario_hash(profile, family))
+    return SampleBatch(records=records)
 
 
 def sample_times_matrix(n: int, family: StateFamily, profile: IntensityProfile,

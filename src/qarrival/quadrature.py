@@ -49,18 +49,15 @@ def uniform_edges(a: float, b: float, n_panels: int):
     return np.linspace(a, b, n_panels + 1)
 
 
-def oscillatory_edges(a: float, b: float, max_phase_rate: float,
-                      phase_per_panel: float = 2.0 * np.pi,
-                      min_panels: int = 8, max_panels: int = 20000,
-                      breakpoints=()):
-    """Uniform panels sized so each spans roughly ``phase_per_panel`` radians.
+def oscillatory_edges(a: float, b: float, max_phase_rate: float, breakpoints=()):
+    """Uniform panels sized so each spans about one period (2 pi radians) at
+    the phase rate ``max_phase_rate``, plus 8, and at most 20 000 panels.
 
     ``breakpoints`` inside (a, b) are snapped onto the edge set, which keeps
     kinks of the integrand on panel boundaries.
     """
     total = abs(max_phase_rate) * (b - a)
-    n = int(np.ceil(total / phase_per_panel)) + min_panels
-    n = min(n, max_panels)
+    n = min(int(np.ceil(total / (2.0 * np.pi))) + 8, 20000)
     edges = np.linspace(a, b, n + 1)
     inner = [p for p in breakpoints if a < p < b]
     if inner:

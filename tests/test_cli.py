@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from qarrival import cli
+from qarrival import verify as vf
 from qarrival.cli import main
+from qarrival.errors import ModeError
 from qarrival.intensity import build_profile
 from qarrival.scenario import Scenario
 
@@ -62,6 +64,28 @@ class TestIntensityCommand:
         rc = main(["intensity", "--config", beam_cfg, "--out",
                    str(tmp_path / "x.csv"), "--eps-list", "1.0"])
         assert rc == 2
+
+    @pytest.mark.filterwarnings("ignore:intensity tail decays too slowly")
+    def test_navg_sweep_and_base_curve(self, finite_cfg, tmp_path):
+        # a --navg-list curve per value, then the beam when asked for;
+        # without any list flag the config itself is the one "base" curve
+        swept, base = tmp_path / "swept.csv", tmp_path / "base.csv"
+        grid = ["--t-max", "10", "--dt", "0.01", "--points", "50"]
+        assert main(["intensity", "--config", finite_cfg, "--out", str(swept),
+                     "--navg-list", "50,200", "--include-beam"] + grid) == 0
+        assert main(["intensity", "--config", finite_cfg, "--out", str(base)] + grid) == 0
+        rows = [line.split(",") for line in swept.read_text().splitlines()[1:]]
+        labels = [r[0] for r in rows]
+        assert list(dict.fromkeys(labels)) == ["navg=50", "navg=200", "beam"]
+        base_rows = [line.split(",") for line in base.read_text().splitlines()[1:]]
+        assert {r[0] for r in base_rows} == {"base"}
+        # 1001 nodes at stride 1001 // 50 = 20: 51 rows per finite curve
+        assert labels.count("navg=50") == labels.count("navg=200") == len(base_rows) == 51
+        prof = build_profile(Scenario.from_config(FINITE_CONFIG).at_navg(200.0),
+                             t_max=10.0, dt=0.01)
+        navg200 = [r for r in rows if r[0] == "navg=200"]
+        assert [float(r[1]) for r in navg200] == [float(f"{t:.10g}") for t in prof.t[::20]]
+        assert [float(r[2]) for r in navg200] == [float(f"{w:.10g}") for w in prof.omega[::20]]
 
 
 class TestDensityCommand:
@@ -306,6 +330,110 @@ class TestErrors:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("configuration error: cannot write") and err.count("\n") == 1
+
+
+class TestExitCodes:
+    """Exit 3 (numerical tolerance), exit 1 (other library errors) and the
+    beam-only subcommands, each with a one-line message and no output."""
+
+    def test_tolerance_failure_exits_3(self, tmp_path, capsys):
+        # a 1-unit step is too coarse for I_2 on the r0 = 1 beam
+        cfg = tmp_path / "r1.cfg"
+        cfg.write_text(BEAM_CONFIG.replace("r0=56.42", "r0=1.0"))
+        out = tmp_path / "x.csv"
+        rc = main(["fisher", "--config", str(cfg), "--out", str(out), "--dt", "1",
+                   "--n-list", "1,2"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numerical tolerance failure:") and err.count("\n") == 1
+        assert "at n=2" in err
+        assert not out.exists()
+
+    def test_library_error_exits_1(self, beam_cfg, tmp_path, capsys, monkeypatch):
+        # no flag reaches a ModeError today; any QArrivalError that is not a
+        # configuration or tolerance error maps to exit 1
+        def raise_mode(*args, **kwargs):
+            raise ModeError("no such mode")
+
+        monkeypatch.setattr(cli.fi, "fisher_info_many", raise_mode)
+        out = tmp_path / "x.csv"
+        rc = main(["fisher", "--config", beam_cfg, "--out", str(out), "--n-list", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: no such mode\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--config", "{finite}"],
+        ["sweep-density", "--config", "{finite}"],
+        ["density", "--config", "{beam}", "--r0-list", "1,dense"],
+        ["sweep-density", "--config", "{beam}", "--r0-list", "0,x"],
+    ])
+    def test_beam_only_and_bad_r0_list_exit_2(self, beam_cfg, finite_cfg, tmp_path, capsys,
+                                              argv):
+        argv = [arg.format(beam=beam_cfg, finite=finite_cfg) for arg in argv]
+        rc = main(argv + ["--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not list(tmp_path.rglob("*.csv"))
+
+
+# (base config, appended line): each breaks one rule of the config format or
+# of Scenario; a repeated key overrides the earlier one
+BAD_CONFIGS = [
+    (FINITE_CONFIG, "m=0"),
+    (FINITE_CONFIG, "a=-0.1"),
+    (FINITE_CONFIG, "eps=-1"),
+    (FINITE_CONFIG, "navg=0"),
+    (FINITE_CONFIG, "dp=0"),
+    (BEAM_CONFIG, "r0=0"),
+    (FINITE_CONFIG, "just words"),
+    (FINITE_CONFIG, "mode=pulsed"),
+    (FINITE_CONFIG, "a=fast"),
+    (FINITE_CONFIG, "navg=inf"),
+]
+
+
+@pytest.mark.parametrize("base, extra", BAD_CONFIGS,
+                         ids=[extra for _, extra in BAD_CONFIGS])
+def test_bad_config_file_exits_2(tmp_path, capsys, base, extra):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(base + extra + "\n")
+    out = tmp_path / "x.csv"
+    rc = main(["fisher", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+class TestVerifyCommand:
+    def test_quick_passes(self, capsys):
+        assert main(["verify", "--quick"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "16/16 checks passed"
+        assert len(lines) == 17 and all(line.startswith("[PASS] ") for line in lines[:-1])
+
+    def test_failing_check_exits_4(self, capsys, monkeypatch):
+        def check_fails():
+            return vf.CheckResult("always-fails", False, "stub", 0.0)
+
+        monkeypatch.setattr(vf, "ACCEPTANCE_CHECKS", vf.ACCEPTANCE_CHECKS + [check_fails])
+        assert main(["verify", "--quick"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == "[FAIL] always-fails (0.0s): stub"
+        assert lines[-1] == "16/17 checks passed"
+
+    @pytest.mark.parametrize("quick", [False, True])
+    def test_check_selection(self, monkeypatch, quick):
+        # --quick leaves out the Monte Carlo comparison and nothing else
+        ran = []
+        monkeypatch.setattr(cli.vf, "run_checks", lambda checks: ran.extend(checks) or [])
+        assert main(["verify"] + (["--quick"] if quick else [])) == 0
+        every = vf.INVARIANT_CHECKS + vf.ACCEPTANCE_CHECKS
+        assert ran == [c for c in every if not (quick and c is vf.check_mc_vs_quadrature)]
+        assert len(ran) == 16 + (not quick)
 
 
 def test_parser_built_once_without_leaking_defaults(beam_cfg, tmp_path, monkeypatch):

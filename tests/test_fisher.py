@@ -27,14 +27,14 @@ QF = StateFamily.quasifree(1.0)
 class TestStationaryConstants:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_coherent_linear(self, n):
-        assert stationary_constant(n, COH).value == pytest.approx(n, abs=1e-8)
+        assert stationary_constant(n, COH) == pytest.approx(n, abs=1e-8)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_quasifree_saturating(self, n):
-        assert stationary_constant(n, QF).value == pytest.approx(n / (n + 2), abs=1e-8)
+        assert stationary_constant(n, QF) == pytest.approx(n / (n + 2), abs=1e-8)
 
     def test_quasifree_single(self):
-        assert stationary_constant(1, QF).value == pytest.approx(1.0 / 3.0, abs=1e-10)
+        assert stationary_constant(1, QF) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     def test_fock_quadrature_runs(self, monkeypatch):
         # the time-stationary limit of a fixed-number source is the coherent

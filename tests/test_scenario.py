@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from qarrival.errors import ConfigError, SingularFamilyError
 from qarrival.scenario import (Scenario, StateFamily, family_F, family_Fn,
-                               family_Hn, log_family_Fn)
+                               family_Hn, gamma_eps, log_family_Fn)
 
 FAMILIES = [StateFamily.fock(12), StateFamily.coherent(3.0), StateFamily.quasifree(3.0)]
 
@@ -177,3 +178,73 @@ class TestScenarioValidation:
     def test_source_at_detector_allowed(self):
         scn = Scenario(**{**self.FINITE, "x0": 0.0, "p0": 0.0})
         assert scn.x0 == 0.0
+
+
+class TestBoundaries:
+    """Every rejection of a scenario, a config file and a state family."""
+
+    FINITE = dict(m=1.0, a=0.1, eps=1.0, p0=1.0, x0=-20.0, dp=0.5, navg=10.0)
+    BEAM = dict(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0, navg=math.inf, r0=1.0)
+
+    @pytest.mark.parametrize("mode, change, match", [
+        ("finite", {"m": 0.0}, "must be positive"),
+        ("beam", {"m": -1.0}, "must be positive"),
+        ("finite", {"a": 0.0}, "must be positive"),
+        ("finite", {"eps": -0.5}, "eps must be >= 0"),
+        ("finite", {"navg": 0.0}, "particle number must be positive"),
+        ("finite", {"navg": -3.0}, "particle number must be positive"),
+        ("finite", {"dp": 0.0}, "dp must be positive"),
+        ("finite", {"dp": -0.5}, "dp must be positive"),
+        ("beam", {"r0": 0.0}, "positive density"),
+        ("beam", {"r0": -1.0}, "positive density"),
+    ])
+    def test_scenario_rejects(self, mode, change, match):
+        base = self.FINITE if mode == "finite" else self.BEAM
+        with pytest.raises(ConfigError, match=match):
+            Scenario(**{**base, **change})
+
+    def test_point_detector_has_no_gaussian_rate(self):
+        scn = Scenario(**{**self.FINITE, "eps": 0.0})
+        with pytest.raises(ConfigError, match="eps > 0"):
+            scn.gamma
+        with pytest.raises(ConfigError, match="eps > 0"):
+            gamma_eps(0.1, 0.0)
+
+    @pytest.mark.parametrize("extra, match", [
+        ("just words", "expected key=value"),
+        ("mode=pulsed", "mode must be"),
+        ("a=fast", "non-numeric value"),
+        ("navg=inf", "requires mode=beam"),
+    ])
+    def test_from_config_rejects(self, extra, match):
+        # a repeated key overrides the earlier one
+        text = Scenario(**self.FINITE).to_config() + extra + "\n"
+        with pytest.raises(ConfigError, match=match):
+            Scenario.from_config(text)
+
+    def test_from_config_type_error(self):
+        # a constructor that refuses the config's keywords (here a subclass
+        # with a required extra field) fails as a configuration error
+        @dataclasses.dataclass(frozen=True)
+        class Tagged(Scenario):
+            tag: str = dataclasses.field(kw_only=True)
+
+        with pytest.raises(ConfigError, match="tag"):
+            Tagged.from_config(Scenario(**self.FINITE).to_config())
+
+    @pytest.mark.parametrize("make, error, match", [
+        (lambda: StateFamily("thermal", 1.0), ConfigError, "unknown family kind"),
+        (lambda: StateFamily.fock(2.5), ConfigError, "integer N >= 1"),
+        (lambda: StateFamily.fock(0), ConfigError, "integer N >= 1"),
+        (lambda: StateFamily.coherent(0.0), ConfigError, "must be positive"),
+        (lambda: StateFamily.quasifree(-1.0), ConfigError, "must be positive"),
+        (lambda: family_Fn(StateFamily.coherent(1.0), 1, np.array([0.5, -0.1])),
+         ValueError, "must be >= 0"),
+        (lambda: family_Hn(StateFamily.quasifree(1.0), 1, -0.1), ValueError, "must be >= 0"),
+        (lambda: log_family_Fn(StateFamily.coherent(1.0), -1, 0.5), ValueError,
+         "order n must be >= 0"),
+    ], ids=["kind", "fock-fraction", "fock-zero", "coherent-mean", "quasifree-mean",
+            "negative-mass", "negative-mass-ratio", "negative-order"])
+    def test_family_rejects(self, make, error, match):
+        with pytest.raises(error, match=match):
+            make()
