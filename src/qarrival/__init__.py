@@ -12,8 +12,8 @@ from .fisher import (FisherReport, density_sweep, fisher_conditional,
 from .intensity import IntensityProfile, build_profile
 from .process import (ArrivalRecord, SampleBatch, joint_density,
                       log_joint_density, noevent_mass, sample_batch,
-                      spatial_char, spatial_char_beam, total_prob,
-                      total_prob_dp, total_prob_integral)
+                      spatial_char, total_prob, total_prob_dp,
+                      total_prob_integral)
 from .propagate import (ComplexSeries, TimeGrid, gaussian_free_at_origin,
                         gaussian_kernel_g, gaussian_overlap_h0,
                         monochromatic_drive, solve_renewal, solve_volterra)
@@ -31,6 +31,6 @@ __all__ = [
     "log_joint_density", "mc_score_variance", "mle_variance_study",
     "monochromatic_drive", "noevent_mass", "remainder_R", "sample_batch",
     "solve_renewal", "solve_volterra", "sparse_limit_I", "spatial_char",
-    "spatial_char_beam", "stationary_constant", "total_prob", "total_prob_dp",
+    "stationary_constant", "total_prob", "total_prob_dp",
     "total_prob_integral", "transmission_T", "__version__",
 ]

@@ -20,13 +20,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import deltakernel as dk
 from . import fisher as fi
 from . import intensity as it
 from . import process as pr
 from . import verify as vf
 from .errors import ConfigError, QArrivalError, ToleranceError
-from .scenario import Scenario, StateFamily, log_family_Fn
+from .scenario import Scenario, StateFamily
 
 def _load_scenario(path: str) -> Scenario:
     try:
@@ -41,14 +40,7 @@ def _family(kind: str, scn: Scenario) -> StateFamily:
     goes through the particle-number check here, so a Fock family on a
     beam exits 2 before any profile is built."""
     param = 1.0 if scn.beam else scn.navg
-    if kind == "fock":
-        family = StateFamily.fock(int(round(param)))
-    elif kind == "coherent":
-        family = StateFamily.coherent(param)
-    elif kind == "quasifree":
-        family = StateFamily.quasifree(param)
-    else:
-        raise ConfigError(f"unknown family {kind!r}")
+    family = StateFamily(kind, float(round(param)) if kind == "fock" else param)
     if scn.beam:
         pr.checked_omega_inf(family, math.inf)
     return family
@@ -162,25 +154,28 @@ def cmd_density(args) -> int:
     tv = np.linspace(0.0, args.t_max, args.points)
     rows = []
     for r0, prof in profiles:
-        om, cum = prof.omega_at(tv), prof.Omega_at(tv)
         for fam in families:
-            p1 = om * np.exp(log_family_Fn(fam, 1, cum))
+            p1 = _densities(tv[:, None], fam, prof)
             rows.extend((fam.kind, r0, float(t), float(v)) for t, v in zip(tv, p1))
     _write_rows(args.out, ("family", "r0", "t", "p1"), rows)
     if args.pair_out:
         rows2 = []
         tg = np.linspace(1e-3, args.t_max, args.pair_points)
+        pairs = tg[np.stack(np.triu_indices(len(tg), 1), axis=1)]
         for r0, prof in profiles:
-            om, cum_t = prof.omega_at(tg), prof.Omega_at(tg)
             for fam in families:
-                logf2 = log_family_Fn(fam, 2, cum_t)
-                for i, t1 in enumerate(tg):
-                    for j in range(i + 1, len(tg)):
-                        lw = logf2[j] + math.log(om[i]) + math.log(om[j])
-                        rows2.append((fam.kind, r0, float(t1), float(tg[j]), math.exp(lw)))
+                p2 = _densities(pairs, fam, prof)
+                rows2.extend((fam.kind, r0, float(t1), float(t2), float(v))
+                             for (t1, t2), v in zip(pairs, p2))
         _write_rows(args.pair_out, ("family", "r0", "t1", "t2", "p2"), rows2)
     print(f"wrote densities to {args.out}")
     return 0
+
+
+def _densities(times, family, profile):
+    """Joint densities of the ``(count, n)`` time matrix, one per row."""
+    return np.exp(pr.log_likelihood_batch(times, np.full(len(times), times.shape[1]),
+                                          family, profile))
 
 
 def cmd_fisher(args) -> int:
@@ -199,8 +194,7 @@ def cmd_sweep_density(args) -> int:
     if not scn.beam:
         raise ConfigError("the density sweep runs in beam mode")
     fam = _family(args.family, scn)
-    table = fi.density_sweep(args.n_list, args.r0_list,
-                             fam, scn.p0, dk.DeltaParams(scn.a, scn.m),
+    table = fi.density_sweep(args.n_list, args.r0_list, fam, scn,
                              t_max=args.t_max, dt=args.dt)
     rows = []
     for i, n in enumerate(table.n_values):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import beta, betainc, expn, gammaincc, gammaln
@@ -39,7 +39,7 @@ from . import process as pr
 from .deltakernel import DeltaParams
 from .errors import ModeError, ToleranceError
 from .quadrature import integrate_panels, uniform_edges
-from .scenario import StateFamily, family_logs, log_family_Fn_from_logs
+from .scenario import Scenario, StateFamily, arrival_mass_logs, log_arrival_mass
 
 
 @dataclass(frozen=True)
@@ -76,26 +76,6 @@ def _require_derivative(profile: it.IntensityProfile):
     if not profile.has_derivative:
         raise ModeError("profile was built without momentum derivatives; "
                         "rebuild with derivative=True")
-
-
-def _weight_logs(family: StateFamily, u: np.ndarray):
-    """The n-independent logs of :func:`_log_weight` on the 1-D array ``u``:
-    ``log u`` and the family's :func:`family_logs`."""
-    fam_logs = family_logs(family, u)
-    with np.errstate(divide="ignore"):
-        return np.log(u), fam_logs
-
-
-def _log_weight(family: StateFamily, n: int, u: np.ndarray, logs=None):
-    """log of F_n(u) u^(n-1) / (n-1)! on a 1-D array; -inf where it vanishes.
-
-    ``logs`` are the :func:`_weight_logs` of ``u``, computed once and shared
-    by every order n on the same nodes.
-    """
-    log_u, fam_logs = _weight_logs(family, u) if logs is None else logs
-    logf = log_family_Fn_from_logs(family, n, u, fam_logs)
-    pw = np.zeros_like(u) if n == 1 else (n - 1) * log_u
-    return logf + pw - gammaln(n)
 
 
 def i_infinity(p0: float, dp: DeltaParams) -> float:
@@ -139,7 +119,7 @@ def stationary_constant(n: int, family: StateFamily) -> float:
 
     def integrand(u):
         with np.errstate(over="ignore"):
-            w = np.exp(_log_weight(family, n, u))
+            w = np.exp(log_arrival_mass(family, n, u))
         return w * (n - u * _hn_vec(family, n, u)) ** 2
 
     if family.kind == "coherent":
@@ -221,7 +201,7 @@ def fisher_info_many(n_values, family: StateFamily,
         ratio = np.where(upos, profile.dOmega / np.where(upos, u, 1.0), 0.0)
         ratio_t = np.where(upos, profile.dOmega_tilde / np.where(upos, u, 1.0), 0.0)
     clipped = np.maximum(ratio_t - ratio * ratio, 0.0)
-    logs = _weight_logs(family, u)
+    logs = arrival_mass_logs(family, u)
     # the trapezoid sums as np.trapezoid forms them, on the full and the
     # thinned grid
     d, d2 = np.diff(t), np.diff(t[::2])
@@ -230,7 +210,7 @@ def fisher_info_many(n_values, family: StateFamily,
     for n in distinct:
         s_vals = _s_n(family, n, u, ratio, phi, clipped)
         with np.errstate(over="ignore"):
-            y = np.exp(_log_weight(family, n, u, logs)) * om * s_vals
+            y = np.exp(log_arrival_mass(family, n, u, logs)) * om * s_vals
         y2 = y[::2]
         bulk[n] = (float((d * (y[1:] + y[:-1]) / 2.0).sum()),
                    float((d2 * (y2[1:] + y2[:-1]) / 2.0).sum()))
@@ -466,26 +446,21 @@ def _score_batch(times, n_det, family: StateFamily, profile: it.IntensityProfile
     ``d/dp0 log(1 - p_tot) = -total_prob_dp / noevent_mass``, or NaN where
     that mass, and so its likelihood, is 0.
     """
-    loc = profile.locate(times)
-    n = loc.idx.shape[1]
-    full = n_det == n
-    some_short = not full.all()
-    if some_short:
-        loc = loc[full]
-    om = profile.omega_at(loc)
-    live = om > pr.OMEGA_FLOOR
-    score = np.sum(np.where(live, profile.domega_at(loc) / np.where(live, om, 1.0), 0.0),
-                   axis=1)
-    last = loc[:, -1]
-    u_last = profile.Omega_at(last)
-    score -= _hn_vec(family, n, u_last) * profile.dOmega_at(last)
-    if not some_short:
+    def complete(loc, n):
+        om = profile.omega_at(loc)
+        live = om > pr.OMEGA_FLOOR
+        score = np.sum(np.where(live, profile.domega_at(loc) / np.where(live, om, 1.0), 0.0),
+                       axis=1)
+        last = loc[:, -1]
+        u_last = profile.Omega_at(last)
+        score -= _hn_vec(family, n, u_last) * profile.dOmega_at(last)
         return score
-    out = np.empty(full.shape)
-    out[full] = score
-    mass = pr.noevent_mass(n, family, profile)
-    out[~full] = -pr.total_prob_dp(n, family, profile) / mass if mass > 0.0 else np.nan
-    return out
+
+    def short(n):
+        mass = pr.noevent_mass(n, family, profile)
+        return -pr.total_prob_dp(n, family, profile) / mass if mass > 0.0 else np.nan
+
+    return pr._by_record(times, n_det, profile, complete, short)
 
 
 def _jackknife_se_of_variance(x):
@@ -591,22 +566,20 @@ class SweepTable:
     info: np.ndarray  # shape (len(n_values), len(r0_values))
 
 
-def density_sweep(n_list, r0_list, family: StateFamily, p0: float,
-                  dp: DeltaParams, t_max: float | None = None,
-                  dt: float | None = None) -> SweepTable:
-    """Beam information on an (n, r0) grid; r0 = 0 slots take the sparse limit."""
-    from .scenario import Scenario
-
+def density_sweep(n_list, r0_list, family: StateFamily, scn: Scenario,
+                  t_max: float | None = None, dt: float | None = None) -> SweepTable:
+    """Information of the beam ``scn`` on an (n, r0) grid, each column at
+    ``replace(scn, r0=r0)``; r0 = 0 slots take the sparse limit."""
+    if not scn.beam:
+        raise ModeError("the density sweep runs in beam mode")
     n_values = tuple(int(v) for v in n_list)
     r0_values = tuple(float(v) for v in r0_list)
     out = np.empty((len(n_values), len(r0_values)))
     for j, r0 in enumerate(r0_values):
         if r0 == 0.0:
-            for i, n in enumerate(n_values):
-                out[i, j] = sparse_limit_I(n, family, p0, dp)
+            dp = DeltaParams(scn.a, scn.m)
+            out[:, j] = [sparse_limit_I(n, family, scn.p0, dp) for n in n_values]
             continue
-        scn = Scenario(m=dp.m, a=dp.a, eps=0.0, p0=p0, x0=-20.0,
-                       navg=math.inf, r0=r0)
-        prof = it.build_profile(scn, t_max=t_max, dt=dt)
+        prof = it.build_profile(replace(scn, r0=r0), t_max=t_max, dt=dt)
         out[:, j] = [rep.value for rep in fisher_info_many(n_values, family, prof)]
     return SweepTable(n_values, r0_values, family.kind, out)

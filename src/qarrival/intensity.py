@@ -349,13 +349,10 @@ class IntensityProfile:
             ub = u[beyond]
             if self.mode == "beam":
                 out[beyond] = self.t[-1] + (ub - self.Omega[-1]) / self.beam_tail.omega_inf
-            else:
+            else:  # past a finite grid: Omega_inf > Omega[-1], so the fitted mass is > 0
                 tail = self.finite_tail
-                if tail is None or tail.mass <= 0.0:
-                    out[beyond] = self.t[-1]
-                else:
-                    frac = np.clip((self.Omega_inf - ub) / tail.mass, 1e-300, None)
-                    out[beyond] = tail.t_m * frac ** (-1.0 / (tail.slope - 1.0))
+                frac = np.clip((self.Omega_inf - ub) / tail.mass, 1e-300, None)
+                out[beyond] = tail.t_m * frac ** (-1.0 / (tail.slope - 1.0))
         return float(out[0]) if scalar else out
 
 
@@ -367,6 +364,14 @@ def _beam_grid(t_max: float, dt: float):
     geo = np.geomspace(_GEO_MIN, min(_GEO_SWITCH, 0.5 * t_max), _GEO_POINTS)
     bulk = np.arange(geo[-1] + dt, t_max + 0.5 * dt, dt)
     return np.concatenate([[0.0], geo, bulk])
+
+
+def _derivative_integrals(t, omega, domega):
+    """The running integrals dOmega = int domega and dOmega~ = int domega^2/omega."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.where(omega > 0.0, domega * domega / np.where(omega > 0, omega, 1.0), 0.0)
+    return (cumulative_trapezoid(domega, t, initial=0.0),
+            cumulative_trapezoid(sq, t, initial=0.0))
 
 
 @lru_cache(maxsize=16)
@@ -381,11 +386,8 @@ def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
     t1 = t[1]
     G[1:] += (asym.c0 * t1 + (2.0 / 3.0) * asym.c_sqrt * t1 ** 1.5 + 0.5 * asym.c_lin * t1 * t1) \
         - 0.5 * (g[0] + g[1]) * t1
-    dG = cumulative_trapezoid(gdot, t, initial=0.0)
+    dG, dG_tilde = _derivative_integrals(t, g, gdot)
     dG[1:] += 0.4 * asym.dc_t32 * t1 ** 2.5 - 0.5 * (gdot[0] + gdot[1]) * t1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.where(g > 0.0, gdot * gdot / np.where(g > 0, g, 1.0), 0.0)
-    dG_tilde = cumulative_trapezoid(sq, t, initial=0.0)
     for arr in (t, g, gdot, G, dG, dG_tilde):  # shared by every profile with this key
         arr.setflags(write=False)
     return t, g, gdot, G, dG, dG_tilde, asym
@@ -471,15 +473,12 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
             finite_tail=tail, has_derivative=False, t_max=t_max, dt=dt)
 
     domega = 2.0 * pref * np.real(np.conj(amp) * damp)
-    dOmega = cumulative_trapezoid(domega, t, initial=0.0)
+    dOmega, dOmega_tilde = _derivative_integrals(t, omega, domega)
     # tail mass omega_m t_m / (slope - 1), differentiated at fixed slope;
     # zero where the mass clip or the navg cap sets Omega_inf
     unclipped = tail.mass == tail.omega_m * tail.t_m / (tail.slope - 1.0)
     dOmega_inf = (dOmega[-1] + domega[-1] * tail.t_m / (tail.slope - 1.0)
                   if unclipped and Omega_inf < scn.navg else 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.where(omega > 0.0, domega * domega / np.where(omega > 0, omega, 1.0), 0.0)
-    dOmega_tilde = cumulative_trapezoid(sq, t, initial=0.0)
     return IntensityProfile(
         scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=domega,
         dOmega=dOmega, dOmega_tilde=dOmega_tilde,

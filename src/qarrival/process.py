@@ -20,7 +20,7 @@ from scipy.special import gammaln
 from .errors import ConfigError, ModeError
 from .intensity import IntensityProfile, Locator
 from .quadrature import integrate_panels, uniform_edges
-from .scenario import StateFamily, log_family_Fn
+from .scenario import StateFamily, log_arrival_mass, log_family_Fn
 
 
 @dataclass(frozen=True)
@@ -90,22 +90,36 @@ def log_likelihood_batch(times, n_det, family: StateFamily, profile: IntensityPr
     ``OMEGA_FLOOR``, where :func:`log_joint_density` would return -inf.
     """
     checked_omega_inf(family, profile)
+
+    def complete(loc, n):
+        om = profile.omega_at(loc)
+        ll = np.sum(np.log(np.maximum(om, OMEGA_FLOOR)), axis=1)
+        u_last = np.atleast_1d(profile.Omega_at(loc[:, -1]))
+        ll += np.atleast_1d(log_family_Fn(family, n, u_last))
+        return ll
+
+    def short(n):
+        mass = noevent_mass(n, family, profile)
+        return math.log(mass) if mass > 0.0 else -np.inf
+
+    return _by_record(times, n_det, profile, complete, short)
+
+
+def _by_record(times, n_det, profile: IntensityProfile, complete, short):
+    """Split records into complete and short rows and value each kind.
+
+    ``times`` is a ``(count, n)`` matrix or a :class:`Locator` on it.  The
+    rows with n detections get ``complete(loc, n)`` on their locator; the
+    others, when there are any, get the scalar ``short(n)``.
+    """
     loc = times if isinstance(times, Locator) else profile.locate(times)
     n = loc.idx.shape[1]
     full = n_det == n
-    some_short = not full.all()
-    if some_short:
-        loc = loc[full]
-    om = profile.omega_at(loc)
-    ll = np.sum(np.log(np.maximum(om, OMEGA_FLOOR)), axis=1)
-    u_last = np.atleast_1d(profile.Omega_at(loc[:, -1]))
-    ll += np.atleast_1d(log_family_Fn(family, n, u_last))
-    if not some_short:
-        return ll
+    if full.all():
+        return complete(loc, n)
     out = np.empty(full.shape)
-    out[full] = ll
-    mass = noevent_mass(n, family, profile)
-    out[~full] = math.log(mass) if mass > 0.0 else -np.inf
+    out[full] = complete(loc[full], n)
+    out[~full] = short(n)
     return out
 
 
@@ -126,17 +140,17 @@ def checked_omega_inf(family: StateFamily, profile_or_value) -> float:
     to another source and raises :class:`ConfigError`.  That includes a
     beam's infinite mass: the beam is the limit of infinitely many particles
     at fixed density, and for a fixed-number source that limit is the
-    coherent family (:func:`spatial_char_beam`).
+    coherent family, whose interval counts are Poisson (:func:`spatial_char`).
     """
     if isinstance(profile_or_value, IntensityProfile):
         u_inf = profile_or_value.Omega_inf
     else:
         u_inf = float(profile_or_value)
-    if family.kind == "fock" and u_inf > family.param * (1.0 + 1e-9):
+    if u_inf > family.domain_max * (1.0 + 1e-9):
         beam = ("; the beam limit of a fixed-number source is the coherent family"
                 if math.isinf(u_inf) else "")
         raise ConfigError(f"Omega(inf) = {u_inf:.6g} exceeds the particle number "
-                          f"{family.param:g} of the Fock family{beam}")
+                          f"{family.domain_max:g} of the Fock family{beam}")
     return u_inf
 
 
@@ -161,26 +175,19 @@ def noevent_mass(n: int, family: StateFamily, profile_or_value):
 
 def total_prob(n: int, family: StateFamily, profile_or_value):
     """Probability of at least n detections; exactly 1 in beam mode."""
-    u_inf = checked_omega_inf(family, profile_or_value)
-    if math.isinf(u_inf):
-        return 1.0
-    return 1.0 - noevent_mass(n, family, u_inf)
+    return 1.0 - noevent_mass(n, family, profile_or_value)
 
 
 def total_prob_integral(n: int, family: StateFamily, profile_or_value):
-    """Cross-validation path: direct integral of F_n(u) u^(n-1)/(n-1)! up to a
-    finite Omega(inf); a beam's totals are exactly 1 (:func:`total_prob`)."""
+    """Cross-validation path: direct integral of w_n(u) = F_n(u) u^(n-1)/(n-1)!
+    up to a finite Omega(inf); a beam's totals are exactly 1 (:func:`total_prob`)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     u_inf = checked_omega_inf(family, profile_or_value)
     if math.isinf(u_inf):
         raise ModeError("the integral path needs a finite Omega(inf)")
-
-    def integrand(u):
-        return np.exp(log_family_Fn(family, n, u) + (n - 1) * np.log(np.maximum(u, 1e-300))
-                      - gammaln(n))
-
-    return float(integrate_panels(integrand, uniform_edges(0.0, u_inf, 96), 24))
+    return float(integrate_panels(lambda u: np.exp(log_arrival_mass(family, n, u)),
+                                  uniform_edges(0.0, u_inf, 96), 24))
 
 
 def total_prob_dp(n: int, family: StateFamily, profile: IntensityProfile):
@@ -302,28 +309,6 @@ def spatial_char(interval, family: StateFamily, density):
             out = np.exp(phase * mu)
         else:
             out = 1.0 / (1.0 - phase * mu)
-        return complex(out) if out.ndim == 0 else out
-
-    return char
-
-
-def spatial_char_beam(interval_len: float, r0: float, kind: str):
-    """Uniform-beam limit of the interval-count characteristic function.
-
-    Poisson with mean r0*|I| for fixed-number and coherent sources,
-    geometric for the quasi-free mixture.
-    """
-    mu = r0 * float(interval_len)
-
-    def char(s):
-        s = np.asarray(s, dtype=float)
-        phase = np.exp(1j * s) - 1.0
-        if kind in ("fock", "coherent"):
-            out = np.exp(mu * phase)
-        elif kind == "quasifree":
-            out = 1.0 / (1.0 - mu * phase)
-        else:
-            raise ValueError(f"unknown family kind {kind!r}")
         return complex(out) if out.ndim == 0 else out
 
     return char

@@ -273,6 +273,27 @@ def log_family_Fn_from_logs(family: StateFamily, n: int, u: np.ndarray, logs):
     return out
 
 
+def arrival_mass_logs(family: StateFamily, u: np.ndarray):
+    """The n-independent logs of :func:`log_arrival_mass` on the 1-D array
+    ``u``: ``log u`` and the family's :func:`family_logs`."""
+    fam_logs = family_logs(family, u)
+    with np.errstate(divide="ignore"):
+        return np.log(u), fam_logs
+
+
+def log_arrival_mass(family: StateFamily, n: int, u: np.ndarray, logs=None):
+    """log w_n(u) = log of F_n(u) u^(n-1) / (n-1)! on a 1-D array, the mass
+    density of the n-th arrival; -inf where it vanishes.
+
+    ``logs`` are the :func:`arrival_mass_logs` of ``u``, computed once and
+    shared by every order n on the same nodes.
+    """
+    log_u, fam_logs = arrival_mass_logs(family, u) if logs is None else logs
+    logf = log_family_Fn_from_logs(family, n, u, fam_logs)
+    pw = np.zeros_like(u) if n == 1 else (n - 1) * log_u
+    return logf + pw - gammaln(n)
+
+
 def _log_family_Fn_float(family: StateFamily, n: int, u: float) -> float:
     """log F_n at one Python float without the array round trip, which
     costs about 6 us per call; the expressions of :func:`log_family_Fn`,

@@ -252,12 +252,11 @@ def check_early_series():
         p1 = om * weight
         coef, *_ = np.linalg.lstsq(design, p1, rcond=None)
         fits[kind] = coef
-    c0_t, cs_t = r0 * a, -a * a * math.sqrt(m) * r0 / math.sqrt(math.pi)
     ok = True
     details = []
     for kind in ("coherent", "quasifree"):
         c0, cs, cl = fits[kind][:3]
-        _, _, cl_t = pr.first_arrival_series_coeffs(kind, r0, a, m)
+        c0_t, cs_t, cl_t = pr.first_arrival_series_coeffs(kind, r0, a, m)
         ok &= abs(c0 - c0_t) <= 0.01 * abs(c0_t) and abs(cs - cs_t) <= 0.01 * abs(cs_t)
         ok &= abs(cl - cl_t) <= 0.05 * abs(cl_t)
         details.append(f"{kind}: c0 {c0:.4f}/{c0_t:.4f}, c_sqrt {cs:.4f}/{cs_t:.4f}, "

@@ -20,6 +20,7 @@ from qarrival.quadrature import integrate_panels, uniform_edges
 from qarrival.scenario import Scenario, StateFamily, log_family_Fn
 
 DP = DeltaParams(0.1, 1.0)
+BEAM = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, navg=math.inf)
 COH = StateFamily.coherent(1.0)
 QF = StateFamily.quasifree(1.0)
 
@@ -132,18 +133,22 @@ class TestBeamInformation:
         assert rep.conditional == rep.value
 
     def test_interior_maximum_over_density(self):
-        table = density_sweep([2], [0.0, 0.05, 0.5, 5.0, 50.0, 500.0], COH, 1.0, DP)
+        table = density_sweep([2], [0.0, 0.05, 0.5, 5.0, 50.0, 500.0], COH, BEAM)
         row = table.info[0]
         k = int(np.argmax(row))
         assert 0 < k < len(row) - 1  # peak strictly inside the density range
 
     def test_sweep_sparse_endpoint(self):
-        table = density_sweep([1, 3], [0.0], QF, 1.0, DP)
+        table = density_sweep([1, 3], [0.0], QF, BEAM)
         assert table.info[0, 0] == pytest.approx(sparse_limit_I(1, QF, 1.0, DP))
         assert table.info[1, 0] == pytest.approx(sparse_limit_I(3, QF, 1.0, DP))
 
+    def test_sweep_needs_a_beam(self, packet_scn):
+        with pytest.raises(ModeError, match="beam mode"):
+            density_sweep([1], [1.0], COH, packet_scn)
+
     def test_coherent_row_increasing_near_sparse(self):
-        table = density_sweep([1, 2, 3], [1e-3], COH, 1.0, DP)
+        table = density_sweep([1, 2, 3], [1e-3], COH, BEAM)
         col = table.info[:, 0]
         assert col[0] < col[1] < col[2]
 
@@ -461,7 +466,7 @@ def _fail_on_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("worked before checking the family")
 
-    monkeypatch.setattr(fisher, "_weight_logs", fail)
+    monkeypatch.setattr(fisher, "arrival_mass_logs", fail)
     monkeypatch.setattr(intensity, "build_profile", fail)
 
 
@@ -555,7 +560,7 @@ class TestBatchedInformation:
         def fail(*args):
             raise AssertionError("worked before validating n")
 
-        monkeypatch.setattr(fisher, "_weight_logs", fail)
+        monkeypatch.setattr(fisher, "arrival_mass_logs", fail)
         for ns in ((2, 0), (-1,), (3, 1, 0, 2)):
             with pytest.raises(ValueError):
                 fisher_info_many(ns, COH, beam_profile)
@@ -565,7 +570,7 @@ class TestBatchedInformation:
     def test_density_sweep_columns_match_per_n(self):
         ns, r0s = [3, 1, 2, 8], [0.0, 1e-4, 0.05, 1.0, 56.42]
         for fam in (COH, QF):
-            table = density_sweep(ns, r0s, fam, 1.0, DP)
+            table = density_sweep(ns, r0s, fam, BEAM)
             for j, r0 in enumerate(r0s[1:], start=1):
                 prof = build_profile(Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0,
                                               navg=math.inf, r0=r0))

@@ -127,6 +127,15 @@ class TestFiniteProfiles:
         with pytest.raises(RangeError):
             delta_profile.invert_Omega(delta_profile.Omega_inf + 1.0)
 
+    def test_zero_tail_mass_ends_at_the_grid(self, packet_scn):
+        # at t_max = 1 the packet has barely arrived and the tail fit has too
+        # few nodes: no mass past the grid, so every u past Omega[-1] is NO-event
+        prof = build_profile(packet_scn, t_max=1.0, dt=0.05)
+        assert prof.finite_tail.mass == 0.0
+        assert prof.Omega_inf == prof.Omega[-1]
+        with pytest.raises(RangeError):
+            prof.invert_Omega(prof.Omega_inf)
+
     def test_narrow_member_has_negligible_tail(self, narrow_scn):
         prof = build_profile(narrow_scn, t_max=60.0, dt=2e-3)
         assert prof.finite_tail.mass < 1e-6 * prof.Omega_inf

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from qarrival.errors import ConfigError, ModeError
 from qarrival.process import (first_arrival_series_coeffs, joint_density,
                               log_joint_density, log_likelihood_batch,
                               noevent_mass, sample_batch, sample_times_matrix,
-                              spatial_char, spatial_char_beam, total_prob,
+                              spatial_char, total_prob,
                               total_prob_dp, total_prob_integral)
 from qarrival.intensity import build_profile
 from qarrival.scenario import Scenario, StateFamily, family_Fn
@@ -107,6 +108,20 @@ class TestTotalProbability:
             for n in range(1, 9):
                 s = total_prob_integral(n, fam, 3.7) + noevent_mass(n, fam, 3.7)
                 assert abs(s - 1.0) < 1e-8
+
+    def test_count_below_one_rejected_on_every_mass(self, beam_profile, delta_profile):
+        # a beam used to return 1.0 for n = 0 where a finite mass raised
+        coh = StateFamily.coherent(100.0)
+        for where in (beam_profile, math.inf, delta_profile, 3.7, 0.0):
+            for n in (0, -2):
+                with pytest.raises(ValueError, match="n must be >= 1"):
+                    total_prob(n, coh, where)
+
+    def test_no_mass_means_no_detection(self, families):
+        for fam in families.values():
+            for n in (1, 4):
+                assert noevent_mass(n, fam, 0.0) == 1.0
+                assert total_prob(n, fam, 0.0) == 0.0
 
 
 class TestTotalProbDerivative:
@@ -278,6 +293,26 @@ class TestSampling:
                 se = math.sqrt(val / 200_000)
                 assert abs(emp[i, j] - val) < 4 * se + 1e-4
 
+    def test_fock_stops_at_its_particle_number(self, beam_scn):
+        # Fock(1) on the navg = 5 packet (Omega(inf) = 0.117): the sampler's
+        # k >= N branch ends every record after at most one detection
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            prof = build_profile(beam_scn.at_navg(5.0), t_max=45.0, dt=2e-3,
+                                 derivative=False)
+        fam, count = StateFamily.fock(1), 40_000
+        assert 0.1 < prof.Omega_inf < 0.13
+        times, n_det = sample_times_matrix(3, fam, prof, count, seed=4)
+        assert n_det.max() == 1 and np.all(np.isnan(times[:, 1:]))
+        records = sample_batch(3, fam, prof, 2_000, seed=4).records
+        assert all(r.n_detected <= 1 and r.terminated for r in records)
+        p = total_prob(1, fam, prof)
+        se = math.sqrt(p * (1.0 - p) / count)
+        assert abs(np.mean(n_det == 1) - p) <= 5.0 * se
+        # F_2 = 0 for one particle, so three detections never happen
+        ll = log_likelihood_batch(times, n_det, fam, prof)
+        assert np.all(ll == math.log(noevent_mass(3, fam, prof)))
+
     def test_peak_at_origin_grows_with_density(self, beam_scn):
         # two-arrival mass near (0,0) increases with the beam density
         coh = StateFamily.coherent(1.0)
@@ -371,12 +406,13 @@ class TestSpatialCounts:
         assert mean == pytest.approx(1.0, rel=1e-6)
 
     def test_beam_limits_match_ref_distributions(self):
+        # the beam law: a constant density 2 over an interval of length 1.5
         s = np.linspace(-2, 2, 9)
         mu = 3.0
-        pois = spatial_char_beam(1.5, 2.0, "coherent")(s)
+        pois = spatial_char(1.5, StateFamily.coherent(1.0), 2.0)(s)
         assert np.allclose(pois, np.exp(mu * (np.exp(1j * s) - 1.0)))
         # geometric with success prob 1/(1+mu) supported on k = 0, 1, ...
-        geo = spatial_char_beam(1.5, 2.0, "quasifree")(s)
+        geo = spatial_char(1.5, StateFamily.quasifree(1.0), 2.0)(s)
         p_succ = 1.0 / (1.0 + mu)
         ref = [np.sum((1 - p_succ) ** np.arange(400) * p_succ
                       * np.exp(1j * si * np.arange(400))) for si in s]
