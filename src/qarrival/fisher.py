@@ -417,8 +417,9 @@ def mc_score_variance(n: int, family: StateFamily, profile: it.IntensityProfile,
     if samples < 10_000:
         raise ValueError("use at least 1e4 samples for a stable variance")
     _require_derivative(profile)
-    score = _score_batch(*pr.sample_times_matrix(n, family, profile, samples, seed),
-                         family, profile)
+    times, n_det = pr.sample_times_matrix(n, family, profile, samples, seed)
+    score = np.concatenate([_score_batch(times[rows], n_det[rows], family, profile)
+                            for rows in pr._record_blocks(samples, n)])
     bad = ~np.isfinite(score)
     resampled = int(bad.sum())
     if resampled:
@@ -449,8 +450,8 @@ def _score_batch(times, n_det, family: StateFamily, profile: it.IntensityProfile
     def complete(loc, n):
         om = profile.omega_at(loc)
         live = om > pr.OMEGA_FLOOR
-        score = np.sum(np.where(live, profile.domega_at(loc) / np.where(live, om, 1.0), 0.0),
-                       axis=1)
+        score = pr._row_sums(np.where(live, profile.domega_at(loc) / np.where(live, om, 1.0),
+                                      0.0))
         last = loc[:, -1]
         u_last = profile.Omega_at(last)
         score -= _hn_vec(family, n, u_last) * profile.dOmega_at(last)
@@ -507,10 +508,10 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
     records; the total log-likelihood is maximised over the bracket
     p0 +- ``bracket`` on a fixed momentum grid (vectorised across datasets)
     with a parabolic refinement of the winning node, which resolves the
-    optimum far below the sampling spread.  Records are drawn and scored
-    in blocks of at most ``MLE_BLOCK_RECORDS`` (whole datasets, at least
-    one).  Returns the estimator variance next to the one-parameter
-    information bound.
+    optimum far below the sampling spread.  Records are drawn in blocks of
+    at most ``MLE_BLOCK_RECORDS`` (whole datasets, at least one) and scored
+    in cache-sized sub-blocks of datasets (``process.BLOCK_POINTS``).
+    Returns the estimator variance next to the one-parameter information bound.
     """
     if profile.mode != "beam":
         raise ModeError("the estimator study is implemented for beam profiles")
@@ -528,10 +529,13 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
             stream_index=2 + start)
         if np.any(n_det < n):
             raise ModeError("beam records must always reach n detections")
-        loc = profile.locate(times)  # the grid profiles share the input's grid
-        for j, prof_j in enumerate(profiles):
-            per_record = pr.log_likelihood_batch(loc, n_det, family, prof_j)
-            loglik[start:start + block, j] += per_record.reshape(block, -1).sum(axis=1)
+        for sets in pr._record_blocks(block, n * records_per_dataset):
+            rows = slice(sets.start * records_per_dataset, sets.stop * records_per_dataset)
+            loc = profile.locate(times[rows])  # the grid profiles share the input's grid
+            out = loglik[start + sets.start:start + sets.stop]
+            for j, prof_j in enumerate(profiles):
+                per_record = pr.log_likelihood_batch(loc, n_det[rows], family, prof_j)
+                out[:, j] = per_record.reshape(-1, records_per_dataset).sum(axis=1)
     best = np.argmax(loglik, axis=1)
     inner = np.clip(best, 1, grid_points - 2)
     lm = loglik[np.arange(datasets), inner - 1]

@@ -3,17 +3,22 @@
 ``benchmarks/run.py`` reads the beam-table cache statistics on every run,
 and a traced run looks up each function and method that
 ``benchmarks/tracing.py`` lists with ``getattr``.  Removing one of them
-from ``src/`` would break the benchmark; these tests catch it first.
+from ``src/`` would break the benchmark; these tests catch it first, as
+they do for the record fields the ``mc_study`` check reads and for the
+argument position the tracer reads the sampler's record count from.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qarrival import intensity
+from qarrival import intensity, process
 from qarrival.intensity import IntensityProfile
+from qarrival.scenario import StateFamily
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -40,3 +45,18 @@ def test_traced_methods_exist(tracing):
 def test_beam_table_cache_statistics():
     info = intensity._beam_tables.cache_info()
     assert info.hits >= 0 and info.misses >= 0 and info.maxsize > 0
+
+
+def test_sampled_records_expose_what_the_check_reads(beam_profile_r1):
+    # the mc_study check reads n_detected, terminated and times[-1] per record
+    records = process.sample_batch(3, StateFamily.coherent(1.0), beam_profile_r1, 5, 1).records
+    assert len(records) == 5
+    for rec in records:
+        assert rec.n_detected == 3 and rec.terminated is False
+        assert isinstance(rec.times, np.ndarray) and rec.times[-1] > rec.times[0]
+
+
+def test_sampler_count_is_the_fourth_argument():
+    # the tracer reads the record count of a sample_times_matrix call as a[3]
+    params = list(inspect.signature(process.sample_times_matrix).parameters)
+    assert params[3] == "count"

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import math
 import os
@@ -17,6 +18,9 @@ BEAM_CONFIG = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0,
                        navg=math.inf, r0=56.42).to_config()
 FINITE_CONFIG = Scenario(m=1.0, a=0.1, eps=1.0, p0=1.0, x0=-20.0,
                          dp=math.sqrt(0.5), navg=100.0, r0=56.42).to_config()
+# the navg = 100 member of the beam family at a point detector
+PACKET_CONFIG = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0, navg=math.inf,
+                         r0=56.42).at_navg(100.0).to_config()
 
 
 @pytest.fixture
@@ -204,6 +208,37 @@ class TestSampleCommand:
             n_det = int(parts[0])
             assert parts[-1] in ("0", "1")
             assert len(parts) == n_det + 2
+
+
+# sha256 of CSVs that performance work must leave byte for byte as they are;
+# both sample runs span more than one sampler block, the packet run holds
+# 186 terminated records
+PINNED_CSVS = {
+    "sample-beam": (
+        ["sample", "--config", "{beam}", "--n", "3", "--count", "30000", "--seed", "11"],
+        "e98fd0139a8b7c417ae430966d096ac45232daf874b7692dfd9c8e0d48ed8c58"),
+    "sample-packet": (
+        ["sample", "--config", "{packet}", "--n", "5", "--count", "20000", "--seed", "5",
+         "--t-max", "45", "--dt", "0.01"],
+        "097c3864026c2a86e68cfa5229c0ce2cf45279deb6302bd51f6f09b11864d957"),
+    "sweep-coherent": (
+        ["sweep-density", "--config", "{beam}", "--family", "coherent"],
+        "38ea0bd371a8500dc9e2c9e14184c663529945b678a8c1647c0605106c04b0b3"),
+    "sweep-quasifree": (
+        ["sweep-density", "--config", "{beam}", "--family", "quasifree"],
+        "db93b1cff58d2092d50fdc50994bbd17bf44ba352afe656e2810a0859cd0dd6b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CSVS))
+def test_pinned_csv_bytes(name, beam_cfg, tmp_path):
+    argv, digest = PINNED_CSVS[name]
+    packet = tmp_path / "packet.cfg"
+    packet.write_text(PACKET_CONFIG)
+    out = tmp_path / "out.csv"
+    argv = [a.format(beam=beam_cfg, packet=packet) for a in argv]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestErrors:

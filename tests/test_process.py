@@ -1,11 +1,16 @@
+import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import binom, chisquare, geom, kstest, poisson
 
+from qarrival import fisher, process
 from qarrival.errors import ConfigError, ModeError
 from qarrival.process import (first_arrival_series_coeffs, joint_density,
                               log_joint_density, log_likelihood_batch,
@@ -233,6 +238,9 @@ class TestSampling:
             assert np.all(np.diff(rec.times) > 0)
             assert np.array_equal(rec.times.view(np.uint64), row[:k].view(np.uint64))
             assert rec.n_detected == k and rec.terminated == (k < 4)
+            # a view of the sampled matrix, kept out of the repr
+            assert rec.times.base is not None
+            assert repr(rec) == "ArrivalRecord(requested=4)"
 
     def test_constant_rate_interarrivals_exponential(self):
         # fast beam: omega ~ a r0 const; coherent arrivals are then a plain
@@ -436,3 +444,81 @@ def test_series_coefficients_family_split():
     assert c0c == c0q == pytest.approx(5.642)
     assert csc == csq
     assert clc - clq == pytest.approx(0.1 ** 2 * 56.42 ** 2)
+
+
+def _block_points(kind, n):
+    """The BLOCK_POINTS of each blocking the tests try: one record per block
+    (1), a few records with points left over (7 and 3n + 1), one block."""
+    return {"one": 1, "seven": 7, "3n+1": 3 * n + 1, "huge": 2 ** 62}[kind]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _hexes(result):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(result)]
+
+
+class TestBlocks:
+    """The bulk passes over records give the same bits for any block size."""
+
+    @given(n=st.integers(1, 5), count=st.integers(1, 80),
+           kind=st.sampled_from(["one", "seven", "3n+1"]),
+           on_packet=st.booleans(), quasifree=st.booleans())
+    # counts that are whole multiples of the block, on the packet's short rows
+    @example(n=3, count=30, kind="3n+1", on_packet=True, quasifree=True)
+    @example(n=1, count=21, kind="seven", on_packet=True, quasifree=False)
+    @settings(max_examples=60, deadline=None)
+    def test_sampler(self, beam_profile_r1, delta_profile, n, count, kind, on_packet,
+                     quasifree):
+        prof = delta_profile if on_packet else beam_profile_r1
+        fam = StateFamily.quasifree(100.0) if quasifree else StateFamily.coherent(100.0)
+        with mock.patch.object(process, "BLOCK_POINTS", _block_points("huge", n)):
+            whole = sample_times_matrix(n, fam, prof, count, seed=count)
+        with mock.patch.object(process, "BLOCK_POINTS", _block_points(kind, n)):
+            blocked = sample_times_matrix(n, fam, prof, count, seed=count)
+        for a, b in zip(whole, blocked):
+            assert np.array_equal(_bits(a), _bits(b))
+
+    @pytest.mark.parametrize("kind", ["3n+1", "huge"])
+    @pytest.mark.parametrize("on_packet", [False, True])
+    def test_score_variance(self, beam_profile_r1, delta_profile, kind, on_packet):
+        # on the packet at n = 3 the quasi-free family leaves about a fifth of
+        # the records short, so some blocks of 3 records hold only short rows
+        n, fam, prof = ((3, StateFamily.quasifree(100.0), delta_profile) if on_packet
+                        else (2, StateFamily.coherent(1.0), beam_profile_r1))
+        times, n_det = sample_times_matrix(n, fam, prof, 10_000, seed=8)
+        assert (np.sum(n_det < n) > 1_000) == on_packet
+        whole = fisher._score_batch(times, n_det, fam, prof)
+        with mock.patch.object(process, "BLOCK_POINTS", _block_points(kind, n)):
+            mc = fisher.mc_score_variance(n, fam, prof, samples=10_000, seed=8)
+        reference = fisher.McScore(
+            variance=float(np.var(whole, ddof=1)),
+            std_error=fisher._jackknife_se_of_variance(whole),
+            mean=float(np.mean(whole)), mean_se=float(np.std(whole, ddof=1) / 100.0),
+            samples=10_000, resampled=0)
+        assert _hexes(mc) == _hexes(reference)
+
+    @pytest.mark.parametrize("sampling_records", [15, fisher.MLE_BLOCK_RECORDS])
+    def test_mle_study(self, beam_profile_r1, sampling_records):
+        # 15 records per sampling block: three datasets of 5, then one
+        coh = StateFamily.coherent(1.0)
+        with mock.patch.object(fisher, "MLE_BLOCK_RECORDS", sampling_records):
+            studies = []
+            for kind in ("huge", "one", "seven", "3n+1"):
+                with mock.patch.object(process, "BLOCK_POINTS", _block_points(kind, 2)):
+                    studies.append(_hexes(fisher.mle_variance_study(
+                        2, coh, beam_profile_r1, datasets=10, records_per_dataset=5, seed=3)))
+        assert all(s == studies[0] for s in studies[1:])
+
+    @given(x=st.lists(st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0]),
+                      min_size=1, max_size=48),
+           n=st.integers(1, 12))
+    @settings(max_examples=200, deadline=None)
+    def test_row_sums(self, x, n):
+        # column adds give np.sum's bits, -0.0 and infinities included
+        rows = np.array(x[:len(x) - len(x) % n] or x[:1] * n).reshape(-1, n)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = process._row_sums(rows), np.sum(rows, axis=1)
+        assert np.array_equal(_bits(got), _bits(want))
