@@ -32,15 +32,20 @@ _EXP_M_IPI4 = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
 # ---------------------------------------------------------------------------
 
 
+def _complex_ufunc(fn, z):
+    """Apply a scipy.special ufunc to complex z; scalars in, scalars out."""
+    out = fn(np.asarray(z, dtype=complex))
+    return complex(out) if np.ndim(out) == 0 else out
+
+
 def erfc_c(z):
-    """Complementary error function for complex argument; scalars in, scalars out.
+    """Complementary error function for complex argument.
 
     Faddeeva-based (``scipy.special.erfc``); pinned by the test suite to
     1e-12 relative against mpmath on the measurement ray and on |z| <= 30
     with Re z >= -5.  Where exp(-z^2) overflows, the result is infinite.
     """
-    out = erfc(np.asarray(z, dtype=complex))
-    return complex(out) if np.ndim(out) == 0 else out
+    return _complex_ufunc(erfc, z)
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +88,15 @@ def transmission_T(p, dp: DeltaParams):
 _TAYLOR_REL_WIDTH = 1e-4
 
 
-def alpha_erfc(t, dp: DeltaParams):
-    """erfc(alpha beta(t)): the p-free erfc factor of R_p(t), one per time grid."""
-    return erfc_c(dp.alpha * (_EXP_M_IPI4 * np.sqrt(np.asarray(t, dtype=float) / (2.0 * dp.m))))
-
-
-def _remainder_pieces(p, t, dp: DeltaParams, e2):
-    """Common factors of R_p(t), broadcast over p and t; ``e2``: :func:`alpha_erfc` or None."""
+def _remainder_pieces(p, t, dp: DeltaParams):
+    """Common factors of the transient remainder, broadcast over p and t."""
     q = np.abs(np.asarray(p, dtype=float))
     t = np.asarray(t, dtype=float)
     q, t = np.broadcast_arrays(q, t)
     alpha = dp.alpha
     beta = _EXP_M_IPI4 * np.sqrt(t / (2.0 * dp.m))
     e1 = erfc_c(q * beta)
-    e2 = alpha_erfc(t, dp) if e2 is None else e2
+    e2 = erfc_c(alpha * beta)
     # exp(-beta^2 (q^2 - alpha^2)) = exp(i t (q^2 - alpha^2) / (2 m)): unimodular
     g = np.exp(1j * t * (q * q - alpha * alpha) / (2.0 * dp.m))
     return q, t, alpha, beta, e1, e2, g
@@ -175,25 +175,25 @@ def remainder_R(p, t, dp: DeltaParams):
     T_p + R_p(0) = 1.  The removable point |p| = alpha is evaluated through
     a local Taylor expansion of the bracket.
     """
-    return _complex_out(_remainder(_remainder_pieces(p, t, dp, None)))
+    return _complex_out(_remainder(_remainder_pieces(p, t, dp)))
 
 
-def _positive_pieces(p, t, dp: DeltaParams, e2):
+def _positive_pieces(p, t, dp: DeltaParams):
     """:func:`_remainder_pieces` for the derivative, which needs p > 0 itself:
     the pieces hold |p|, whose derivative has the wrong sign for p < 0."""
     if not np.all(np.asarray(p) > 0.0):
         raise ModeError("remainder derivative is implemented for p > 0 sources")
-    return _remainder_pieces(p, t, dp, e2)
+    return _remainder_pieces(p, t, dp)
 
 
 def remainder_R_dp(p, t, dp: DeltaParams):
     """Momentum derivative of the transient remainder (p > 0 only)."""
-    return _complex_out(_remainder_dp(_positive_pieces(p, t, dp, None)))
+    return _complex_out(_remainder_dp(_positive_pieces(p, t, dp)))
 
 
-def remainder_R_with_dp(p, t, dp: DeltaParams, e2=None):
+def remainder_R_with_dp(p, t, dp: DeltaParams):
     """``(remainder_R, remainder_R_dp)`` from one set of erfc evaluations."""
-    pieces = _positive_pieces(p, t, dp, e2)
+    pieces = _positive_pieces(p, t, dp)
     return _complex_out(_remainder(pieces)), _complex_out(_remainder_dp(pieces))
 
 
@@ -286,16 +286,16 @@ def beam_intensity(t, p0: float, r0: float, dp: DeltaParams):
     return dp.a * r0 * np.abs(bracket) ** 2
 
 
-def beam_intensity_with_dp(t, p0: float, r0: float, dp: DeltaParams, e2):
+def beam_intensity_with_dp(t, p0: float, r0: float, dp: DeltaParams):
     """``(beam_intensity, beam_intensity_dp)`` from one set of erfc evaluations.
 
     The derivative is the chain rule through the remainder, using
-    d/dz erfc(z) = -2/sqrt(pi) exp(-z^2); the beam profile tables (which
-    pass their grid's ``e2``) and :func:`beam_intensity_dp` both come from here.
+    d/dz erfc(z) = -2/sqrt(pi) exp(-z^2); the beam profile tables and
+    :func:`beam_intensity_dp` both come from here.
     """
     if p0 <= 0.0:
         raise ModeError("beam derivative is implemented for p0 > 0")
-    rem, rem_dp = remainder_R_with_dp(p0, t, dp, e2)
+    rem, rem_dp = remainder_R_with_dp(p0, t, dp)
     bracket = transmission_T(p0, dp) + rem
     dbracket = dp.alpha / (p0 + dp.alpha) ** 2 + rem_dp
     return (dp.a * r0 * np.abs(bracket) ** 2,
@@ -306,7 +306,7 @@ def beam_intensity_dp(t, p0: float, r0: float, dp: DeltaParams):
     """Exact momentum derivative of the beam intensity (p0 > 0), as the beam
     profile tabulates it; cross-checked against central finite differences
     of :func:`beam_intensity` by the test suite and criterion 11."""
-    return beam_intensity_with_dp(t, p0, r0, dp, None)[1]
+    return beam_intensity_with_dp(t, p0, r0, dp)[1]
 
 
 @dataclass(frozen=True)

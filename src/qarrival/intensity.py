@@ -360,14 +360,10 @@ class IntensityProfile:
 # Builders
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)  # the grid and its dk.alpha_erfc, shared read-only by its tables
-def _beam_grid(a: float, m: float, t_max: float, dt: float):
+def _beam_grid(t_max: float, dt: float):
     geo = np.geomspace(_GEO_MIN, min(_GEO_SWITCH, 0.5 * t_max), _GEO_POINTS)
     bulk = np.arange(geo[-1] + dt, t_max + 0.5 * dt, dt)
-    t = np.concatenate([[0.0], geo, bulk])
-    e2 = dk.alpha_erfc(t, dk.DeltaParams(a, m))
-    t.flags.writeable = e2.flags.writeable = False
-    return t, e2
+    return np.concatenate([[0.0], geo, bulk])
 
 
 def _derivative_integrals(t, omega, domega):
@@ -382,8 +378,8 @@ def _derivative_integrals(t, omega, domega):
 def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
     """r0-independent beam tabulation: per-density intensity g = omega/r0."""
     dp_obj = dk.DeltaParams(a, m)
-    t, e2 = _beam_grid(a, m, t_max, dt)
-    g, gdot = dk.beam_intensity_with_dp(t, p0, 1.0, dp_obj, e2)
+    t = _beam_grid(t_max, dt)
+    g, gdot = dk.beam_intensity_with_dp(t, p0, 1.0, dp_obj)
     asym = dk.beam_asymptotes(p0, 1.0, dp_obj)  # unit density; scaled later
     G = cumulative_trapezoid(g, t, initial=0.0)
     # cusp-aware first cell: g = c0 + c_sqrt sqrt(t) + c_lin t locally
@@ -392,7 +388,7 @@ def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
         - 0.5 * (g[0] + g[1]) * t1
     dG, dG_tilde = _derivative_integrals(t, g, gdot)
     dG[1:] += 0.4 * asym.dc_t32 * t1 ** 2.5 - 0.5 * (gdot[0] + gdot[1]) * t1
-    for arr in (g, gdot, G, dG, dG_tilde):  # shared by every profile with this key
+    for arr in (t, g, gdot, G, dG, dG_tilde):  # shared by every profile with this key
         arr.setflags(write=False)
     return t, g, gdot, G, dG, dG_tilde, asym
 

@@ -64,7 +64,8 @@ def _record_blocks(count: int, n: int):
 
 def _row_sums(x):
     """``np.sum(x, axis=1)`` bit for bit: numpy adds fewer than 8 columns left
-    to right from 0.0, as ``sum`` does here a whole column at a time."""
+    to right from 0.0, as ``sum`` does here a whole column at a time (the cutoff
+    of numpy's ``pairwise_sum``, checked on 2.4.6; ``TestBlocks::test_row_sums``)."""
     return np.sum(x, axis=1) if x.shape[1] >= 8 else sum(x.T, 0.0)
 
 

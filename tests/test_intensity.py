@@ -21,22 +21,17 @@ from qarrival.scenario import Scenario, StateFamily
 class TestBeamProfile:
     @pytest.mark.parametrize("p0", [0.05, 0.05 * (1 + 1e-5), 1.0, 1.37])
     def test_tables_match_separate_remainders_bitwise(self, p0, monkeypatch):
-        # the grid holds erfc(alpha beta), so a new p0 on a cached grid makes
-        # one erfc call, for R and dR/dp together; separate R and dR/dp make
-        # two each.  p0 = 0.05 = alpha takes the Taylor branch
-        t, e2 = intensity._beam_grid(0.1, 1.0, 60.0, 0.01)
-        assert not t.flags.writeable and not e2.flags.writeable
+        # one set of erfc evaluations serves R and dR/dp; p0 = 0.05 = alpha
+        # takes the Taylor branch
         erfc_calls = []
         counted = dk.erfc_c
         monkeypatch.setattr(dk, "erfc_c", lambda z: erfc_calls.append(1) or counted(z))
         build = intensity._beam_tables.__wrapped__
         shared = build(0.1, 1.0, p0, 60.0, 0.01)
-        assert len(erfc_calls) == 1
-        assert shared[0] is t
-        monkeypatch.setattr(dk, "remainder_R_with_dp", lambda p, t, dp, e2: (
+        assert len(erfc_calls) == 2
+        monkeypatch.setattr(dk, "remainder_R_with_dp", lambda p, t, dp: (
             dk.remainder_R(p, t, dp), dk.remainder_R_dp(p, t, dp)))
         separate = build(0.1, 1.0, p0, 60.0, 0.01)
-        assert len(erfc_calls) == 5
         for a, b in zip(shared[:6], separate[:6]):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -105,11 +100,9 @@ class TestBeamProfile:
         assert prof.invert_Omega(1.0) == pytest.approx(1.0 / w0, rel=1e-4)
 
     def test_cached_beam_grid_is_read_only(self, beam_scn):
-        # profiles on one cached beam grid share its time array, whatever p0
-        # (a t_max no other test uses, so the grid is built here)
-        first = build_profile(beam_scn, t_max=37.0)
-        second = build_profile(dataclasses.replace(beam_scn, r0=1.0), t_max=37.0)
-        assert build_profile(beam_scn.at_p0(1.1), t_max=37.0).t is first.t is second.t
+        # profiles with the same beam-table key share one cached grid
+        first = build_profile(beam_scn)
+        second = build_profile(dataclasses.replace(beam_scn, r0=1.0))
         before = second.t.copy()
         with pytest.raises(ValueError):
             first.t[:] = 0.0
@@ -342,15 +335,13 @@ class TestLocator:
                                       _bits(_reference_Omega(prof, tq, deriv=True)))
 
     def test_locator_shared_across_profiles_on_one_grid(self, beam_scn):
-        # a t_max no other test uses, so the cached grid is built here
-        a = build_profile(beam_scn, t_max=21.0)
-        b = build_profile(dataclasses.replace(beam_scn, r0=3.0), t_max=21.0)
-        c = build_profile(beam_scn.at_p0(1.2), t_max=21.0)  # one grid, one array
-        assert c.t is a.t
-        d = dataclasses.replace(c, t=c.t.copy())  # equal grid, own array
+        a = build_profile(beam_scn, t_max=20.0)
+        b = build_profile(dataclasses.replace(beam_scn, r0=3.0), t_max=20.0)
+        c = build_profile(beam_scn.at_p0(1.2), t_max=20.0)  # equal grid, own array
+        assert c.t is not a.t
         tq = np.linspace(0.0, 25.0, 300).reshape(-1, 3)
         loc = a.locate(tq)
-        for prof in (a, b, c, d):
+        for prof in (a, b, c):
             assert np.array_equal(prof.omega_at(loc), prof.omega_at(tq))
             assert np.array_equal(prof.Omega_at(loc[:, -1]), prof.Omega_at(tq[:, -1]))
 
