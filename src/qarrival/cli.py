@@ -174,8 +174,7 @@ def cmd_density(args) -> int:
 
 def _densities(times, family, profile):
     """Joint densities of the ``(count, n)`` time matrix, one per row."""
-    return np.exp(pr.log_likelihood_batch(times, np.full(len(times), times.shape[1]),
-                                          family, profile))
+    return np.exp(pr.log_likelihood_batch(times, family, profile))
 
 
 def cmd_fisher(args) -> int:
@@ -193,13 +192,12 @@ def cmd_sweep_density(args) -> int:
     scn = _load_scenario(args.config)
     if not scn.beam:
         raise ConfigError("the density sweep runs in beam mode")
+    if not args.r0_list:
+        raise ConfigError("--r0-list must name at least one density")
     fam = _family(args.family, scn)
-    table = fi.density_sweep(args.n_list, args.r0_list, fam, scn,
-                             t_max=args.t_max, dt=args.dt)
-    rows = []
-    for i, n in enumerate(table.n_values):
-        for j, r0 in enumerate(table.r0_values):
-            rows.append((table.family_kind, n, r0, float(table.info[i, j])))
+    info = fi.density_sweep(args.n_list, args.r0_list, fam, scn, t_max=args.t_max, dt=args.dt)
+    rows = [(fam.kind, n, r0, float(info[i, j]))
+            for i, n in enumerate(args.n_list) for j, r0 in enumerate(args.r0_list)]
     _write_rows(args.out, ("family", "n", "r0", "I_n"), rows)
     print(f"wrote {len(rows)} sweep rows to {args.out}")
     return 0

@@ -32,12 +32,6 @@ _EXP_M_IPI4 = complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
 # ---------------------------------------------------------------------------
 
 
-def _complex_ufunc(fn, z):
-    """Apply a scipy.special ufunc to complex z; scalars in, scalars out."""
-    out = fn(np.asarray(z, dtype=complex))
-    return complex(out) if np.ndim(out) == 0 else out
-
-
 def erfc_c(z):
     """Complementary error function for complex argument.
 
@@ -45,7 +39,8 @@ def erfc_c(z):
     1e-12 relative against mpmath on the measurement ray and on |z| <= 30
     with Re z >= -5.  Where exp(-z^2) overflows, the result is infinite.
     """
-    return _complex_ufunc(erfc, z)
+    out = erfc(np.asarray(z, dtype=complex))
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from . import process as pr
 from .deltakernel import DeltaParams
 from .errors import ModeError, ToleranceError
 from .quadrature import integrate_panels, uniform_edges
-from .scenario import Scenario, StateFamily, arrival_mass_logs, log_arrival_mass
+from .scenario import Scenario, StateFamily, arrival_mass_logs, hn_values, log_arrival_mass
 
 
 @dataclass(frozen=True)
@@ -58,22 +58,8 @@ class FisherReport:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _hn_vec(family: StateFamily, n: int, u):
-    """H_n = F_{n+1}/F_n as an array, 0 where F_n vanishes (weight is 0 there)."""
-    u = np.asarray(u, dtype=float)
-    if family.kind == "coherent":
-        return np.ones_like(u)
-    if family.kind == "quasifree":
-        return (n + 1.0) / (1.0 + u)
-    big_n = family.param
-    if n >= big_n:
-        return np.zeros_like(u)
-    with np.errstate(divide="ignore"):
-        return np.where(u < big_n, (big_n - n) / np.where(u < big_n, big_n - u, 1.0), 0.0)
-
-
 def _require_derivative(profile: it.IntensityProfile):
-    if not profile.has_derivative:
+    if profile.domega is None:
         raise ModeError("profile was built without momentum derivatives; "
                         "rebuild with derivative=True")
 
@@ -120,7 +106,7 @@ def stationary_constant(n: int, family: StateFamily) -> float:
     def integrand(u):
         with np.errstate(over="ignore"):
             w = np.exp(log_arrival_mass(family, n, u))
-        return w * (n - u * _hn_vec(family, n, u)) ** 2
+        return w * (n - u * hn_values(family, n, u)) ** 2
 
     if family.kind == "coherent":
         u_head = n + 60.0 + 14.0 * math.sqrt(n)
@@ -148,7 +134,7 @@ def sparse_limit_I(n: int, family: StateFamily, p0: float, dp: DeltaParams) -> f
 def _s_n(family: StateFamily, n: int, u, ratio, phi, clipped):
     """S_n from its n-independent parts: ``ratio = dOmega/u``, the intensity
     log-derivative ``phi`` and ``clipped = max(dOmega~/u - ratio^2, 0)``."""
-    hn = _hn_vec(family, n, u)
+    hn = hn_values(family, n, u)
     return ((n - 1.0 - u * hn) * ratio + phi) ** 2 + (n - 1.0) * clipped
 
 
@@ -385,13 +371,6 @@ def _report(n: int, family: StateFamily, profile: it.IntensityProfile,
                         noevent_part=noevent, p_tot=p_tot, conditional=conditional)
 
 
-def fisher_conditional(report: FisherReport) -> float:
-    """Information of the model conditioned on reaching n detections."""
-    if report.p_tot <= 0.0:
-        raise ValueError("conditional information undefined at p_tot = 0")
-    return report.conditional
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle
 # ---------------------------------------------------------------------------
@@ -417,15 +396,15 @@ def mc_score_variance(n: int, family: StateFamily, profile: it.IntensityProfile,
     if samples < 10_000:
         raise ValueError("use at least 1e4 samples for a stable variance")
     _require_derivative(profile)
-    times, n_det = pr.sample_times_matrix(n, family, profile, samples, seed)
-    score = np.concatenate([_score_batch(times[rows], n_det[rows], family, profile)
+    times, _ = pr.sample_times_matrix(n, family, profile, samples, seed)
+    score = np.concatenate([_score_batch(times[rows], family, profile)
                             for rows in pr._record_blocks(samples, n)])
     bad = ~np.isfinite(score)
     resampled = int(bad.sum())
     if resampled:
         # records the model gives zero likelihood: redraw them
-        score[bad] = _score_batch(*pr.sample_times_matrix(n, family, profile, resampled,
-                                                          seed, stream_index=1),
+        score[bad] = _score_batch(pr.sample_times_matrix(n, family, profile, resampled,
+                                                         seed, stream_index=1)[0],
                                   family, profile)
         warnings.warn(f"{resampled} records had degenerate likelihoods and were redrawn")
     var = float(np.var(score, ddof=1))
@@ -436,7 +415,7 @@ def mc_score_variance(n: int, family: StateFamily, profile: it.IntensityProfile,
                    samples=samples, resampled=resampled)
 
 
-def _score_batch(times, n_det, family: StateFamily, profile: it.IntensityProfile):
+def _score_batch(times, family: StateFamily, profile: it.IntensityProfile):
     """d/dp0 of :func:`process.log_likelihood_batch` for each record.
 
     A complete record scores
@@ -454,14 +433,14 @@ def _score_batch(times, n_det, family: StateFamily, profile: it.IntensityProfile
                                       0.0))
         last = loc[:, -1]
         u_last = profile.Omega_at(last)
-        score -= _hn_vec(family, n, u_last) * profile.dOmega_at(last)
+        score -= hn_values(family, n, u_last) * profile.dOmega_at(last)
         return score
 
     def short(n):
         mass = pr.noevent_mass(n, family, profile)
         return -pr.total_prob_dp(n, family, profile) / mass if mass > 0.0 else np.nan
 
-    return pr._by_record(times, n_det, profile, complete, short)
+    return pr._by_record(times, profile, complete, short)
 
 
 def _jackknife_se_of_variance(x):
@@ -481,6 +460,7 @@ def _jackknife_se_of_variance(x):
 # records scored per block of the estimator study: each block holds
 # max(1, MLE_BLOCK_RECORDS // records_per_dataset) datasets
 MLE_BLOCK_RECORDS = 640_000
+MLE_BRACKET = 0.5  # the estimator study searches p0 +- MLE_BRACKET
 
 
 @dataclass(frozen=True)
@@ -501,12 +481,12 @@ class MleStudy:
 
 def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile,
                        datasets: int, records_per_dataset: int, seed: int,
-                       bracket: float = 0.5, grid_points: int = 41) -> MleStudy:
+                       grid_points: int = 41) -> MleStudy:
     """Maximum-likelihood momentum estimates over many synthetic datasets.
 
     Each dataset holds ``records_per_dataset`` independent n-arrival
     records; the total log-likelihood is maximised over the bracket
-    p0 +- ``bracket`` on a fixed momentum grid (vectorised across datasets)
+    p0 +- ``MLE_BRACKET`` on a fixed momentum grid (vectorised across datasets)
     with a parabolic refinement of the winning node, which resolves the
     optimum far below the sampling spread.  Records are drawn in blocks of
     at most ``MLE_BLOCK_RECORDS`` (whole datasets, at least one) and scored
@@ -517,7 +497,7 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
         raise ModeError("the estimator study is implemented for beam profiles")
     pr.checked_omega_inf(family, profile)  # before the grid profiles are built
     scn = profile.scn
-    p_grid = np.linspace(scn.p0 - bracket, scn.p0 + bracket, grid_points)
+    p_grid = np.linspace(scn.p0 - MLE_BRACKET, scn.p0 + MLE_BRACKET, grid_points)
     profiles = [it.build_profile(scn.at_p0(p), t_max=profile.t_max, dt=profile.dt)
                 for p in p_grid]
     loglik = np.zeros((datasets, grid_points))
@@ -534,7 +514,7 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
             loc = profile.locate(times[rows])  # the grid profiles share the input's grid
             out = loglik[start + sets.start:start + sets.stop]
             for j, prof_j in enumerate(profiles):
-                per_record = pr.log_likelihood_batch(loc, n_det[rows], family, prof_j)
+                per_record = pr.log_likelihood_batch(loc, family, prof_j)
                 out[:, j] = per_record.reshape(-1, records_per_dataset).sum(axis=1)
     best = np.argmax(loglik, axis=1)
     inner = np.clip(best, 1, grid_points - 2)
@@ -562,18 +542,11 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
 # density sweep (beam)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepTable:
-    n_values: tuple
-    r0_values: tuple
-    family_kind: str
-    info: np.ndarray  # shape (len(n_values), len(r0_values))
-
-
 def density_sweep(n_list, r0_list, family: StateFamily, scn: Scenario,
-                  t_max: float | None = None, dt: float | None = None) -> SweepTable:
+                  t_max: float | None = None, dt: float | None = None) -> np.ndarray:
     """Information of the beam ``scn`` on an (n, r0) grid, each column at
-    ``replace(scn, r0=r0)``; r0 = 0 slots take the sparse limit."""
+    ``replace(scn, r0=r0)``; r0 = 0 slots take the sparse limit.  Returns
+    the ``(len(n_list), len(r0_list))`` array."""
     if not scn.beam:
         raise ModeError("the density sweep runs in beam mode")
     n_values = tuple(int(v) for v in n_list)
@@ -586,4 +559,4 @@ def density_sweep(n_list, r0_list, family: StateFamily, scn: Scenario,
             continue
         prof = it.build_profile(replace(scn, r0=r0), t_max=t_max, dt=dt)
         out[:, j] = [rep.value for rep in fisher_info_many(n_values, family, prof)]
-    return SweepTable(n_values, r0_values, family.kind, out)
+    return out

@@ -180,14 +180,13 @@ class IntensityProfile:
     t: np.ndarray = field(repr=False)
     omega: np.ndarray = field(repr=False)
     Omega: np.ndarray = field(repr=False)
-    domega: np.ndarray = field(repr=False)
-    dOmega: np.ndarray = field(repr=False)
-    dOmega_tilde: np.ndarray = field(repr=False)
+    domega: np.ndarray | None = field(repr=False)  # the three are None when
+    dOmega: np.ndarray | None = field(repr=False)  # built without derivatives
+    dOmega_tilde: np.ndarray | None = field(repr=False)
     Omega_inf: float
     dOmega_inf: float
     beam_tail: dk.BeamAsymptotes | None = None
     finite_tail: FiniteTail | None = None
-    has_derivative: bool = True
     t_max: float | None = None  # the grid arguments build_profile resolved
     dt: float | None = None
 
@@ -420,10 +419,11 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
     """Tabulate the intensity profile for a scenario (all three modes).
 
     Finite modes get the exact momentum derivative from a second solve on
-    the differentiated drive.  ``derivative=False`` skips it; such profiles
-    serve density and sampling work but cannot feed the information
-    quadrature.  The profile records the resolved ``t_max`` and ``dt``, so
-    profiles at other momenta can be built on the same grid.
+    the differentiated drive.  ``derivative=False`` skips it (the three
+    derivative tables are None); such profiles serve density and sampling
+    work but cannot feed the information quadrature.  The profile records
+    the resolved ``t_max`` and ``dt``, so profiles at other momenta can be
+    built on the same grid.
     """
     if scn.beam:
         mode = "beam"
@@ -468,12 +468,10 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
     Omega_inf = min(Omega[-1] + tail.mass, scn.navg)
 
     if not derivative:
-        zeros = np.zeros_like(omega)
         return IntensityProfile(
-            scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=zeros,
-            dOmega=zeros, dOmega_tilde=zeros,
-            Omega_inf=Omega_inf, dOmega_inf=math.nan,
-            finite_tail=tail, has_derivative=False, t_max=t_max, dt=dt)
+            scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=None,
+            dOmega=None, dOmega_tilde=None, Omega_inf=Omega_inf, dOmega_inf=math.nan,
+            finite_tail=tail, t_max=t_max, dt=dt)
 
     domega = 2.0 * pref * np.real(np.conj(amp) * damp)
     dOmega, dOmega_tilde = _derivative_integrals(t, omega, domega)

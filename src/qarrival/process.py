@@ -100,14 +100,14 @@ def log_joint_density(times, family: StateFamily, profile: IntensityProfile):
 OMEGA_FLOOR = 1e-300
 
 
-def log_likelihood_batch(times, n_det, family: StateFamily, profile: IntensityProfile):
+def log_likelihood_batch(times, family: StateFamily, profile: IntensityProfile):
     """Log-likelihood of sampled records, one per row of ``times``.
 
     ``times`` is the ``(count, n)`` matrix of :func:`sample_times_matrix`,
     or a :class:`Locator` taken on it, so that profiles on one grid share
-    the cell search.  Rows with fewer than n detections score the log of
-    the NO-event mass; in complete rows the intensity is floored at
-    ``OMEGA_FLOOR``, where :func:`log_joint_density` would return -inf.
+    the cell search.  Rows that end in NaN (fewer than n detections) score
+    the log of the NO-event mass; in complete rows the intensity is floored
+    at ``OMEGA_FLOOR``, where :func:`log_joint_density` would return -inf.
     """
     checked_omega_inf(family, profile)
 
@@ -120,19 +120,21 @@ def log_likelihood_batch(times, n_det, family: StateFamily, profile: IntensityPr
         mass = noevent_mass(n, family, profile)
         return math.log(mass) if mass > 0.0 else -np.inf
 
-    return _by_record(times, n_det, profile, complete, short)
+    return _by_record(times, profile, complete, short)
 
 
-def _by_record(times, n_det, profile: IntensityProfile, complete, short):
+def _by_record(times, profile: IntensityProfile, complete, short):
     """Split records into complete and short rows and value each kind.
 
-    ``times`` is a ``(count, n)`` matrix or a :class:`Locator` on it.  The
-    rows with n detections get ``complete(loc, n)`` on their locator; the
-    others, when there are any, get the scalar ``short(n)``.
+    ``times`` is a ``(count, n)`` matrix or a :class:`Locator` on it.  Rows
+    ending in a time get ``complete(loc, n)`` on their locator; rows ending
+    in NaN, the padding of short records, get the scalar ``short(n)``.
     """
     loc = times if isinstance(times, Locator) else profile.locate(times)
+    if loc.idx.ndim != 2 or loc.idx.shape[1] == 0:
+        raise ValueError("records need a (count, n) time matrix with n >= 1")
     n = loc.idx.shape[1]
-    full = n_det == n
+    full = ~np.isnan(loc.tq[:, -1])
     if full.all():
         return complete(loc, n)
     out = np.empty(full.shape)

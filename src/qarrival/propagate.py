@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_triangular, toeplitz
 
 from .errors import ConfigError, GridMismatchError, ModeError
@@ -233,8 +232,3 @@ def solve_renewal(f_free: ComplexSeries, d: complex) -> ComplexSeries:
     # first node with weight A_i, node j with W_{i-j}, diagonal B_1
     f = _forward_solve(f_free.values, a_k, c, w_k, c, 1.0 + c * (4.0 / 3.0))
     return ComplexSeries(f_free.grid, f)
-
-
-def norm_loss(h: ComplexSeries, gamma: float) -> np.ndarray:
-    """Cumulative detection probability 1 - |chi_t|^2 = int gamma |h|^2."""
-    return cumulative_trapezoid(gamma * np.abs(h.values) ** 2, dx=h.grid.dt, initial=0.0)

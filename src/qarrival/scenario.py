@@ -108,6 +108,8 @@ class Scenario:
         The momentum width is tied to navg so that r0 stays the maximal
         spatial density of the packet: dp = sqrt(pi/2) * r0 / navg.
         """
+        if not navg > 0.0:  # NaN too
+            raise ConfigError(f"mean particle number navg must be > 0, got {navg}")
         if math.isinf(navg):
             return replace(self, navg=math.inf, dp=0.0, eps=0.0)
         dp = math.sqrt(math.pi / 2.0) * HBAR * self.r0 / navg
@@ -318,21 +320,28 @@ def family_Fn(family: StateFamily, n: int, omega_int):
     return np.exp(logs) if isinstance(logs, np.ndarray) else math.exp(logs)
 
 
+def hn_values(family: StateFamily, n: int, u):
+    """H_n = F_{n+1}/F_n on the array ``u``, 0 where F_n vanishes (the
+    weight of the n-th arrival is 0 there) and for Fock n >= N (F_{N+1} = 0)."""
+    u = np.asarray(u, dtype=float)
+    if family.kind == "coherent":
+        return np.ones_like(u)
+    if family.kind == "quasifree":
+        return (n + 1.0) / (1.0 + u)
+    big_n = family.param
+    if n >= big_n:
+        return np.zeros_like(u)
+    return np.where(u < big_n, (big_n - n) / np.where(u < big_n, big_n - u, 1.0), 0.0)
+
+
 def family_Hn(family: StateFamily, n: int, omega_int):
     """Ratio H_n = F_{n+1}/F_n; requires F_n > 0 at the evaluation point."""
     u = _check_domain(omega_int)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    if family.kind == "coherent":
-        out = np.ones_like(u)
-    elif family.kind == "quasifree":
-        out = (n + 1.0) / (1.0 + u)
-    else:
+    if family.kind == "fock":
         N = family.param
         if n > N:
             raise SingularFamilyError(f"F_{n} vanishes identically for fock N={N:g}")
         if np.any(u >= N):
             raise SingularFamilyError("F_n vanishes at the requested point (u >= N)")
-        # n == N: F_N is a positive constant on u < N while F_{N+1} == 0.
-        out = (N - n) / (N - u)
-    return float(out[0]) if scalar else out
+    out = hn_values(family, n, u)
+    return float(out) if out.ndim == 0 else out

@@ -11,6 +11,7 @@ argument position the tracer reads the sampler's record count from.
 import importlib
 import importlib.util
 import inspect
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,21 @@ def test_sampled_records_expose_what_the_check_reads(beam_profile_r1):
     for rec in records:
         assert rec.n_detected == 3 and rec.terminated is False
         assert isinstance(rec.times, np.ndarray) and rec.times[-1] > rec.times[0]
+
+
+def test_sampler_returns_times_and_counts(beam_scn):
+    # the finite_source job unpacks (times, n_det) and checks the record
+    # layout against n_det; on the navg = 5 packet Fock(1) stops every
+    # record at one detection or none, so all rows are short
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        prof = intensity.build_profile(beam_scn.at_navg(5.0), t_max=45.0, dt=2e-3,
+                                       derivative=False)
+    out = process.sample_times_matrix(3, StateFamily.fock(1), prof, 2_000, 4)
+    assert isinstance(out, tuple) and len(out) == 2
+    times, n_det = out
+    assert times.shape == (2_000, 3) and n_det.max() == 1
+    assert np.array_equal(n_det, np.sum(~np.isnan(times), axis=1))
 
 
 def test_sampler_count_is_the_fourth_argument():

@@ -403,6 +403,8 @@ class TestExitCodes:
         ["sweep-density", "--config", "{finite}"],
         ["density", "--config", "{beam}", "--r0-list", "1,dense"],
         ["sweep-density", "--config", "{beam}", "--r0-list", "0,x"],
+        ["sweep-density", "--config", "{beam}", "--r0-list", ","],
+        ["sweep-density", "--config", "{beam}", "--r0-list", ""],
     ])
     def test_beam_only_and_bad_r0_list_exit_2(self, beam_cfg, finite_cfg, tmp_path, capsys,
                                               argv):
@@ -412,6 +414,20 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not list(tmp_path.rglob("*.csv"))
+
+
+    @pytest.mark.parametrize("navg_list", ["0", "inf,nan", "-5", "5,-inf"])
+    def test_bad_navg_list_exit_2(self, finite_cfg, tmp_path, capsys, navg_list):
+        # a mean particle number must be > 0: 0 used to divide by zero in
+        # Scenario.at_navg, and NaN was reported as a bad dp
+        out = tmp_path / "x.csv"
+        rc = main(["intensity", "--config", finite_cfg, "--out", str(out),
+                   "--navg-list", navg_list, "--t-max", "5", "--dt", "0.01"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert "navg" in err and "dp" not in err
+        assert not out.exists()
 
 
 # (base config, appended line): each breaks one rule of the config format or

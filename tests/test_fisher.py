@@ -11,13 +11,13 @@ from qarrival import fisher, intensity
 from qarrival import process as pr
 from qarrival.deltakernel import DeltaParams
 from qarrival.errors import ConfigError, ModeError, ToleranceError
-from qarrival.fisher import (FisherReport, density_sweep, fisher_conditional,
-                             fisher_info, fisher_info_many, i_infinity,
-                             mc_score_variance, mle_variance_study,
-                             sparse_limit_I, stationary_constant)
+from qarrival.fisher import (FisherReport, density_sweep, fisher_info,
+                             fisher_info_many, i_infinity, mc_score_variance,
+                             mle_variance_study, sparse_limit_I,
+                             stationary_constant)
 from qarrival.intensity import build_profile
 from qarrival.quadrature import integrate_panels, uniform_edges
-from qarrival.scenario import Scenario, StateFamily, log_family_Fn
+from qarrival.scenario import Scenario, StateFamily, hn_values, log_family_Fn
 
 DP = DeltaParams(0.1, 1.0)
 BEAM = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, navg=math.inf)
@@ -133,23 +133,21 @@ class TestBeamInformation:
         assert rep.conditional == rep.value
 
     def test_interior_maximum_over_density(self):
-        table = density_sweep([2], [0.0, 0.05, 0.5, 5.0, 50.0, 500.0], COH, BEAM)
-        row = table.info[0]
+        row = density_sweep([2], [0.0, 0.05, 0.5, 5.0, 50.0, 500.0], COH, BEAM)[0]
         k = int(np.argmax(row))
         assert 0 < k < len(row) - 1  # peak strictly inside the density range
 
     def test_sweep_sparse_endpoint(self):
-        table = density_sweep([1, 3], [0.0], QF, BEAM)
-        assert table.info[0, 0] == pytest.approx(sparse_limit_I(1, QF, 1.0, DP))
-        assert table.info[1, 0] == pytest.approx(sparse_limit_I(3, QF, 1.0, DP))
+        info = density_sweep([1, 3], [0.0], QF, BEAM)
+        assert info[0, 0] == pytest.approx(sparse_limit_I(1, QF, 1.0, DP))
+        assert info[1, 0] == pytest.approx(sparse_limit_I(3, QF, 1.0, DP))
 
     def test_sweep_needs_a_beam(self, packet_scn):
         with pytest.raises(ModeError, match="beam mode"):
             density_sweep([1], [1.0], COH, packet_scn)
 
     def test_coherent_row_increasing_near_sparse(self):
-        table = density_sweep([1, 2, 3], [1e-3], COH, BEAM)
-        col = table.info[:, 0]
+        col = density_sweep([1, 2, 3], [1e-3], COH, BEAM)[:, 0]
         assert col[0] < col[1] < col[2]
 
 
@@ -198,14 +196,11 @@ class TestFiniteInformation:
         with pytest.raises(ConfigError, match="particle number"):
             mc_score_variance(ns[0], StateFamily.fock(5), delta_profile, samples=10_000, seed=0)
 
-    def test_conditional_guard(self, narrow_profile):
-        rep = fisher_info(2, StateFamily.coherent(1000.0), narrow_profile)
-        assert fisher_conditional(rep) == rep.conditional
-
     def test_derivative_free_profile_rejected(self, narrow_scn):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             prof = build_profile(narrow_scn, t_max=40.0, dt=5e-3, derivative=False)
+        assert prof.domega is None and prof.dOmega is None and prof.dOmega_tilde is None
         with pytest.raises(ModeError):
             fisher_info(1, StateFamily.coherent(1000.0), prof)
         with pytest.raises(ModeError):
@@ -234,9 +229,9 @@ class TestMonteCarlo:
     def test_exact_score_matches_finite_differences(self, beam_profile_r1):
         # the central difference of the log-likelihood over rebuilt profiles
         # approaches the exact score as h^2 on the same records
-        times, n_det = pr.sample_times_matrix(2, COH, beam_profile_r1, 20_000, seed=8)
-        exact = fisher._score_batch(times, n_det, COH, beam_profile_r1)
-        errs = [np.max(np.abs(exact - _fd_score(times, n_det, COH, beam_profile_r1, h)))
+        times, _ = pr.sample_times_matrix(2, COH, beam_profile_r1, 20_000, seed=8)
+        exact = fisher._score_batch(times, COH, beam_profile_r1)
+        errs = [np.max(np.abs(exact - _fd_score(times, COH, beam_profile_r1, h)))
                 for h in (2e-3, 1e-3, 5e-4, 2.5e-4)]
         assert errs[1] <= 1e-3
         for coarse, fine in zip(errs, errs[1:]):
@@ -248,11 +243,11 @@ class TestMonteCarlo:
     def test_exact_score_on_finite_profile(self, delta_profile, family):
         n = 12
         times, n_det = pr.sample_times_matrix(n, family, delta_profile, 20_000, seed=5)
-        exact = fisher._score_batch(times, n_det, family, delta_profile)
+        exact = fisher._score_batch(times, family, delta_profile)
         full = n_det == n
         assert 0 < full.sum() < full.size
         assert np.any(times[full] > delta_profile.t[-1])  # past the grid, omega = 0
-        fds = [_fd_score(times, n_det, family, delta_profile, h) for h in (1e-3, 5e-4)]
+        fds = [_fd_score(times, family, delta_profile, h) for h in (1e-3, 5e-4)]
         errs = [np.max(np.abs(exact[full] - fd[full])) for fd in fds]
         assert errs[0] <= 2e-5
         assert 3.5 <= errs[0] / errs[1] <= 4.5
@@ -267,7 +262,7 @@ class TestMonteCarlo:
             mc_score_variance(1, COH, beam_profile_r1, samples=100, seed=0)
 
 
-def _fd_score(times, n_det, family, profile, h):
+def _fd_score(times, family, profile, h):
     """Central difference of the batched log-likelihood over profiles rebuilt
     at p0 +- h on the input grid: the finite-difference score."""
     scn = profile.scn
@@ -276,8 +271,8 @@ def _fd_score(times, n_det, family, profile, h):
         plus, minus = (build_profile(scn.at_p0(scn.p0 + sign * h),
                                      t_max=profile.t_max, dt=profile.dt)
                        for sign in (1.0, -1.0))
-    return (pr.log_likelihood_batch(times, n_det, family, plus)
-            - pr.log_likelihood_batch(times, n_det, family, minus)) / (2.0 * h)
+    return (pr.log_likelihood_batch(times, family, plus)
+            - pr.log_likelihood_batch(times, family, minus)) / (2.0 * h)
 
 
 def test_study_profiles_share_one_grid(beam_profile_r1, monkeypatch):
@@ -324,7 +319,7 @@ def _oracle_tail_S(n, family, u, tail_state):
     phi_inf = wd_inf / w_inf
     ratio = dom / u
     ratio_t = domt / u
-    hn = fisher._hn_vec(family, n, u)
+    hn = hn_values(family, n, u)
     return ((n - 1.0 - u * hn) * ratio + phi_inf) ** 2 \
         + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
 
@@ -348,7 +343,7 @@ def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
         upos = u > 0.0
         ratio = np.where(upos, profile.dOmega / np.where(upos, u, 1.0), 0.0)
         ratio_t = np.where(upos, profile.dOmega_tilde / np.where(upos, u, 1.0), 0.0)
-    hn = fisher._hn_vec(family, n, u)
+    hn = hn_values(family, n, u)
     s_vals = ((n - 1.0 - u * hn) * ratio + phi) ** 2 \
         + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
     with np.errstate(over="ignore"):
@@ -570,14 +565,14 @@ class TestBatchedInformation:
     def test_density_sweep_columns_match_per_n(self):
         ns, r0s = [3, 1, 2, 8], [0.0, 1e-4, 0.05, 1.0, 56.42]
         for fam in (COH, QF):
-            table = density_sweep(ns, r0s, fam, BEAM)
+            info = density_sweep(ns, r0s, fam, BEAM)
             for j, r0 in enumerate(r0s[1:], start=1):
                 prof = build_profile(Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0,
                                               navg=math.inf, r0=r0))
-                for n, got in zip(ns, table.info[:, j]):
+                for n, got in zip(ns, info[:, j]):
                     want = _oracle_fisher_info(n, fam, prof).value
                     assert abs(got - want) <= 1e-11 * want
-                assert table.info[:, j].tolist() == \
+                assert info[:, j].tolist() == \
                     [rep.value for rep in fisher_info_many(ns, fam, prof)]
 
 

@@ -166,7 +166,7 @@ class TestFockParticleNumber:
         "log_joint_density": lambda fam, p: log_joint_density([20.0, 21.0], fam, p),
         "joint_density": lambda fam, p: joint_density([20.0, 21.0], fam, p),
         "log_likelihood_batch": lambda fam, p: log_likelihood_batch(
-            np.array([[20.0, 21.0]]), np.array([2]), fam, p),
+            np.array([[20.0, 21.0]]), fam, p),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
@@ -318,7 +318,7 @@ class TestSampling:
         se = math.sqrt(p * (1.0 - p) / count)
         assert abs(np.mean(n_det == 1) - p) <= 5.0 * se
         # F_2 = 0 for one particle, so three detections never happen
-        ll = log_likelihood_batch(times, n_det, fam, prof)
+        ll = log_likelihood_batch(times, fam, prof)
         assert np.all(ll == math.log(noevent_mass(3, fam, prof)))
 
     def test_peak_at_origin_grows_with_density(self, beam_scn):
@@ -340,8 +340,31 @@ class TestLikelihood:
         coh = StateFamily.coherent(100.0)
         times = np.full((2, 40), np.nan)
         times[0, 0] = 5.0
-        ll = log_likelihood_batch(times, np.array([1, 0]), coh, delta_profile)
+        ll = log_likelihood_batch(times, coh, delta_profile)
         assert np.all(ll == math.log(noevent_mass(40, coh, delta_profile)))
+
+    def test_completeness_from_last_column(self, delta_profile):
+        # a record is complete when its last column holds a time; the NaN
+        # padding of short rows is the only count the likelihood reads
+        coh = StateFamily.coherent(100.0)
+        times = np.array([[5.0, 6.0, 7.0],
+                          [5.0, 6.0, np.nan],
+                          [np.nan, np.nan, np.nan],
+                          [10.0, 20.0, 30.0]])
+        short = math.log(noevent_mass(3, coh, delta_profile))
+        complete = [log_joint_density(times[i], coh, delta_profile) for i in (0, 3)]
+        for rows in (times, delta_profile.locate(times)):
+            ll = log_likelihood_batch(rows, coh, delta_profile)
+            assert ll[1] == ll[2] == short
+            assert [ll[0], ll[3]] == complete
+
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 0), (3,)])
+    def test_records_need_a_time_matrix(self, delta_profile, shape):
+        coh = StateFamily.coherent(100.0)
+        times = np.ones(shape)
+        for score in (log_likelihood_batch, fisher._score_batch):
+            with pytest.raises(ValueError, match="time matrix"):
+                score(times, coh, delta_profile)
 
 
 class TestBatchLikelihood:
@@ -349,12 +372,12 @@ class TestBatchLikelihood:
         qf = StateFamily.quasifree(5.0)
         times, n_det = sample_times_matrix(3, qf, beam_profile, 400, seed=2)
         assert np.all(n_det == 3)
-        ll = log_likelihood_batch(times, n_det, qf, beam_profile)
+        ll = log_likelihood_batch(times, qf, beam_profile)
         assert ll.shape == (400,)
         for row, val in zip(times, ll):
             assert val == log_joint_density(row, qf, beam_profile)
         loc = beam_profile.locate(times)
-        assert np.array_equal(log_likelihood_batch(loc, n_det, qf, beam_profile), ll)
+        assert np.array_equal(log_likelihood_batch(loc, qf, beam_profile), ll)
 
     def test_mixed_short_and_complete_records(self, delta_profile):
         # Omega_inf ~ 12 for this packet, so n = 12 leaves about half short
@@ -363,7 +386,7 @@ class TestBatchLikelihood:
         times, n_det = sample_times_matrix(n, coh, delta_profile, 400, seed=4)
         full = n_det == n
         assert 50 < full.sum() < 350
-        ll = log_likelihood_batch(times, n_det, coh, delta_profile)
+        ll = log_likelihood_batch(times, coh, delta_profile)
         assert np.all(ll[~full] == math.log(noevent_mass(n, coh, delta_profile)))
         on_grid = times[full, -1] <= delta_profile.t[-1]
         assert 0 < on_grid.sum() < full.sum()
@@ -387,7 +410,7 @@ def test_joint_density_matches_batch_bitwise(beam_profile, delta_profile, n):
     cases.append((StateFamily.fock(60), delta_profile, times, np.full(200, n)))
     for fam, prof, times, n_det in cases:
         assert np.all(n_det == n)
-        batch = log_likelihood_batch(times, n_det, fam, prof)
+        batch = log_likelihood_batch(times, fam, prof)
         assert np.all(np.isfinite(batch))
         rows = np.array([log_joint_density(row, fam, prof) for row in times])
         assert np.array_equal(rows.view(np.uint64), batch.view(np.uint64))
@@ -490,7 +513,7 @@ class TestBlocks:
                         else (2, StateFamily.coherent(1.0), beam_profile_r1))
         times, n_det = sample_times_matrix(n, fam, prof, 10_000, seed=8)
         assert (np.sum(n_det < n) > 1_000) == on_packet
-        whole = fisher._score_batch(times, n_det, fam, prof)
+        whole = fisher._score_batch(times, fam, prof)
         with mock.patch.object(process, "BLOCK_POINTS", _block_points(kind, n)):
             mc = fisher.mc_score_variance(n, fam, prof, samples=10_000, seed=8)
         reference = fisher.McScore(

@@ -7,10 +7,10 @@ from scipy.integrate import quad
 from qarrival import propagate
 from qarrival.deltakernel import DeltaParams, f_p, renewal_kernel_solution
 from qarrival.errors import ConfigError, GridMismatchError
+from qarrival.intensity import build_profile
 from qarrival.propagate import (ComplexSeries, TimeGrid, gaussian_free_at_origin,
                                 gaussian_kernel_g, gaussian_overlap_h0,
-                                monochromatic_drive, norm_loss, solve_renewal,
-                                solve_volterra)
+                                monochromatic_drive, solve_renewal, solve_volterra)
 from qarrival.scenario import Scenario
 
 FIG2A = Scenario(m=1.0, a=0.1, eps=1.0, p0=1.0, x0=-20.0, dp=math.sqrt(0.5), navg=100.0)
@@ -105,10 +105,11 @@ class TestVolterra:
             solve_volterra(a, b, 1.0)
 
     def test_norm_loss_monotone_bounded(self):
-        grid = TimeGrid(60.0, 2e-3)
-        h = solve_volterra(gaussian_overlap_h0(FIG2A, grid),
-                           gaussian_kernel_g(FIG2A, grid), FIG2A.gamma)
-        loss = norm_loss(h, FIG2A.gamma)
+        # the detected probability 1 - |chi_t|^2 = int gamma |h|^2 of one
+        # particle is the built profile's Omega / navg
+        prof = build_profile(FIG2A, t_max=60.0, dt=2e-3, derivative=False)
+        assert prof.mode == "gaussian"
+        loss = prof.Omega / FIG2A.navg
         assert np.all(np.diff(loss) >= -1e-15)
         assert loss[-1] <= 1.0
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qarrival.errors import ConfigError, SingularFamilyError
 from qarrival.scenario import (Scenario, StateFamily, family_F, family_Fn,
-                               family_Hn, gamma_eps, log_family_Fn)
+                               family_Hn, gamma_eps, hn_values, log_family_Fn)
 
 FAMILIES = [StateFamily.fock(12), StateFamily.coherent(3.0), StateFamily.quasifree(3.0)]
 
@@ -108,6 +108,20 @@ class TestRatio:
         with pytest.raises(SingularFamilyError):
             family_Hn(StateFamily.fock(3), 1, 3.0)
 
+    @pytest.mark.parametrize("family", [StateFamily.coherent(2.0), StateFamily.quasifree(2.0),
+                                        StateFamily.fock(1), StateFamily.fock(7)],
+                             ids=lambda f: f"{f.kind}{f.param:g}")
+    def test_one_formula_bitwise(self, family):
+        # family_Hn checks its domain, then evaluates the shared hn_values;
+        # Fock n = N (F_N constant, F_{N+1} = 0) included
+        u = np.random.default_rng(11).uniform(0.0, min(family.domain_max, 40.0), 500)
+        top = int(family.domain_max) if family.kind == "fock" else 9
+        for n in range(top + 1):
+            ref = hn_values(family, n, u).view(np.uint64)
+            assert np.array_equal(family_Hn(family, n, u).view(np.uint64), ref)
+            points = np.array([family_Hn(family, n, float(x)) for x in u[:25]])
+            assert np.array_equal(points.view(np.uint64), ref[:25])
+
 
 @given(u=st.floats(0.0, 20.0), n=st.integers(0, 8))
 @settings(max_examples=120, deadline=None)
@@ -137,6 +151,13 @@ class TestScenarioConfig:
         scn = Scenario(eps=0.0, navg=math.inf, r0=56.42, m=1.0, a=0.1, p0=1.0, x0=-20.0)
         member = scn.at_navg(100.0)
         assert member.dp ** 2 == pytest.approx(0.5, rel=2e-4)
+
+    @pytest.mark.parametrize("navg", [0.0, -2.0, math.nan, -math.inf])
+    def test_member_needs_positive_navg(self, navg):
+        # checked before the width dp = sqrt(pi/2) r0 / navg is formed
+        scn = Scenario(eps=0.0, navg=math.inf, r0=56.42, m=1.0, a=0.1, p0=1.0, x0=-20.0)
+        with pytest.raises(ConfigError, match="navg must be > 0"):
+            scn.at_navg(navg)
 
     def test_bad_key_rejected(self):
         with pytest.raises(ConfigError):
