@@ -97,8 +97,8 @@ def _remainder_pieces(p, t, dp: DeltaParams):
     return q, t, alpha, beta, e1, e2, g
 
 
-def _remainder_taylor(q, alpha, beta, e2, order_shift=False):
-    """Remainder (or its p-derivative) near the removable point |p| = alpha.
+def _remainder_taylor(q, alpha, beta, e2):
+    """Remainder and its p-derivative near the removable point |p| = alpha.
 
     Expands the bracket p*erfc(p beta) - alpha*G(p)*erfc(alpha beta) to
     fourth order in delta = |p| - alpha, which removes the cancellation in
@@ -123,10 +123,9 @@ def _remainder_taylor(q, alpha, beta, e2, order_shift=False):
     K3 = 3.0 * E1d2 + alpha * E1d3 - alpha * Gd3 * e2
     K4 = 4.0 * E1d3 + alpha * E1d4 - alpha * Gd4 * e2
     series = K1 + delta * (K2 / 2.0 + delta * (K3 / 6.0 + delta * K4 / 24.0))
-    if not order_shift:
-        return alpha / (q + alpha) * series
     dseries = K2 / 2.0 + delta * (K3 / 3.0 + delta * K4 / 8.0)
-    return (-alpha / (q + alpha) ** 2) * series + alpha / (q + alpha) * dseries
+    return (alpha / (q + alpha) * series,
+            (-alpha / (q + alpha) ** 2) * series + alpha / (q + alpha) * dseries)
 
 
 def _complex_out(x):
@@ -140,7 +139,7 @@ def _remainder(pieces):
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = alpha / (q * q - alpha * alpha) * (q * e1 - alpha * g * e2)
     if np.any(near):
-        taylor = _remainder_taylor(q, alpha, beta, e2)
+        taylor = _remainder_taylor(q, alpha, beta, e2)[0]
         direct = np.where(near, taylor, direct)
     return direct
 
@@ -158,7 +157,7 @@ def _remainder_dp(pieces):
         K = q * e1 - alpha * g * e2
         direct = alpha / denom * dK - 2.0 * q * alpha / denom ** 2 * K
     if np.any(near):
-        taylor = _remainder_taylor(q, alpha, beta, e2, order_shift=True)
+        taylor = _remainder_taylor(q, alpha, beta, e2)[1]
         direct = np.where(near, taylor, direct)
     return direct
 

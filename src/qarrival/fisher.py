@@ -38,7 +38,7 @@ from . import intensity as it
 from . import process as pr
 from .deltakernel import DeltaParams
 from .errors import ModeError, ToleranceError
-from .quadrature import integrate_panels, uniform_edges
+from .quadrature import integrate_panels
 from .scenario import Scenario, StateFamily, arrival_mass_logs, hn_values, log_arrival_mass
 
 
@@ -77,16 +77,15 @@ def i_infinity(p0: float, dp: DeltaParams) -> float:
 # stationary constants and sparse limits
 # ---------------------------------------------------------------------------
 
-def _sparse_constant(n: int, family: StateFamily, what: str) -> float:
+def _sparse_constant(n: int, family: StateFamily) -> float:
     """C_n of the sparse-beam limit C_n * I_inf: n for the coherent family and
-    n/(n+2) for the quasi-free family.  The time-stationary (beam) limit of a
-    fixed-number source is the coherent family, so a Fock family raises
-    :class:`ModeError`, with ``what`` naming the caller's result."""
+    n/(n+2) for the quasi-free family.  A Fock family raises :class:`ModeError`:
+    the time-stationary (beam) limit of a fixed-number source is the coherent one."""
     if family.kind == "coherent":
         return float(n)
     if family.kind == "quasifree":
         return n / (n + 2.0)
-    raise ModeError(f"{what} exist for the coherent and quasi-free families only")
+    raise ModeError("sparse-beam constants exist for the coherent and quasi-free families only")
 
 
 # the agreement asserted between the stationary-constant quadrature and C_n
@@ -101,7 +100,7 @@ def stationary_constant(n: int, family: StateFamily) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    closed = _sparse_constant(n, family, "stationary constants")
+    closed = _sparse_constant(n, family)
 
     def integrand(u):
         with np.errstate(over="ignore"):
@@ -110,11 +109,11 @@ def stationary_constant(n: int, family: StateFamily) -> float:
 
     if family.kind == "coherent":
         u_head = n + 60.0 + 14.0 * math.sqrt(n)
-        val = float(integrate_panels(integrand, uniform_edges(0.0, u_head, 192), 24))
+        val = float(integrate_panels(integrand, np.linspace(0.0, u_head, 193), 24))
     else:
         # in x = 1/(1+u) the integrand is the polynomial n (1-x)^(n-1) (n - (n+1)(1-x))^2
         val = float(integrate_panels(lambda x: integrand((1.0 - x) / x) / (x * x),
-                                     uniform_edges(0.0, 1.0, 64), 24))
+                                     np.linspace(0.0, 1.0, 65), 24))
     if abs(val - closed) > _STATIONARY_TOL * max(1.0, closed):
         raise ToleranceError(
             f"stationary-constant quadrature {val!r} disagrees with the closed form "
@@ -124,7 +123,7 @@ def stationary_constant(n: int, family: StateFamily) -> float:
 
 def sparse_limit_I(n: int, family: StateFamily, p0: float, dp: DeltaParams) -> float:
     """Vanishing-density limit of the beam information: C_n * I_inf(p0)."""
-    return _sparse_constant(n, family, "sparse-beam limits") * i_infinity(p0, dp)
+    return _sparse_constant(n, family) * i_infinity(p0, dp)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +199,8 @@ def fisher_info_many(n_values, family: StateFamily,
         y2 = y[::2]
         bulk[n] = (float((d * (y[1:] + y[:-1]) / 2.0).sum()),
                    float((d2 * (y2[1:] + y2[:-1]) / 2.0).sum()))
-    tails = (_beam_tails(distinct, family, profile)
-             if profile.mode == "beam" else dict.fromkeys(distinct, 0.0))
+    tails = (dict.fromkeys(distinct, 0.0) if profile.beam_tail is None
+             else _beam_tails(distinct, family, profile))
 
     reports = {}
     for n in distinct:
@@ -493,7 +492,7 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
     in cache-sized sub-blocks of datasets (``process.BLOCK_POINTS``).
     Returns the estimator variance next to the one-parameter information bound.
     """
-    if profile.mode != "beam":
+    if profile.beam_tail is None:
         raise ModeError("the estimator study is implemented for beam profiles")
     pr.checked_omega_inf(family, profile)  # before the grid profiles are built
     scn = profile.scn

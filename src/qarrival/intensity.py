@@ -57,11 +57,9 @@ from .scenario import Scenario
 
 # Fig-scale defaults; the beam horizon doubles as the model boundary past
 # which the late-time constant-intensity reduction applies (see fisher).
-_DEFAULTS = {
-    "beam": dict(t_max=60.0, dt=0.01),
-    "delta": dict(t_max=60.0, dt=1e-3),
-    "gaussian": dict(t_max=60.0, dt=1e-3),
-}
+_T_MAX = 60.0
+_BEAM_DT = 0.01
+_FINITE_DT = 1e-3
 
 _GEO_MIN = 1e-9
 _GEO_SWITCH = 1.0
@@ -70,10 +68,8 @@ _GEO_POINTS = 700
 
 @dataclass(frozen=True)
 class FiniteTail:
-    """Power-law tail fit omega ~ omega_m (t/t_m)^(-slope) past the grid."""
+    """Power-law tail fit omega ~ omega[-1] (t/t[-1])^(-slope) past the grid."""
 
-    t_m: float
-    omega_m: float
     slope: float
     mass: float  # estimated integral of omega beyond the grid
 
@@ -176,7 +172,6 @@ class _BucketIndex:
 @dataclass(frozen=True)
 class IntensityProfile:
     scn: Scenario
-    mode: str  # "beam" | "delta" | "gaussian"
     t: np.ndarray = field(repr=False)
     omega: np.ndarray = field(repr=False)
     Omega: np.ndarray = field(repr=False)
@@ -185,7 +180,7 @@ class IntensityProfile:
     dOmega_tilde: np.ndarray | None = field(repr=False)
     Omega_inf: float
     dOmega_inf: float
-    beam_tail: dk.BeamAsymptotes | None = None
+    beam_tail: dk.BeamAsymptotes | None = None  # set exactly for a beam
     finite_tail: FiniteTail | None = None
     t_max: float | None = None  # the grid arguments build_profile resolved
     dt: float | None = None
@@ -263,22 +258,25 @@ class IntensityProfile:
         return float(out) if out.ndim == 0 else out
 
     def omega_at(self, tq):
-        tail = self.beam_tail.omega_inf if self.mode == "beam" else 0.0
-        return self._linear(tq, self.omega, self._slope, tail)
+        bt = self.beam_tail
+        return self._linear(tq, self.omega, self._slope, 0.0 if bt is None else bt.omega_inf)
 
     def domega_at(self, tq):
         """p0-derivative of :meth:`omega_at` at fixed times."""
-        tail = self.beam_tail.domega_dp0_inf if self.mode == "beam" else 0.0
-        return self._linear(tq, self.domega, self._dslope, tail)
+        bt = self.beam_tail
+        return self._linear(tq, self.domega, self._dslope,
+                            0.0 if bt is None else bt.domega_dp0_inf)
 
     def Omega_at(self, tq):
-        rate = self.beam_tail.omega_inf if self.mode == "beam" else None
-        return self._quadratic(tq, self.Omega, self.omega, self._slope, rate)
+        bt = self.beam_tail
+        return self._quadratic(tq, self.Omega, self.omega, self._slope,
+                               None if bt is None else bt.omega_inf)
 
     def dOmega_at(self, tq):
         """p0-derivative of :meth:`Omega_at` at fixed times."""
-        rate = self.beam_tail.domega_dp0_inf if self.mode == "beam" else None
-        return self._quadratic(tq, self.dOmega, self.domega, self._dslope, rate)
+        bt = self.beam_tail
+        return self._quadratic(tq, self.dOmega, self.domega, self._dslope,
+                               None if bt is None else bt.domega_dp0_inf)
 
     # Per-point evaluators on Python floats, for single records where numpy's
     # per-call overhead dominates: the cell search and the cell formulas of
@@ -297,7 +295,7 @@ class IntensityProfile:
     def _omega_point(self, x: float) -> float:
         _, t, omega, slope, _ = self._cell_lists
         if x > t[-1]:
-            return self.beam_tail.omega_inf if self.mode == "beam" else 0.0
+            return 0.0 if self.beam_tail is None else self.beam_tail.omega_inf
         if x == t[-1]:
             return omega[-1]
         i, s = self._point_cell(x)
@@ -306,9 +304,9 @@ class IntensityProfile:
     def _Omega_point(self, x: float) -> float:
         _, t, omega, slope, Omega = self._cell_lists
         if x > t[-1]:
-            if self.mode == "beam":
-                return Omega[-1] + self.beam_tail.omega_inf * (x - t[-1])
-            return Omega[-1]
+            if self.beam_tail is None:
+                return Omega[-1]
+            return Omega[-1] + self.beam_tail.omega_inf * (x - t[-1])
         i, s = self._point_cell(x)
         return Omega[i] + omega[i] * s + 0.5 * slope[i] * s * s
 
@@ -346,12 +344,12 @@ class IntensityProfile:
         beyond = ~inside
         if np.any(beyond):
             ub = u[beyond]
-            if self.mode == "beam":
+            if self.beam_tail is not None:
                 out[beyond] = self.t[-1] + (ub - self.Omega[-1]) / self.beam_tail.omega_inf
             else:  # past a finite grid: Omega_inf > Omega[-1], so the fitted mass is > 0
                 tail = self.finite_tail
                 frac = np.clip((self.Omega_inf - ub) / tail.mass, 1e-300, None)
-                out[beyond] = tail.t_m * frac ** (-1.0 / (tail.slope - 1.0))
+                out[beyond] = self.t[-1] * frac ** (-1.0 / (tail.slope - 1.0))
         return float(out[0]) if scalar else out
 
 
@@ -389,7 +387,7 @@ def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
     dG[1:] += 0.4 * asym.dc_t32 * t1 ** 2.5 - 0.5 * (gdot[0] + gdot[1]) * t1
     for arr in (t, g, gdot, G, dG, dG_tilde):  # shared by every profile with this key
         arr.setflags(write=False)
-    return t, g, gdot, G, dG, dG_tilde, asym
+    return t, g, gdot, G, dG, dG_tilde
 
 
 def _fit_finite_tail(t, omega, navg, Omega_end):
@@ -402,7 +400,7 @@ def _fit_finite_tail(t, omega, navg, Omega_end):
         if omega[-1] > 0.0:
             warnings.warn("too few positive nodes in the last 30 % of the grid for a tail fit; "
                           "the mass past t_max is taken as 0; increase t_max", stacklevel=3)
-        return FiniteTail(t[-1], 0.0, math.inf, 0.0)
+        return FiniteTail(math.inf, 0.0)
     slope, _ = np.polyfit(np.log(tt[good]), np.log(ww[good]), 1)
     slope = -slope
     if slope <= 1.05 or not np.isfinite(slope):
@@ -411,50 +409,44 @@ def _fit_finite_tail(t, omega, navg, Omega_end):
         slope = 1.05
     mass = omega[-1] * t[-1] / (slope - 1.0)
     mass = min(mass, max(navg - Omega_end, 0.0))
-    return FiniteTail(t[-1], omega[-1], slope, mass)
+    return FiniteTail(slope, mass)
 
 
 def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = None,
                   derivative: bool = True) -> IntensityProfile:
-    """Tabulate the intensity profile for a scenario (all three modes).
+    """Tabulate the intensity profile of a beam or of a finite source.
 
-    Finite modes get the exact momentum derivative from a second solve on
-    the differentiated drive.  ``derivative=False`` skips it (the three
-    derivative tables are None); such profiles serve density and sampling
-    work but cannot feed the information quadrature.  The profile records
-    the resolved ``t_max`` and ``dt``, so profiles at other momenta can be
-    built on the same grid.
+    A finite source is solved with the renewal equation at a point detector
+    and the Volterra equation at a Gaussian one, and gets the exact momentum
+    derivative from a second solve on the differentiated drive.
+    ``derivative=False`` skips it (the three derivative tables are None);
+    such profiles serve density and sampling work but cannot feed the
+    information quadrature.  The profile records the resolved ``t_max`` and
+    ``dt``, so profiles at other momenta can be built on the same grid.
     """
-    if scn.beam:
-        mode = "beam"
-    elif scn.delta_detector:
-        mode = "delta"
-    else:
-        mode = "gaussian"
-    t_max = _DEFAULTS[mode]["t_max"] if t_max is None else float(t_max)
-    dt = _DEFAULTS[mode]["dt"] if dt is None else float(dt)
-    grid = pg.TimeGrid(t_max, dt)  # rejects a bad t_max or dt in every mode
+    t_max = _T_MAX if t_max is None else float(t_max)
+    dt = (_BEAM_DT if scn.beam else _FINITE_DT) if dt is None else float(dt)
+    grid = pg.TimeGrid(t_max, dt)  # rejects a bad t_max or dt for every source
 
-    if mode == "beam":
-        t, g, gdot, G, dG, dG_tilde, asym_unit = _beam_tables(scn.a, scn.m, scn.p0, t_max, dt)
+    if scn.beam:
+        t, g, gdot, G, dG, dG_tilde = _beam_tables(scn.a, scn.m, scn.p0, t_max, dt)
         r0 = scn.r0
-        asym = dk.beam_asymptotes(scn.p0, r0, dk.DeltaParams(scn.a, scn.m))
         return IntensityProfile(
-            scn=scn, mode=mode, t=t,
-            omega=r0 * g, Omega=r0 * G, domega=r0 * gdot,
+            scn=scn, t=t, omega=r0 * g, Omega=r0 * G, domega=r0 * gdot,
             dOmega=r0 * dG, dOmega_tilde=r0 * dG_tilde,
-            Omega_inf=math.inf, dOmega_inf=math.nan, beam_tail=asym,
+            Omega_inf=math.inf, dOmega_inf=math.nan,
+            beam_tail=dk.beam_asymptotes(scn.p0, r0, dk.DeltaParams(scn.a, scn.m)),
             t_max=t_max, dt=dt)
 
-    kernel = pg.gaussian_kernel_g(scn, grid) if mode == "gaussian" else None
-    pref = scn.navg * scn.gamma if mode == "gaussian" else scn.a * scn.navg
+    kernel = None if scn.delta_detector else pg.gaussian_kernel_g(scn, grid)
+    pref = scn.a * scn.navg if scn.delta_detector else scn.navg * scn.gamma
 
     def amplitude(dp0=False):
-        if mode == "gaussian":
-            h0 = pg.gaussian_overlap_h0(scn, grid, dp0)
-            return pg.solve_volterra(h0, kernel, scn.gamma).values
-        free = pg.gaussian_free_at_origin(scn, grid, dp0)
-        return pg.solve_renewal(free, dk.DeltaParams(scn.a, scn.m).d).values
+        if scn.delta_detector:
+            free = pg.gaussian_free_at_origin(scn, grid, dp0)
+            return pg.solve_renewal(free, dk.DeltaParams(scn.a, scn.m).d).values
+        h0 = pg.gaussian_overlap_h0(scn, grid, dp0)
+        return pg.solve_volterra(h0, kernel, scn.gamma).values
 
     amp = amplitude()
     damp = amplitude(dp0=True) if derivative else None
@@ -466,22 +458,17 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
                           "the grid is too coarse for this scenario")
     tail = _fit_finite_tail(t, omega, scn.navg, Omega[-1])
     Omega_inf = min(Omega[-1] + tail.mass, scn.navg)
-
-    if not derivative:
-        return IntensityProfile(
-            scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=None,
-            dOmega=None, dOmega_tilde=None, Omega_inf=Omega_inf, dOmega_inf=math.nan,
-            finite_tail=tail, t_max=t_max, dt=dt)
-
-    domega = 2.0 * pref * np.real(np.conj(amp) * damp)
-    dOmega, dOmega_tilde = _derivative_integrals(t, omega, domega)
-    # tail mass omega_m t_m / (slope - 1), differentiated at fixed slope;
-    # zero where the mass clip or the navg cap sets Omega_inf
-    unclipped = tail.mass == tail.omega_m * tail.t_m / (tail.slope - 1.0)
-    dOmega_inf = (dOmega[-1] + domega[-1] * tail.t_m / (tail.slope - 1.0)
-                  if unclipped and Omega_inf < scn.navg else 0.0)
+    domega, dOmega, dOmega_tilde, dOmega_inf = None, None, None, math.nan
+    if derivative:
+        domega = 2.0 * pref * np.real(np.conj(amp) * damp)
+        dOmega, dOmega_tilde = _derivative_integrals(t, omega, domega)
+        # tail mass omega[-1] t[-1] / (slope - 1), differentiated at fixed
+        # slope; zero where the mass clip or the navg cap sets Omega_inf
+        unclipped = tail.mass == omega[-1] * t[-1] / (tail.slope - 1.0)
+        dOmega_inf = (dOmega[-1] + domega[-1] * t[-1] / (tail.slope - 1.0)
+                      if unclipped and Omega_inf < scn.navg else 0.0)
     return IntensityProfile(
-        scn=scn, mode=mode, t=t, omega=omega, Omega=Omega, domega=domega,
+        scn=scn, t=t, omega=omega, Omega=Omega, domega=domega,
         dOmega=dOmega, dOmega_tilde=dOmega_tilde,
         Omega_inf=Omega_inf, dOmega_inf=dOmega_inf, finite_tail=tail,
         t_max=t_max, dt=dt)

@@ -21,7 +21,7 @@ from scipy.special import gammaln
 
 from .errors import ConfigError, ModeError
 from .intensity import IntensityProfile, Locator
-from .quadrature import integrate_panels, uniform_edges
+from .quadrature import integrate_panels
 from .scenario import StateFamily, log_arrival_mass, log_family_Fn
 
 
@@ -108,8 +108,14 @@ def log_likelihood_batch(times, family: StateFamily, profile: IntensityProfile):
     the cell search.  Rows that end in NaN (fewer than n detections) score
     the log of the NO-event mass; in complete rows the intensity is floored
     at ``OMEGA_FLOOR``, where :func:`log_joint_density` would return -inf.
+    A matrix row that is no record (a time below 0, not increasing, or
+    after a NaN) raises as :func:`log_joint_density` does; a locator is trusted.
     """
     checked_omega_inf(family, profile)
+    if not isinstance(times, Locator) and np.ndim(times) == 2:
+        t = np.asarray(times, dtype=float)
+        if np.any(t[:, :1] < 0.0) or np.any(~(t[:, 1:] > t[:, :-1]) & ~np.isnan(t[:, 1:])):
+            raise ValueError("arrival times must be positive and strictly increasing")
 
     def complete(loc, n):
         om = profile.omega_at(loc)
@@ -207,21 +213,20 @@ def total_prob_integral(n: int, family: StateFamily, profile_or_value):
     if math.isinf(u_inf):
         raise ModeError("the integral path needs a finite Omega(inf)")
     return float(integrate_panels(lambda u: np.exp(log_arrival_mass(family, n, u)),
-                                  uniform_edges(0.0, u_inf, 96), 24))
+                                  np.linspace(0.0, u_inf, 97), 24))
 
 
 def total_prob_dp(n: int, family: StateFamily, profile: IntensityProfile):
     """Momentum derivative of the total detection probability.
 
     Closed form dOmega_inf * F_n(U) U^(n-1)/(n-1)! at U = Omega(inf);
-    identically 0 in beam mode where every particle is eventually detected.
+    identically 0 for a beam, where every particle is eventually detected,
+    and where no mass accumulates.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     u_inf = checked_omega_inf(family, profile)
-    if profile.mode == "beam":
-        return 0.0
-    if u_inf <= 0.0:
+    if not 0.0 < u_inf < math.inf:
         return 0.0
     log_term = log_family_Fn(family, n, u_inf) + (n - 1) * math.log(u_inf) - gammaln(n)
     return profile.dOmega_inf * math.exp(log_term)

@@ -71,12 +71,14 @@ class ComplexSeries:
 # Closed-form Gaussian matrix elements (hbar = 1)
 # ---------------------------------------------------------------------------
 
-def _gaussian_params(scn: Scenario):
+def _detector_norm(scn: Scenario) -> float:
     if scn.eps <= 0.0:
         raise ModeError("finite-width formulas need eps > 0")
-    n_det = 2.0 * math.sqrt(math.pi * scn.eps) * (2.0 * math.pi) ** (-0.75)
-    n_src = (2.0 * math.pi) ** (-0.25) / math.sqrt(scn.dp)
-    return n_det, n_src
+    return 2.0 * math.sqrt(math.pi * scn.eps) * (2.0 * math.pi) ** (-0.75)
+
+
+def _source_norm(scn: Scenario) -> float:
+    return (2.0 * math.pi) ** (-0.25) / math.sqrt(scn.dp)
 
 
 def _gaussian_drive(scn: Scenario, grid: TimeGrid, pref: float, a_const: float,
@@ -102,13 +104,13 @@ def gaussian_overlap_h0(scn: Scenario, grid: TimeGrid, dp0: bool = False) -> Com
     evolved source wavefunction; validated against direct momentum-space
     quadrature in the tests.  ``dp0=True`` gives the exact d/dp0 instead.
     """
-    n_det, n_src = _gaussian_params(scn)
-    return _gaussian_drive(scn, grid, n_det * n_src, scn.eps ** 2 + 0.25 / scn.dp ** 2, dp0)
+    return _gaussian_drive(scn, grid, _detector_norm(scn) * _source_norm(scn),
+                           scn.eps ** 2 + 0.25 / scn.dp ** 2, dp0)
 
 
 def gaussian_kernel_g(scn: Scenario, grid: TimeGrid) -> ComplexSeries:
     """Detector state propagated freely onto itself; g(0) = 1."""
-    n_det, _ = _gaussian_params(scn)
+    n_det = _detector_norm(scn)
     t = grid.times
     a_quad = 2.0 * scn.eps ** 2 + 0.5j * t / scn.m
     vals = n_det ** 2 * np.sqrt(np.pi / a_quad)
@@ -120,8 +122,8 @@ def gaussian_free_at_origin(scn: Scenario, grid: TimeGrid, dp0: bool = False) ->
 
     ``dp0=True`` gives the exact d/dp0 instead.
     """
-    n_src = (2.0 * math.pi) ** (-0.25) / math.sqrt(scn.dp)
-    return _gaussian_drive(scn, grid, n_src / math.sqrt(2.0 * math.pi), 0.25 / scn.dp ** 2, dp0)
+    return _gaussian_drive(scn, grid, _source_norm(scn) / math.sqrt(2.0 * math.pi),
+                           0.25 / scn.dp ** 2, dp0)
 
 
 def monochromatic_drive(p: float, m: float, grid: TimeGrid) -> ComplexSeries:

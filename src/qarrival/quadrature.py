@@ -12,8 +12,14 @@ def _gl_rule(order: int):
     return np.polynomial.legendre.leggauss(order)
 
 
-def panel_nodes(edges, order: int = 16):
-    """Gauss-Legendre nodes/weights for the panels defined by ``edges``."""
+def integrate_panels(f, edges, order: int = 16):
+    """Integrate ``f`` over the panels defined by ``edges`` with ``order``-point
+    Gauss-Legendre rules.
+
+    ``f`` must accept a 1-D node array and return values whose last axis
+    matches the nodes (extra leading axes are allowed for batched
+    integrands).
+    """
     edges = np.asarray(edges, dtype=float)
     x, w = _gl_rule(order)
     a, b = edges[:-1], edges[1:]
@@ -21,17 +27,6 @@ def panel_nodes(edges, order: int = 16):
     mid = 0.5 * (a + b)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def integrate_panels(f, edges, order: int = 16):
-    """Integrate ``f`` over the panel decomposition.
-
-    ``f`` must accept a 1-D node array and return values whose last axis
-    matches the nodes (extra leading axes are allowed for batched
-    integrands).
-    """
-    nodes, weights = panel_nodes(edges, order)
     return np.asarray(f(nodes)) @ weights
 
 
@@ -45,11 +40,7 @@ def refine_edges(edges):
     return out
 
 
-def uniform_edges(a: float, b: float, n_panels: int):
-    return np.linspace(a, b, n_panels + 1)
-
-
-def oscillatory_edges(a: float, b: float, max_phase_rate: float, breakpoints=()):
+def oscillatory_edges(a: float, b: float, max_phase_rate: float, breakpoints):
     """Uniform panels sized so each spans about one period (2 pi radians) at
     the phase rate ``max_phase_rate``, plus 8, and at most 20 000 panels.
 

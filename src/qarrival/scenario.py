@@ -40,8 +40,6 @@ from scipy.special import gammaln
 
 from .errors import ConfigError, SingularFamilyError
 
-HBAR = 1.0
-
 # Scaled detection rate of the finite-width Gaussian detector.  With this
 # scaling the eps -> 0 limit reproduces the point detector of strength a.
 def gamma_eps(a: float, eps: float) -> float:
@@ -112,7 +110,7 @@ class Scenario:
             raise ConfigError(f"mean particle number navg must be > 0, got {navg}")
         if math.isinf(navg):
             return replace(self, navg=math.inf, dp=0.0, eps=0.0)
-        dp = math.sqrt(math.pi / 2.0) * HBAR * self.r0 / navg
+        dp = math.sqrt(math.pi / 2.0) * self.r0 / navg
         return replace(self, navg=navg, dp=dp)
 
     def at_p0(self, p0: float) -> "Scenario":
@@ -183,8 +181,9 @@ _KINDS = ("fock", "coherent", "quasifree")
 class StateFamily:
     """Composition rule of the many-particle source state.
 
-    ``param`` is the particle number N (integer >= 1) for ``fock`` and the
-    mean particle number for the other two kinds.
+    ``param`` is the particle number N (integer >= 1) for ``fock``.  No
+    formula reads it for the other kinds, whose mean number comes from the
+    profile (``navg`` or ``r0``), so ``coherent(5.0)`` and ``coherent(1.0)`` agree.
     """
 
     kind: str

@@ -74,7 +74,7 @@ def make_flat_profile():
             tail = BeamAsymptotes(omega_inf=w, domega_dp0_inf=slope,
                                   c0=w, c_sqrt=0.0, c_lin=0.0, dc_t32=0.0)
             return IntensityProfile(
-                scn=scn, mode="beam", t=t,
+                scn=scn, t=t,
                 omega=np.full_like(t, w), Omega=w * t,
                 domega=np.full_like(t, slope), dOmega=slope * t,
                 dOmega_tilde=(slope ** 2 / w) * t,

@@ -48,6 +48,14 @@ def test_beam_table_cache_statistics():
     assert info.hits >= 0 and info.misses >= 0 and info.maxsize > 0
 
 
+def test_locator_size_is_its_point_count(beam_profile_r1):
+    # the tracer's points metrics take np.size of the evaluators' first
+    # argument, which for a locator reads Locator.size
+    loc = beam_profile_r1.locate(np.linspace(0.0, 70.0, 12).reshape(3, 4))
+    assert loc.size == np.size(loc) == 12
+    assert np.size(loc[:, -1]) == 3
+
+
 def test_sampled_records_expose_what_the_check_reads(beam_profile_r1):
     # the mc_study check reads n_detected, terminated and times[-1] per record
     records = process.sample_batch(3, StateFamily.coherent(1.0), beam_profile_r1, 5, 1).records

@@ -57,9 +57,10 @@ class TestIntensityCommand:
 
     def test_eps_sweep(self, finite_cfg, tmp_path):
         out = tmp_path / "curves.csv"
-        rc = main(["intensity", "--config", finite_cfg, "--out", str(out),
-                   "--eps-list", "1.0,0.5", "--t-max", "10", "--dt", "0.01",
-                   "--points", "50"])
+        with pytest.warns(UserWarning, match="decays too slowly"):
+            rc = main(["intensity", "--config", finite_cfg, "--out", str(out),
+                       "--eps-list", "1.0,0.5", "--t-max", "10", "--dt", "0.01",
+                       "--points", "50"])
         assert rc == 0
         labels = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
         assert labels == {"eps=1", "eps=0.5"}

@@ -16,7 +16,7 @@ from qarrival.fisher import (FisherReport, density_sweep, fisher_info,
                              mle_variance_study, sparse_limit_I,
                              stationary_constant)
 from qarrival.intensity import build_profile
-from qarrival.quadrature import integrate_panels, uniform_edges
+from qarrival.quadrature import integrate_panels
 from qarrival.scenario import Scenario, StateFamily, hn_values, log_family_Fn
 
 DP = DeltaParams(0.1, 1.0)
@@ -58,6 +58,12 @@ class TestStationaryConstants:
         for n in (12, 13):
             with pytest.raises(ModeError):
                 stationary_constant(n, StateFamily.fock(12))
+
+    def test_quadrature_off_the_closed_form_raises(self, monkeypatch):
+        monkeypatch.setattr(fisher, "integrate_panels", lambda f, edges, order: np.float64(2.5))
+        with pytest.raises(ToleranceError, match="disagrees with the closed form") as info:
+            stationary_constant(2, COH)
+        assert info.value.estimate == 2.5
 
 
 class TestSparseLimit:
@@ -149,6 +155,15 @@ class TestBeamInformation:
     def test_coherent_row_increasing_near_sparse(self):
         col = density_sweep([1, 2, 3], [1e-3], COH, BEAM)[:, 0]
         assert col[0] < col[1] < col[2]
+
+    def test_intensity_touching_zero_warns(self, make_flat_profile):
+        # one interior node at omega = 0, late enough that its weight is negligible
+        prof = make_flat_profile()(1.0)
+        omega = prof.omega.copy()
+        omega[-2] = 0.0
+        with pytest.warns(UserWarning, match="intensity touches 0 in the interior"):
+            rep = fisher_info(2, COH, dataclasses.replace(prof, omega=omega))
+        assert rep.value == fisher_info(2, COH, prof).value
 
 
 class TestFiniteInformation:
@@ -257,6 +272,29 @@ class TestMonteCarlo:
                   / pr.noevent_mass(n, family, delta_profile))
         assert np.all(exact[~full] == closed)
 
+    def test_non_finite_scores_redrawn_from_stream_one(self, beam_profile_r1, monkeypatch):
+        # scores that are not finite are replaced, in order, by the scores of
+        # as many records drawn from substream 1, with a warning
+        exact = fisher._score_batch
+        first = []
+
+        def spoiled(times, family, profile):
+            score = exact(times, family, profile)
+            if not first:
+                first.append(len(score))
+                score[[0, 7, 9]] = [np.nan, np.inf, -np.inf]
+            return score
+
+        monkeypatch.setattr(fisher, "_score_batch", spoiled)
+        with pytest.warns(UserWarning, match="3 records had degenerate likelihoods"):
+            mc = mc_score_variance(2, COH, beam_profile_r1, samples=10_000, seed=5)
+        assert first == [10_000] and mc.resampled == 3
+        score = exact(pr.sample_times_matrix(2, COH, beam_profile_r1, 10_000, 5)[0],
+                      COH, beam_profile_r1)
+        score[[0, 7, 9]] = exact(pr.sample_times_matrix(2, COH, beam_profile_r1, 3, 5,
+                                                        stream_index=1)[0], COH, beam_profile_r1)
+        assert (mc.variance, mc.mean) == (float(np.var(score, ddof=1)), float(np.mean(score)))
+
     def test_minimum_samples_enforced(self, beam_profile_r1):
         with pytest.raises(ValueError):
             mc_score_variance(1, COH, beam_profile_r1, samples=100, seed=0)
@@ -352,8 +390,8 @@ def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
     bulk_coarse = float(np.trapezoid(integrand[::2], t[::2]))
 
     tail_val = 0.0
-    if profile.mode == "beam":
-        bt = profile.beam_tail
+    bt = profile.beam_tail
+    if bt is not None:
         tail_state = (u[-1], bt.omega_inf, bt.domega_dp0_inf,
                       profile.dOmega[-1], profile.dOmega_tilde[-1])
 
@@ -366,10 +404,10 @@ def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
         u_head = max(u_end * (1.0 + 1e-12), n + 60.0 + 14.0 * math.sqrt(n), u_end + 60.0)
         if family.kind == "coherent":
             tail_val = float(integrate_panels(tail_integrand,
-                                              uniform_edges(u_end, u_head, 256), 24))
+                                              np.linspace(u_end, u_head, 257), 24))
         else:
             u_big = max(1e9, 1e4 * u_head)
-            edges = np.concatenate([uniform_edges(u_end, u_head, 192),
+            edges = np.concatenate([np.linspace(u_end, u_head, 193),
                                     _geometric_edges(u_head, u_big, 16)[1:]])
             phi_inf = bt.domega_dp0_inf / bt.omega_inf
             tail_val = float(integrate_panels(tail_integrand, edges, 24)) \
@@ -383,7 +421,7 @@ def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
             estimate=detection, achieved=abs(bulk - bulk_coarse))
 
     p_tot = pr.total_prob(n, family, profile)
-    mass = pr.noevent_mass(n, family, profile) if profile.mode != "beam" else 0.0
+    mass = pr.noevent_mass(n, family, profile) if bt is None else 0.0
     if mass > 0.0:
         dp_tot = pr.total_prob_dp(n, family, profile)
         noevent = dp_tot * dp_tot / mass
@@ -408,7 +446,7 @@ def _closed_tail(profile):
     """Whether ``profile`` is a beam, whose tail has closed form: its reports
     then differ from the oracle's panel tail by the panels' own error, up to
     6e-12 of I_n."""
-    return profile.mode == "beam"
+    return profile.beam_tail is not None
 
 
 def _assert_reports_close(got, expected, profile):

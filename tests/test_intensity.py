@@ -164,7 +164,8 @@ class TestFiniteProfiles:
     def test_gaussian_profile_matches_overlap_density(self, packet_scn):
         import dataclasses
         scn = dataclasses.replace(packet_scn, eps=1.0)
-        prof = build_profile(scn, t_max=30.0, dt=2e-3)
+        with pytest.warns(UserWarning, match="decays too slowly"):
+            prof = build_profile(scn, t_max=30.0, dt=2e-3)
         from qarrival.propagate import (TimeGrid, gaussian_kernel_g,
                                         gaussian_overlap_h0, solve_volterra)
         grid = TimeGrid(30.0, 2e-3)
@@ -211,15 +212,15 @@ def test_beam_family_members_converge_to_beam_curve(beam_scn):
 # Locator: one cell search shared by the evaluators of every profile on a grid
 # ---------------------------------------------------------------------------
 
-def _table_profile(t, omega, mode):
-    """Profile over an arbitrary table; beam mode continues at omega_inf = 0.7
-    and domega_dp0_inf = -0.3.  The derivative table is a signed reflection
-    of ``omega``."""
+def _table_profile(t, omega, beam):
+    """Profile over an arbitrary table; a beam continues at omega_inf = 0.7
+    and domega_dp0_inf = -0.3, otherwise the evaluators continue as a finite
+    profile does.  The derivative table is a signed reflection of ``omega``."""
     scn = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0, navg=math.inf, r0=1.0)
     tail = BeamAsymptotes(omega_inf=0.7, domega_dp0_inf=-0.3, c0=0.0, c_sqrt=0.0,
-                          c_lin=0.0, dc_t32=0.0) if mode == "beam" else None
+                          c_lin=0.0, dc_t32=0.0) if beam else None
     domega = omega[::-1] - 25.0
-    return IntensityProfile(scn=scn, mode=mode, t=t, omega=omega,
+    return IntensityProfile(scn=scn, t=t, omega=omega,
                             Omega=cumulative_trapezoid(omega, t, initial=0.0),
                             domega=domega,
                             dOmega=cumulative_trapezoid(domega, t, initial=0.0),
@@ -230,10 +231,11 @@ def _table_profile(t, omega, mode):
 def _reference_omega(prof, tq, deriv=False):
     """np.interp with the constant continuation past the last node; of
     ``domega`` with ``deriv``."""
+    bt = prof.beam_tail
     if deriv:
-        y, tail = prof.domega, prof.beam_tail.domega_dp0_inf if prof.mode == "beam" else 0.0
+        y, tail = prof.domega, 0.0 if bt is None else bt.domega_dp0_inf
     else:
-        y, tail = prof.omega, prof.beam_tail.omega_inf if prof.mode == "beam" else 0.0
+        y, tail = prof.omega, 0.0 if bt is None else bt.omega_inf
     return np.where(tq > prof.t[-1], tail, np.interp(tq, prof.t, y))
 
 
@@ -248,7 +250,7 @@ def _reference_Omega(prof, tq, deriv=False):
     s = np.clip(tq - t0, 0.0, t1 - t0)
     out = big[idx] + w0 * s + 0.5 * ((w1 - w0) / (t1 - t0)) * s * s
     beyond = tq > t[-1]
-    if prof.mode == "beam":
+    if prof.beam_tail is not None:
         bt = prof.beam_tail
         rate = bt.domega_dp0_inf if deriv else bt.omega_inf
         return np.where(beyond, big[-1] + rate * (tq - t[-1]), out)
@@ -286,14 +288,14 @@ def _tables_and_queries(draw):
 
 
 class TestLocator:
-    @given(case=_tables_and_queries(), mode=st.sampled_from(["beam", "delta"]))
+    @given(case=_tables_and_queries(), beam=st.booleans())
     # a subnormal half-slope: 0.5 * (w1 - w0) / (t1 - t0) rounds differently
     @example(case=(np.array([0.0, 0.75]), np.array([0.0, 2.1999999999999997e-308]),
-                   np.array([np.nextafter(0.75, 0.0), 0.0, 0.75])), mode="delta")
+                   np.array([np.nextafter(0.75, 0.0), 0.0, 0.75])), beam=False)
     @settings(max_examples=150, deadline=None)
-    def test_evaluators_match_interp_and_cell_model_bitwise(self, case, mode):
+    def test_evaluators_match_interp_and_cell_model_bitwise(self, case, beam):
         t, omega, tq = case
-        prof = _table_profile(t, omega, mode)
+        prof = _table_profile(t, omega, beam)
         loc = prof.locate(tq)
         assert loc.idx.dtype == np.intp
         for q in (tq, loc):
@@ -304,11 +306,11 @@ class TestLocator:
             assert np.array_equal(_bits(prof.dOmega_at(q)),
                                   _bits(_reference_Omega(prof, tq, deriv=True)))
 
-    @given(case=_tables_and_queries(), mode=st.sampled_from(["beam", "delta"]))
+    @given(case=_tables_and_queries(), beam=st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_point_evaluators_match_bitwise(self, case, mode):
+    def test_point_evaluators_match_bitwise(self, case, beam):
         t, omega, tq = case
-        prof = _table_profile(t, omega, mode)
+        prof = _table_profile(t, omega, beam)
         tq = np.concatenate([tq, [-0.0, t[-1] + 1.0, 1e3 * t[-1]]])
         _assert_points_match(prof, tq)
 
@@ -464,10 +466,10 @@ class TestBucketIndex:
                                     _queries_around(table)])
                 _assert_search_exact(table, q)
 
-    @pytest.mark.parametrize("mode", ["beam", "delta"])
-    def test_two_node_grid_has_no_interior(self, mode):
+    @pytest.mark.parametrize("beam", [True, False], ids=["beam", "delta"])
+    def test_two_node_grid_has_no_interior(self, beam):
         # t[1:-1] is empty, so every point sits in the one cell
-        prof = _table_profile(np.array([0.0, 1.5]), np.array([1.0, 2.0]), mode)
+        prof = _table_profile(np.array([0.0, 1.5]), np.array([1.0, 2.0]), beam)
         tq = np.array([0.0, -0.0, 0.7, 1.5, 2.0, -1.0, math.nan, math.inf])
         assert np.array_equal(prof.locate(tq).idx, np.zeros(tq.size, dtype=np.intp))
         finite = tq[np.isfinite(tq)]

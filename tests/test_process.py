@@ -133,6 +133,12 @@ class TestTotalProbDerivative:
     def test_beam_is_zero(self, beam_profile):
         assert total_prob_dp(3, StateFamily.coherent(1.0), beam_profile) == 0.0
 
+    def test_zero_mass_is_zero(self, delta_profile):
+        # no mass accumulates, so no momentum moves the total; U^(n-1) has no log at 0
+        prof = dataclasses.replace(delta_profile, Omega_inf=0.0, dOmega_inf=1.0)
+        for n in (1, 3):
+            assert total_prob_dp(n, StateFamily.coherent(100.0), prof) == 0.0
+
     def test_reduces_at_one_detection(self, delta_profile):
         coh = StateFamily.coherent(100.0)
         expect = delta_profile.dOmega_inf * family_Fn(coh, 1, delta_profile.Omega_inf)
@@ -357,6 +363,35 @@ class TestLikelihood:
             ll = log_likelihood_batch(rows, coh, delta_profile)
             assert ll[1] == ll[2] == short
             assert [ll[0], ll[3]] == complete
+
+    @pytest.mark.parametrize("row", [[5.0, math.nan, 7.0], [7.0, 5.0, 9.0], [-3.0, 1.0, 2.0],
+                                     [5.0, 5.0, 9.0], [math.nan, 1.0, 2.0],
+                                     [1.0, math.inf, math.inf], [-math.inf, 1.0, 2.0]])
+    def test_rows_that_are_not_records_rejected(self, beam_profile_r1, row):
+        # the rule of log_joint_density: times >= 0 and strictly increasing,
+        # NaN only as the trailing padding of a short record
+        coh = StateFamily.coherent(1.0)
+        times = np.array([[1.0, 2.0, 3.0], row])
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            log_joint_density(row, coh, beam_profile_r1)
+        with pytest.raises(ValueError, match="positive and strictly increasing"):
+            log_likelihood_batch(times, coh, beam_profile_r1)
+
+    def test_record_edge_values_accepted(self, beam_profile_r1, delta_profile):
+        # -0.0, +inf, short rows and all-NaN rows are records, as in log_joint_density
+        times = np.array([[-0.0, 1.0, math.inf],
+                          [-0.0, 1.0, 2.0],
+                          [2.0, math.nan, math.nan],
+                          [math.nan, math.nan, math.nan]])
+        for fam, prof in ((StateFamily.coherent(1.0), beam_profile_r1),
+                          (StateFamily.coherent(100.0), delta_profile)):
+            ll = log_likelihood_batch(times, fam, prof)
+            # past a finite grid the batch floors omega = 0 (TestBatchLikelihood)
+            rows = 2 if prof.beam_tail is not None else 1
+            assert list(ll[2 - rows:2]) == [log_joint_density(row, fam, prof)
+                                            for row in times[2 - rows:2]]
+            mass = noevent_mass(3, fam, prof)
+            assert ll[2] == ll[3] == (math.log(mass) if mass > 0.0 else -math.inf)
 
     @pytest.mark.parametrize("shape", [(4, 0), (0, 0), (3,)])
     def test_records_need_a_time_matrix(self, delta_profile, shape):

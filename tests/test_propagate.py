@@ -108,7 +108,7 @@ class TestVolterra:
         # the detected probability 1 - |chi_t|^2 = int gamma |h|^2 of one
         # particle is the built profile's Omega / navg
         prof = build_profile(FIG2A, t_max=60.0, dt=2e-3, derivative=False)
-        assert prof.mode == "gaussian"
+        assert not prof.scn.delta_detector and prof.beam_tail is None
         loss = prof.Omega / FIG2A.navg
         assert np.all(np.diff(loss) >= -1e-15)
         assert loss[-1] <= 1.0
