@@ -94,7 +94,7 @@ def _remainder_pieces(p, t, dp: DeltaParams):
     e2 = erfc_c(alpha * beta)
     # exp(-beta^2 (q^2 - alpha^2)) = exp(i t (q^2 - alpha^2) / (2 m)): unimodular
     g = np.exp(1j * t * (q * q - alpha * alpha) / (2.0 * dp.m))
-    return q, t, alpha, beta, e1, e2, g
+    return q, alpha, beta, e1, e2, g
 
 
 def _remainder_taylor(q, alpha, beta, e2):
@@ -133,21 +133,9 @@ def _complex_out(x):
 
 
 def _remainder(pieces):
-    """R_p(t) from the :func:`_remainder_pieces`."""
-    q, t, alpha, beta, e1, e2, g = pieces
-    near = np.abs(q - alpha) < _TAYLOR_REL_WIDTH * alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        direct = alpha / (q * q - alpha * alpha) * (q * e1 - alpha * g * e2)
-    if np.any(near):
-        taylor = _remainder_taylor(q, alpha, beta, e2)[0]
-        direct = np.where(near, taylor, direct)
-    return direct
-
-
-def _remainder_dp(pieces):
-    """dR_p(t)/dp from the :func:`_remainder_pieces` of a p > 0."""
-    q, t, alpha, beta, e1, e2, g = pieces
-    near = np.abs(q - alpha) < _TAYLOR_REL_WIDTH * alpha
+    """``(R_p(t), dR_p(t)/d|p|)`` from the :func:`_remainder_pieces`: one
+    bracket over |p|^2 - alpha^2, or its Taylor expansion near |p| = alpha."""
+    q, alpha, beta, e1, e2, g = pieces
     b2 = beta * beta
     expq = np.exp(-b2 * q * q)  # unimodular on the physical ray
     # d/dp [p erfc(p beta) - alpha G(p) E2] with G' = -2 beta^2 p G
@@ -155,11 +143,13 @@ def _remainder_dp(pieces):
     denom = q * q - alpha * alpha
     with np.errstate(divide="ignore", invalid="ignore"):
         K = q * e1 - alpha * g * e2
-        direct = alpha / denom * dK - 2.0 * q * alpha / denom ** 2 * K
+        R = alpha / denom * K
+        dR = alpha / denom * dK - 2.0 * q * alpha / denom ** 2 * K
+    near = np.abs(q - alpha) < _TAYLOR_REL_WIDTH * alpha
     if np.any(near):
-        taylor = _remainder_taylor(q, alpha, beta, e2)[1]
-        direct = np.where(near, taylor, direct)
-    return direct
+        taylor, dtaylor = _remainder_taylor(q, alpha, beta, e2)
+        R, dR = np.where(near, taylor, R), np.where(near, dtaylor, dR)
+    return _complex_out(R), _complex_out(dR)
 
 
 def remainder_R(p, t, dp: DeltaParams):
@@ -169,7 +159,7 @@ def remainder_R(p, t, dp: DeltaParams):
     T_p + R_p(0) = 1.  The removable point |p| = alpha is evaluated through
     a local Taylor expansion of the bracket.
     """
-    return _complex_out(_remainder(_remainder_pieces(p, t, dp)))
+    return _remainder(_remainder_pieces(p, t, dp))[0]
 
 
 def _positive_pieces(p, t, dp: DeltaParams):
@@ -182,13 +172,12 @@ def _positive_pieces(p, t, dp: DeltaParams):
 
 def remainder_R_dp(p, t, dp: DeltaParams):
     """Momentum derivative of the transient remainder (p > 0 only)."""
-    return _complex_out(_remainder_dp(_positive_pieces(p, t, dp)))
+    return _remainder(_positive_pieces(p, t, dp))[1]
 
 
 def remainder_R_with_dp(p, t, dp: DeltaParams):
     """``(remainder_R, remainder_R_dp)`` from one set of erfc evaluations."""
-    pieces = _positive_pieces(p, t, dp)
-    return _complex_out(_remainder(pieces)), _complex_out(_remainder_dp(pieces))
+    return _remainder(_positive_pieces(p, t, dp))
 
 
 def f_p(p, t, dp: DeltaParams):
@@ -287,8 +276,6 @@ def beam_intensity_with_dp(t, p0: float, r0: float, dp: DeltaParams):
     d/dz erfc(z) = -2/sqrt(pi) exp(-z^2); the beam profile tables and
     :func:`beam_intensity_dp` both come from here.
     """
-    if p0 <= 0.0:
-        raise ModeError("beam derivative is implemented for p0 > 0")
     rem, rem_dp = remainder_R_with_dp(p0, t, dp)
     bracket = transmission_T(p0, dp) + rem
     dbracket = dp.alpha / (p0 + dp.alpha) ** 2 + rem_dp

@@ -464,9 +464,6 @@ MLE_BRACKET = 0.5  # the estimator study searches p0 +- MLE_BRACKET
 
 @dataclass(frozen=True)
 class MleStudy:
-    n: int
-    datasets: int
-    records_per_dataset: int
     variance: float        # sample variance of the per-dataset MLE
     variance_se: float     # moment-based standard error of that variance
     crb: float             # one-parameter bound 1/(records * I_n)
@@ -532,9 +529,7 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
     var_se = math.sqrt(max(m4 - (datasets - 3) / (datasets - 1) * var * var, 0.0) / datasets)
     info = fisher_info(n, family, profile).value
     crb = 1.0 / (records_per_dataset * info)
-    return MleStudy(n=n, datasets=datasets, records_per_dataset=records_per_dataset,
-                    variance=var, variance_se=var_se, crb=crb,
-                    mean=float(estimates.mean()))
+    return MleStudy(variance=var, variance_se=var_se, crb=crb, mean=float(estimates.mean()))
 
 
 # ---------------------------------------------------------------------------

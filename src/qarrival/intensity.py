@@ -318,7 +318,7 @@ class IntensityProfile:
         """
         u = np.asarray(u, dtype=float)
         scalar = u.ndim == 0
-        u = np.atleast_1d(u).astype(float)
+        u = np.atleast_1d(u)
         if np.any(u < 0.0):
             raise ValueError("integrated intensity must be >= 0")
         if np.any(u >= self.Omega_inf):
@@ -419,10 +419,12 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
     A finite source is solved with the renewal equation at a point detector
     and the Volterra equation at a Gaussian one, and gets the exact momentum
     derivative from a second solve on the differentiated drive.
-    ``derivative=False`` skips it (the three derivative tables are None);
-    such profiles serve density and sampling work but cannot feed the
-    information quadrature.  The profile records the resolved ``t_max`` and
-    ``dt``, so profiles at other momenta can be built on the same grid.
+    For a finite source, ``derivative=False`` skips it (the three derivative
+    tables are None); such profiles serve density and sampling work but
+    cannot feed the information quadrature.  A beam's tables always carry
+    the derivative, which comes from the same erfc values.  The profile
+    records the resolved ``t_max`` and ``dt``, so profiles at other momenta
+    can be built on the same grid.
     """
     t_max = _T_MAX if t_max is None else float(t_max)
     dt = (_BEAM_DT if scn.beam else _FINITE_DT) if dt is None else float(dt)

@@ -11,8 +11,6 @@ family admits a closed-form conditional inverse CDF.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -48,9 +46,17 @@ class ArrivalRecord(NamedTuple):
         return len(self.times) < self.requested
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    records: list
+class SampleBatch(NamedTuple):
+    """The ``(count, n)`` time matrix, NaN past each row's detected count."""
+
+    times: np.ndarray
+    n_detected: np.ndarray
+
+    @property
+    def records(self) -> list:
+        """One :class:`ArrivalRecord` per row, cut from the matrix on each read."""
+        return [ArrivalRecord(self.times.shape[1], row[:k])
+                for row, k in zip(self.times, self.n_detected.tolist())]
 
 
 BLOCK_POINTS = 65_536  # float64s per temporary of a bulk pass: 512 KiB, 1/4 of a 2 MiB L2
@@ -270,21 +276,17 @@ def _uniforms(seed: int, stream_index, count: int, draws: int):
 
 def sample_batch(n: int, family: StateFamily, profile: IntensityProfile,
                  count: int, seed: int) -> SampleBatch:
-    """Draw ``count`` records from the batch substream 0, as views of the rows."""
-    times, n_det = sample_times_matrix(n, family, profile, count, seed)
-    records = list(map(tuple.__new__, repeat(ArrivalRecord), zip(repeat(n), times)))
-    for i in np.flatnonzero(n_det < n).tolist():
-        records[i] = ArrivalRecord(n, times[i, :n_det[i]])
-    return SampleBatch(records=records)
+    """Draw ``count`` records from the batch substream 0."""
+    return sample_times_matrix(n, family, profile, count, seed)
 
 
 def sample_times_matrix(n: int, family: StateFamily, profile: IntensityProfile,
-                        count: int, seed: int, stream_index: int = 0):
-    """Vectorised sampler returning (times, n_detected) arrays.
+                        count: int, seed: int, stream_index: int = 0) -> SampleBatch:
+    """Vectorised sampler of ``count`` records as one :class:`SampleBatch`.
 
     ``times`` has shape (count, n) with NaN past the detected count; the
     time change runs on cache-sized blocks of records (:data:`BLOCK_POINTS`)
-    after one draw of all uniforms.  ``sample_batch`` wraps it into records.
+    after one draw of all uniforms.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -300,7 +302,7 @@ def sample_times_matrix(n: int, family: StateFamily, profile: IntensityProfile,
             if np.any(surv):
                 out[surv, k] = profile.invert_Omega(u_next[surv])
             u, alive = np.where(surv, u_next, u), surv
-    return times, np.sum(~np.isnan(times), axis=1)
+    return SampleBatch(times, np.sum(~np.isnan(times), axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class Scenario:
 
     @property
     def beam(self) -> bool:
-        return math.isinf(self.navg)
+        return self.navg == math.inf
 
     @property
     def delta_detector(self) -> bool:
@@ -158,12 +158,11 @@ class Scenario:
             num = {k: float(values[k]) for k in _CONFIG_KEYS if k != "mode"}
         except ValueError as exc:
             raise ConfigError(f"non-numeric value: {exc}") from exc
+        if (mode == "beam") != (num["navg"] == math.inf):
+            raise ConfigError("mode=beam requires navg=inf" if mode == "beam"
+                              else "navg=inf requires mode=beam")
         if mode == "beam":
-            num["navg"] = math.inf
             num["dp"] = 0.0
-            num["eps"] = 0.0
-        elif math.isinf(num["navg"]):
-            raise ConfigError("navg=inf requires mode=beam")
         try:
             return cls(**num)
         except TypeError as exc:

@@ -32,11 +32,10 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    seconds: float
 
 
-def _result(name, passed, detail, t0):
-    return CheckResult(name, bool(passed), detail, time.time() - t0)
+def _result(name, passed, detail):
+    return CheckResult(name, bool(passed), detail)
 
 
 @lru_cache(maxsize=None)
@@ -61,24 +60,21 @@ _DP = dk.DeltaParams(BASE["a"], BASE["m"])
 
 def check_beam_plateau():
     """1: late-time beam intensity equals 5.12 within 0.01."""
-    t0 = time.time()
     val = dk.beam_asymptotes(BASE["p0"], R0_FIG, _DP).omega_inf
     ok = abs(val - 5.12) <= 0.01
-    return _result("beam-plateau-value", ok, f"omega(inf) = {val:.4f} (target 5.12 +- 0.01)", t0)
+    return _result("beam-plateau-value", ok, f"omega(inf) = {val:.4f} (target 5.12 +- 0.01)")
 
 
 def check_sparse_constant():
     """2: per-detection information scale equals 0.00907 within 1e-5."""
-    t0 = time.time()
     val = fi.i_infinity(BASE["p0"], _DP)
     ok = abs(val - 0.00907) <= 1e-5
     return _result("sparse-information-constant", ok,
-                   f"I_inf = {val:.7f} (target 0.00907 +- 1e-5)", t0)
+                   f"I_inf = {val:.7f} (target 0.00907 +- 1e-5)")
 
 
 def check_stationary_constants():
     """3: quadrature constants match n and n/(n+2) within 1e-8 for n=1..10."""
-    t0 = time.time()
     worst = 0.0
     for n in range(1, 11):
         c = fi.stationary_constant(n, StateFamily.coherent(1.0))
@@ -86,12 +82,11 @@ def check_stationary_constants():
         q = fi.stationary_constant(n, StateFamily.quasifree(1.0))
         worst = max(worst, abs(q - n / (n + 2.0)))
     return _result("stationary-constants", worst <= 1e-8,
-                   f"max |quadrature - closed form| = {worst:.2e}", t0)
+                   f"max |quadrature - closed form| = {worst:.2e}")
 
 
 def check_sparse_convergence():
     """4: r0 = 1e-4 information within 2% of the sparse limits, n in {1,2,3,5}."""
-    t0 = time.time()
     prof = _beam_profile(1e-4)
     worst = 0.0
     ns = (1, 2, 3, 5)
@@ -101,7 +96,7 @@ def check_sparse_convergence():
             lim = fi.sparse_limit_I(n, fam, BASE["p0"], _DP)
             worst = max(worst, abs(val - lim) / lim)
     return _result("sparse-beam-convergence", worst <= 0.02,
-                   f"max relative gap to the sparse limit = {worst:.4f} (bound 0.02)", t0)
+                   f"max relative gap to the sparse limit = {worst:.4f} (bound 0.02)")
 
 
 def check_dense_vanishing():
@@ -113,7 +108,6 @@ def check_dense_vanishing():
     unattainable (values printed), so the strict vanishing trend over
     r0 = 10, 1e2, 1e3 is asserted instead.  See notes/decisions.md.
     """
-    t0 = time.time()
     i_inf = fi.i_infinity(BASE["p0"], _DP)
     coh = StateFamily.coherent(1.0)
     qf = StateFamily.quasifree(1.0)
@@ -130,12 +124,11 @@ def check_dense_vanishing():
         "dense-beam-vanishing", ok,
         f"coherent max I_n/I_inf = {coh_worst:.2e} (bound 1e-3); quasi-free strictly "
         f"decreasing in r0, max I_n/I_inf at 1e3 = {qf_at_1e3:.2e} (stated 1e-3 bound "
-        "holds for the coherent family only; see notes)", t0)
+        "holds for the coherent family only; see notes)")
 
 
 def check_normalization():
     """6: u-integral + closed-form no-event mass = 1; beam totals exactly 1."""
-    t0 = time.time()
     worst_sum = 0.0
     worst_rec = 0.0
     cases = [(StateFamily.coherent(5.0), 3.7), (StateFamily.coherent(5.0), 0.8),
@@ -155,12 +148,11 @@ def check_normalization():
     ok = worst_sum <= 1e-8 and worst_rec <= 1e-10 and beam_ok
     return _result("normalization-and-no-event", ok,
                    f"max |integral+mass-1| = {worst_sum:.2e} (1e-8), max recurrence "
-                   f"defect = {worst_rec:.2e} (1e-10), beam totals exactly 1: {beam_ok}", t0)
+                   f"defect = {worst_rec:.2e} (1e-10), beam totals exactly 1: {beam_ok}")
 
 
 def check_renewal_vs_analytic():
     """7: renewal solve matches the analytic monochromatic solution to 1e-4."""
-    t0 = time.time()
     grid = pg.TimeGrid(20.0, 1e-3)
     f = pg.solve_renewal(pg.monochromatic_drive(1.0, 1.0, grid), _DP.d)
     worst = 0.0
@@ -169,12 +161,11 @@ def check_renewal_vs_analytic():
         exact = dk.f_p(1.0, grid.times[i], _DP)
         worst = max(worst, abs(f.values[i] - exact) / abs(exact))
     return _result("renewal-vs-analytic", worst <= 1e-4,
-                   f"max relative difference = {worst:.2e} (bound 1e-4)", t0)
+                   f"max relative difference = {worst:.2e} (bound 1e-4)")
 
 
 def check_delta_limit_figure():
     """8: width-to-point convergence and the qualitative first-arrival facts."""
-    t0 = time.time()
     t_classical = 20.0
     prof_d = _fig2_profile(0.0)
     grid = prof_d.t
@@ -204,7 +195,7 @@ def check_delta_limit_figure():
         "point-detector-limit", ok,
         f"sup distances {['%.4f' % s for s in sups]} strictly decreasing: {decreasing}; "
         f"peaks: point {peak_delta:.2f}/{single_delta:.2f} < {t_classical:g} < "
-        f"width-1 {peaks[1.0]:.2f}/{singles[1.0]:.2f} (many-particle/single)", t0)
+        f"width-1 {peaks[1.0]:.2f}/{singles[1.0]:.2f} (many-particle/single)")
 
 
 def check_mc_vs_quadrature():
@@ -212,7 +203,6 @@ def check_mc_vs_quadrature():
 
     1e5 scores per count; the estimator study runs 1e4 datasets of 256 records.
     """
-    t0 = time.time()
     samples, datasets, records = 100_000, 10_000, 256
     prof = _beam_profile(1.0)
     coh = StateFamily.coherent(1.0)
@@ -231,12 +221,11 @@ def check_mc_vs_quadrature():
         "mc-vs-quadrature", ok,
         f"score-variance z = {['%.2f' % z for z in zs]} (|z|<=3); MLE var "
         f"{mle.variance:.4f} >= bound {bound:.4f} (CRB {mle.crb:.4f}, efficiency "
-        f"CRB/var {mle.efficiency:.3f}, {datasets}x{records} records)", t0)
+        f"CRB/var {mle.efficiency:.3f}, {datasets}x{records} records)")
 
 
 def check_early_series():
     """10: fitted early-time first-arrival coefficients match the expansion."""
-    t0 = time.time()
     r0, a, m = R0_FIG, BASE["a"], BASE["m"]
     tv = np.linspace(2e-6, 1e-3, 500)
     om = dk.beam_intensity(tv, BASE["p0"], r0, _DP)
@@ -265,12 +254,11 @@ def check_early_series():
     split_t = a * a * r0 * r0  # the +-pi family split collapses to a^2 r0^2
     ok &= abs(split - split_t) <= 0.05 * split_t
     details.append(f"family split {split:.2f}/{split_t:.2f}")
-    return _result("early-time-series", ok, "; ".join(details), t0)
+    return _result("early-time-series", ok, "; ".join(details))
 
 
 def check_derivative_crosscheck():
     """11: analytic momentum derivative matches finite differences to 1e-6."""
-    t0 = time.time()
     tv = np.geomspace(0.1, 100.0, 400)
     h = 1e-5
     fd = (dk.beam_intensity(tv, BASE["p0"] + h, R0_FIG, _DP)
@@ -278,7 +266,7 @@ def check_derivative_crosscheck():
     an = dk.beam_intensity_dp(tv, BASE["p0"], R0_FIG, _DP)
     worst = float(np.max(np.abs(an - fd) / np.abs(an)))
     return _result("derivative-crosscheck", worst <= 1e-6,
-                   f"max relative FD mismatch = {worst:.2e} (bound 1e-6)", t0)
+                   f"max relative FD mismatch = {worst:.2e} (bound 1e-6)")
 
 
 ACCEPTANCE_CHECKS = [
@@ -301,7 +289,6 @@ ACCEPTANCE_CHECKS = [
 # ---------------------------------------------------------------------------
 
 def check_family_derivative_relation():
-    t0 = time.time()
     h = 1e-5
     worst = 0.0
     for fam in (StateFamily.fock(12), StateFamily.coherent(3.0), StateFamily.quasifree(3.0)):
@@ -311,53 +298,48 @@ def check_family_derivative_relation():
                 fd = (family_Fn(fam, n, u - h) - family_Fn(fam, n, u + h)) / (2.0 * h)
                 worst = max(worst, abs(fd - family_Fn(fam, n + 1, u)))
     return _result("family-derivative-relation", worst <= 1e-8,
-                   f"max |F_(n+1) + dF_n/du| = {worst:.2e}", t0)
+                   f"max |F_(n+1) + dF_n/du| = {worst:.2e}")
 
 
 def check_erfc_identities():
-    t0 = time.time()
     z = 2.0 * complex(math.cos(math.pi / 4), -math.sin(math.pi / 4))
     sym = abs(dk.erfc_c(-z) - (2.0 - dk.erfc_c(z)))
     known = abs(dk.erfc_c(1.0 + 0.0j) - 0.15729920705028513)
     ok = sym <= 1e-13 and known <= 1e-12 and dk.erfc_c(0.0 + 0.0j) == 1.0
     return _result("erfc-identities", ok,
-                   f"reflection defect {sym:.1e}, erfc(1) defect {known:.1e}", t0)
+                   f"reflection defect {sym:.1e}, erfc(1) defect {known:.1e}")
 
 
 def check_volterra_exponential():
-    t0 = time.time()
     grid = pg.TimeGrid(5.0, 1e-3)
     ones = pg.ComplexSeries(grid, np.ones(grid.n_nodes, complex))
     h = pg.solve_volterra(ones, ones, gamma=0.8)
     worst = float(np.max(np.abs(h.values - np.exp(-0.4 * grid.times))))
     return _result("volterra-constant-kernel", worst <= 1e-6,
-                   f"max defect vs exp(-gamma t/2) = {worst:.2e}", t0)
+                   f"max defect vs exp(-gamma t/2) = {worst:.2e}")
 
 
 def check_kernel_identity():
-    t0 = time.time()
     grid = pg.TimeGrid(5.0, 1e-3)
     ones = pg.ComplexSeries(grid, np.ones(grid.n_nodes, complex))
     f = pg.solve_renewal(ones, _DP.d)
     exact = dk.renewal_kernel_solution(grid.times, _DP.d)
     worst = float(np.max(np.abs(f.values - exact)))
     return _result("renewal-kernel-identity", worst <= 1e-6,
-                   f"max defect vs exp(d^2 t) erfc(d sqrt t) = {worst:.2e}", t0)
+                   f"max defect vs exp(d^2 t) erfc(d sqrt t) = {worst:.2e}")
 
 
 def check_inversion_roundtrip():
-    t0 = time.time()
     prof = _beam_profile(R0_FIG)
     worst = 0.0
     for u in (0.1, 1.0, 10.0, 100.0):
         ts = prof.invert_Omega(u)
         worst = max(worst, abs(prof.Omega_at(ts) - u) / max(1.0, u))
     return _result("mass-inversion-roundtrip", worst <= 1e-10,
-                   f"max |Omega(t*) - u| / max(1,u) = {worst:.2e}", t0)
+                   f"max |Omega(t*) - u| / max(1,u) = {worst:.2e}")
 
 
 def check_profile_consistency():
-    t0 = time.time()
     prof = _beam_profile(R0_FIG)
     t, om, big = prof.t, prof.omega, prof.Omega
     lo = len(t) // 2
@@ -365,7 +347,7 @@ def check_profile_consistency():
     worst = float(np.max(np.abs(fd - om[lo:-2]) / om[lo:-2]))
     ok = worst <= 1e-6 and np.all(np.diff(big) >= 0.0) and big[0] == 0.0
     return _result("profile-mass-consistency", ok,
-                   f"max |dOmega/dt - omega|/omega = {worst:.2e}; monotone from 0", t0)
+                   f"max |dOmega/dt - omega|/omega = {worst:.2e}; monotone from 0")
 
 
 INVARIANT_CHECKS = [
@@ -379,11 +361,12 @@ INVARIANT_CHECKS = [
 
 
 def run_checks(checks):
-    """Run the given checks, print one line for each, and return the results."""
+    """Run the given checks, print one timed line for each, and return the results."""
     results = []
     for fn in checks:
+        t0 = time.time()
         res = fn()
         results.append(res)
         status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name} ({res.seconds:.1f}s): {res.detail}")
+        print(f"[{status}] {res.name} ({time.time() - t0:.1f}s): {res.detail}")
     return results

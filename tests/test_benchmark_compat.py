@@ -80,6 +80,20 @@ def test_sampler_returns_times_and_counts(beam_scn):
     assert np.array_equal(n_det, np.sum(~np.isnan(times), axis=1))
 
 
+def test_sample_batch_calls_the_sampler_attribute(monkeypatch, beam_profile_r1):
+    # the tracer wraps process.sample_times_matrix and reads the record
+    # count of process.sample_times_matrix.records from its a[3]
+    calls = []
+    sampler = process.sample_times_matrix
+    monkeypatch.setattr(process, "sample_times_matrix",
+                        lambda *a, **k: calls.append((a, k)) or sampler(*a, **k))
+    batch = process.sample_batch(3, StateFamily.coherent(1.0), beam_profile_r1, 7, 2)
+    assert len(calls) == 1
+    args, kwargs = calls[0]
+    assert args[3] == 7 and not kwargs
+    assert batch.times.shape == (7, 3)
+
+
 def test_sampler_count_is_the_fourth_argument():
     # the tracer reads the record count of a sample_times_matrix call as a[3]
     params = list(inspect.signature(process.sample_times_matrix).parameters)

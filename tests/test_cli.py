@@ -266,6 +266,20 @@ class TestErrors:
                    "--t-max", "10", "--dt", "0.01"])
         assert rc == 2
 
+    @pytest.mark.parametrize("extra, match", [
+        ("mode=beam", "mode=beam requires navg=inf"),
+        ("navg=inf\nmode=beam", "point detector"),
+    ])
+    def test_beam_mode_on_finite_config(self, tmp_path, capsys, extra, match):
+        # the finite config's eps = 1.0 and navg = 100 are not overwritten
+        cfg = tmp_path / "beam.cfg"
+        cfg.write_text(FINITE_CONFIG + extra + "\n")
+        rc = main(["fisher", "--config", str(cfg), "--out", str(tmp_path / "x.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert match in err
+
     def test_beam_negative_momentum(self, tmp_path):
         cfg = tmp_path / "back.cfg"
         cfg.write_text(BEAM_CONFIG.replace("p0=1.0", "p0=-1.0"))
@@ -469,7 +483,7 @@ class TestVerifyCommand:
 
     def test_failing_check_exits_4(self, capsys, monkeypatch):
         def check_fails():
-            return vf.CheckResult("always-fails", False, "stub", 0.0)
+            return vf.CheckResult("always-fails", False, "stub")
 
         monkeypatch.setattr(vf, "ACCEPTANCE_CHECKS", vf.ACCEPTANCE_CHECKS + [check_fails])
         assert main(["verify", "--quick"]) == 4

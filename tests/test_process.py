@@ -12,7 +12,7 @@ from scipy.stats import binom, chisquare, geom, kstest, poisson
 
 from qarrival import fisher, process
 from qarrival.errors import ConfigError, ModeError
-from qarrival.process import (first_arrival_series_coeffs, joint_density,
+from qarrival.process import (SampleBatch, first_arrival_series_coeffs, joint_density,
                               log_joint_density, log_likelihood_batch,
                               noevent_mass, sample_batch, sample_times_matrix,
                               spatial_char, total_prob,
@@ -237,15 +237,21 @@ class TestSampling:
         # records are the rows of the sample matrix, cut at the detected count
         qf = StateFamily.quasifree(100.0)
         batch = sample_batch(4, qf, delta_profile, 300, seed=9)
-        times, n_det = sample_times_matrix(4, qf, delta_profile, 300, seed=9)
+        matrix = sample_times_matrix(4, qf, delta_profile, 300, seed=9)
+        # one result type: sample_batch is the sampler on substream 0
+        assert type(batch) is type(matrix) is SampleBatch
+        assert np.array_equal(batch.times.view(np.uint64), matrix.times.view(np.uint64))
+        assert np.array_equal(batch.n_detected, matrix.n_detected)
+        times, n_det = matrix
         assert 0 < np.sum(n_det < 4) < 300
-        assert len(batch.records) == 300
-        for rec, row, k in zip(batch.records, times, n_det):
+        records = batch.records
+        assert len(records) == 300
+        for rec, row, k in zip(records, times, n_det):
             assert np.all(np.diff(rec.times) > 0)
             assert np.array_equal(rec.times.view(np.uint64), row[:k].view(np.uint64))
             assert rec.n_detected == k and rec.terminated == (k < 4)
             # a view of the sampled matrix, kept out of the repr
-            assert rec.times.base is not None
+            assert rec.times.base is batch.times
             assert repr(rec) == "ArrivalRecord(requested=4)"
 
     def test_constant_rate_interarrivals_exponential(self):

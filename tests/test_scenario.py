@@ -196,6 +196,11 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError):
             Scenario(m=1.0, a=0.1, eps=0.0, p0=p0, x0=-20.0, navg=math.inf, r0=1.0)
 
+    def test_negative_infinite_navg_is_no_beam(self):
+        # only navg = +inf is the beam; -inf is a non-positive particle number
+        with pytest.raises(ConfigError, match="particle number must be positive"):
+            Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0, navg=-math.inf, r0=1.0)
+
     def test_source_at_detector_allowed(self):
         scn = Scenario(**{**self.FINITE, "x0": 0.0, "p0": 0.0})
         assert scn.x0 == 0.0
@@ -236,6 +241,8 @@ class TestBoundaries:
         ("mode=pulsed", "mode must be"),
         ("a=fast", "non-numeric value"),
         ("navg=inf", "requires mode=beam"),
+        ("mode=beam", "mode=beam requires navg=inf"),
+        ("navg=inf\nmode=beam", "beam mode requires the point detector"),
     ])
     def test_from_config_rejects(self, extra, match):
         # a repeated key overrides the earlier one
