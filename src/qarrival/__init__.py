@@ -3,8 +3,8 @@
 __version__ = "0.1.0"
 
 from .deltakernel import (DeltaParams, beam_asymptotes, beam_intensity,
-                          beam_intensity_dp, erfc_c, f_p,
-                          f_superposition, remainder_R, transmission_T)
+                          erfc_c, f_p, f_superposition, remainder_R,
+                          transmission_T)
 from .fisher import (FisherReport, density_sweep, fisher_info,
                      fisher_info_many, i_infinity, mc_score_variance,
                      mle_variance_study, sparse_limit_I, stationary_constant)
@@ -16,15 +16,14 @@ from .process import (ArrivalRecord, SampleBatch, joint_density,
 from .propagate import (ComplexSeries, TimeGrid, gaussian_free_at_origin,
                         gaussian_kernel_g, gaussian_overlap_h0,
                         monochromatic_drive, solve_renewal, solve_volterra)
-from .scenario import (Scenario, StateFamily, family_F, family_Fn, family_Hn,
-                       log_family_Fn)
+from .scenario import Scenario, StateFamily, family_Fn, family_Hn, log_family_Fn
 
 __all__ = [
     "ArrivalRecord", "ComplexSeries", "DeltaParams", "FisherReport",
     "IntensityProfile", "SampleBatch", "Scenario", "StateFamily", "TimeGrid",
-    "beam_asymptotes", "beam_intensity", "beam_intensity_dp", "build_profile",
+    "beam_asymptotes", "beam_intensity", "build_profile",
     "density_sweep", "erfc_c", "f_p", "f_superposition",
-    "family_F", "family_Fn", "family_Hn", "fisher_info",
+    "family_Fn", "family_Hn", "fisher_info",
     "fisher_info_many", "gaussian_free_at_origin", "gaussian_kernel_g",
     "gaussian_overlap_h0", "i_infinity", "joint_density", "log_family_Fn",
     "log_joint_density", "mc_score_variance", "mle_variance_study",

@@ -210,10 +210,10 @@ def cmd_sample(args) -> int:
     batch = pr.sample_batch(args.n, fam, prof, args.count, args.seed)
     with _output(args.out) as fh:
         fh.write("# n_detected,t_1..t_k,terminated\n")
-        for rec in batch.records:
-            parts = [str(rec.n_detected)]
-            parts += [f"{t:.12g}" for t in rec.times]
-            parts.append("1" if rec.terminated else "0")
+        for row, k in zip(batch.times, batch.n_detected.tolist()):
+            parts = [str(k)]
+            parts += [f"{t:.12g}" for t in row[:k]]
+            parts.append("1" if k < args.n else "0")
             fh.write(",".join(parts) + "\n")
     print(f"wrote {args.count} records (seed {args.seed}) to {args.out}")
     return 0

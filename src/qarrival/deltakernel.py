@@ -175,11 +175,6 @@ def remainder_R_dp(p, t, dp: DeltaParams):
     return _remainder(_positive_pieces(p, t, dp))[1]
 
 
-def remainder_R_with_dp(p, t, dp: DeltaParams):
-    """``(remainder_R, remainder_R_dp)`` from one set of erfc evaluations."""
-    return _remainder(_positive_pieces(p, t, dp))
-
-
 def f_p(p, t, dp: DeltaParams):
     """Monochromatic detection amplitude at the origin.
 
@@ -270,24 +265,19 @@ def beam_intensity(t, p0: float, r0: float, dp: DeltaParams):
 
 
 def beam_intensity_with_dp(t, p0: float, r0: float, dp: DeltaParams):
-    """``(beam_intensity, beam_intensity_dp)`` from one set of erfc evaluations.
+    """The beam intensity and its exact momentum derivative (p0 > 0), from
+    one set of erfc evaluations.
 
     The derivative is the chain rule through the remainder, using
-    d/dz erfc(z) = -2/sqrt(pi) exp(-z^2); the beam profile tables and
-    :func:`beam_intensity_dp` both come from here.
+    d/dz erfc(z) = -2/sqrt(pi) exp(-z^2).  The beam profile tables come
+    from here; the test suite and criterion 11 cross-check the derivative
+    against central finite differences of :func:`beam_intensity`.
     """
-    rem, rem_dp = remainder_R_with_dp(p0, t, dp)
+    rem, rem_dp = _remainder(_positive_pieces(p0, t, dp))
     bracket = transmission_T(p0, dp) + rem
     dbracket = dp.alpha / (p0 + dp.alpha) ** 2 + rem_dp
     return (dp.a * r0 * np.abs(bracket) ** 2,
             2.0 * dp.a * r0 * np.real(np.conj(bracket) * dbracket))
-
-
-def beam_intensity_dp(t, p0: float, r0: float, dp: DeltaParams):
-    """Exact momentum derivative of the beam intensity (p0 > 0), as the beam
-    profile tabulates it; cross-checked against central finite differences
-    of :func:`beam_intensity` by the test suite and criterion 11."""
-    return beam_intensity_with_dp(t, p0, r0, dp)[1]
 
 
 @dataclass(frozen=True)

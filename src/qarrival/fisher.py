@@ -191,20 +191,16 @@ def fisher_info_many(n_values, family: StateFamily,
     # thinned grid
     d, d2 = np.diff(t), np.diff(t[::2])
     distinct = tuple(dict.fromkeys(n_values))
-    bulk = {}
+    tails = (dict.fromkeys(distinct, 0.0) if profile.beam_tail is None
+             else _beam_tails(distinct, family, profile))
+    reports = {}
     for n in distinct:
         s_vals = _s_n(family, n, u, ratio, phi, clipped)
         with np.errstate(over="ignore"):
             y = np.exp(log_arrival_mass(family, n, u, logs)) * om * s_vals
         y2 = y[::2]
-        bulk[n] = (float((d * (y[1:] + y[:-1]) / 2.0).sum()),
-                   float((d2 * (y2[1:] + y2[:-1]) / 2.0).sum()))
-    tails = (dict.fromkeys(distinct, 0.0) if profile.beam_tail is None
-             else _beam_tails(distinct, family, profile))
-
-    reports = {}
-    for n in distinct:
-        fine, coarse = bulk[n]
+        fine = float((d * (y[1:] + y[:-1]) / 2.0).sum())
+        coarse = float((d2 * (y2[1:] + y2[:-1]) / 2.0).sum())
         detection = fine + tails[n]
         # thinning check on the tabulated part only (the tail is exact)
         if abs(fine - coarse) > THINNING_RTOL * abs(detection) + THINNING_ATOL:
@@ -217,12 +213,17 @@ def fisher_info_many(n_values, family: StateFamily,
 
 
 def _beam_tails(n_values, family: StateFamily, profile: it.IntensityProfile) -> dict:
-    """Integrals past the beam grid, continued in the mass variable u.
+    """Exact integrals of w_n S_n past the beam grid, continued in the mass
+    variable u over ``[U, inf)``, one per count in ``n_values``.
 
-    Past the grid the intensity is the constant omega_inf, so dOmega and
-    dOmega~ grow linearly in u with slopes ``phi = domega_inf/omega_inf``
-    and ``phi^2``, and the tails have closed forms
-    (:func:`_beam_tail_closed`).  Only the coherent and quasi-free families
+    Past the grid the intensity is the constant omega_inf, so
+    ``dOmega = phi u + c1`` and ``dOmega~ = phi^2 u + c3`` with
+    ``phi = domega_inf/omega_inf``.  Then ``ratio = phi + c1/u`` and
+    ``clipped = max(d/u - c1^2/u^2, 0)`` where ``d = c3 - 2 c1 phi``;
+    ``clipped`` is positive past ``u* = c1^2/d`` only, and nowhere when
+    ``d <= 0``.  The coherent tail is a sum of upper incomplete gamma
+    functions, the quasi-free one (in ``x = 1/(1+u)``) of incomplete beta
+    functions; notes/decisions.md derives both.  Only these two families
     reach here: a fixed-number family on a beam fails the particle-number
     check of :func:`process.checked_omega_inf`.
     """
@@ -231,27 +232,9 @@ def _beam_tails(n_values, family: StateFamily, profile: it.IntensityProfile) -> 
     phi = bt.domega_dp0_inf / bt.omega_inf
     c1 = profile.dOmega[-1] - phi * u_end
     d = profile.dOmega_tilde[-1] - phi * phi * u_end - 2.0 * c1 * phi
-    return dict(zip(n_values,
-                    _beam_tail_closed(family.kind, n_values, u_end, phi, c1, d).tolist()))
-
-
-def _beam_tail_closed(kind: str, n_values, u_end: float, phi: float, c1: float,
-                      d: float) -> np.ndarray:
-    """Exact integrals of w_n S_n over ``[u_end, inf)`` for the coherent or
-    quasi-free weight w_n, one per count in ``n_values``.
-
-    With ``dOmega = phi u + c1`` and ``dOmega~ = phi^2 u + c3`` past the
-    grid, ``ratio = phi + c1/u`` and ``clipped = max(d/u - c1^2/u^2, 0)``
-    where ``d = c3 - 2 c1 phi``; ``clipped`` is positive past
-    ``u* = c1^2/d`` only, and nowhere when ``d <= 0``.  The coherent tail
-    is a sum of upper incomplete gamma functions, the quasi-free one (in
-    ``x = 1/(1+u)``) of incomplete beta functions; notes/decisions.md
-    derives both.
-    """
+    tail = _coherent_tail if family.kind == "coherent" else _quasifree_tail
     n = np.asarray(n_values, dtype=float)
-    if kind == "coherent":
-        return _coherent_tail(n, u_end, phi, c1, d)
-    return _quasifree_tail(n, u_end, phi, c1, d)
+    return dict(zip(n_values, tail(n, u_end, phi, c1, d).tolist()))
 
 
 def _gamma_pair(n: np.ndarray, x: float):
@@ -494,7 +477,7 @@ def mle_variance_study(n: int, family: StateFamily, profile: it.IntensityProfile
     pr.checked_omega_inf(family, profile)  # before the grid profiles are built
     scn = profile.scn
     p_grid = np.linspace(scn.p0 - MLE_BRACKET, scn.p0 + MLE_BRACKET, grid_points)
-    profiles = [it.build_profile(scn.at_p0(p), t_max=profile.t_max, dt=profile.dt)
+    profiles = [it.build_profile(replace(scn, p0=p), t_max=profile.t_max, dt=profile.dt)
                 for p in p_grid]
     loglik = np.zeros((datasets, grid_points))
     chunk = max(1, MLE_BLOCK_RECORDS // records_per_dataset)

@@ -54,7 +54,11 @@ class SampleBatch(NamedTuple):
 
     @property
     def records(self) -> list:
-        """One :class:`ArrivalRecord` per row, cut from the matrix on each read."""
+        """One :class:`ArrivalRecord` per row, cut from the matrix on each read.
+
+        Only the benchmark's ``mc_study`` check and the tests read this view;
+        the library and the CLI read the matrix.
+        """
         return [ArrivalRecord(self.times.shape[1], row[:k])
                 for row, k in zip(self.times, self.n_detected.tolist())]
 

@@ -79,6 +79,14 @@ class Scenario:
                 raise ConfigError("mean particle number must be positive")
             if self.dp <= 0:
                 raise ConfigError("momentum width dp must be positive in finite mode")
+            # the Gaussian drives divide by dp^2 and scale with p0/dp^2 and p0^2/dp^2
+            dp2 = self.dp * self.dp
+            if not (math.isfinite(dp2) and dp2 > 0.0 and math.isfinite(1.0 / dp2)):
+                raise ConfigError(f"momentum width dp={self.dp!r} is out of range: "
+                                  f"dp^2 and 1/dp^2 must be finite")
+            if not (math.isfinite(self.p0 / dp2) and math.isfinite(self.p0 * self.p0 / dp2)):
+                raise ConfigError(f"source momentum p0={self.p0!r} is out of range for "
+                                  f"dp={self.dp!r}: p0/dp^2 and p0^2/dp^2 must be finite")
         else:
             if self.eps != 0.0:
                 raise ConfigError("beam mode requires the point detector (eps = 0)")
@@ -112,9 +120,6 @@ class Scenario:
             return replace(self, navg=math.inf, dp=0.0, eps=0.0)
         dp = math.sqrt(math.pi / 2.0) * self.r0 / navg
         return replace(self, navg=navg, dp=dp)
-
-    def at_p0(self, p0: float) -> "Scenario":
-        return replace(self, p0=p0)
 
     # -- flat key=value config files (the CLI contract) ------------------
 
@@ -220,11 +225,6 @@ def _check_domain(omega_int):
     if np.any(u < 0.0):
         raise ValueError("integrated intensity must be >= 0")
     return u
-
-
-def family_F(family: StateFamily, omega_int):
-    """Weight function F evaluated at the integrated intensity."""
-    return family_Fn(family, 0, omega_int)
 
 
 def log_family_Fn(family: StateFamily, n: int, omega_int):

@@ -263,7 +263,7 @@ def check_derivative_crosscheck():
     h = 1e-5
     fd = (dk.beam_intensity(tv, BASE["p0"] + h, R0_FIG, _DP)
           - dk.beam_intensity(tv, BASE["p0"] - h, R0_FIG, _DP)) / (2.0 * h)
-    an = dk.beam_intensity_dp(tv, BASE["p0"], R0_FIG, _DP)
+    an = dk.beam_intensity_with_dp(tv, BASE["p0"], R0_FIG, _DP)[1]
     worst = float(np.max(np.abs(an - fd) / np.abs(an)))
     return _result("derivative-crosscheck", worst <= 1e-6,
                    f"max relative FD mismatch = {worst:.2e} (bound 1e-6)")

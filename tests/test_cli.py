@@ -280,6 +280,19 @@ class TestErrors:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert match in err
 
+    @pytest.mark.parametrize("key, value", [("dp", "1e-300"), ("p0", "1e300")])
+    def test_drive_constants_out_of_range(self, tmp_path, capsys, key, value):
+        # dp = 1e-300 divided by zero and p0 = 1e300 overflowed in the
+        # Gaussian drive; a repeated key overrides the earlier one
+        cfg = tmp_path / "scale.cfg"
+        cfg.write_text(FINITE_CONFIG + f"{key}={value}\n")
+        rc = main(["fisher", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                   "--n-list", "1,2", "--t-max", "10", "--dt", "0.01"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert f"{key}=" in err
+
     def test_beam_negative_momentum(self, tmp_path):
         cfg = tmp_path / "back.cfg"
         cfg.write_text(BEAM_CONFIG.replace("p0=1.0", "p0=-1.0"))

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from qarrival import deltakernel as dk
 from qarrival.deltakernel import (BeamAsymptotes, DeltaParams, beam_asymptotes,
-                                  beam_intensity, beam_intensity_dp, erfc_c,
+                                  beam_intensity, beam_intensity_with_dp, erfc_c,
                                   f_p, f_superposition, remainder_R,
-                                  remainder_R_dp, remainder_R_with_dp,
-                                  renewal_kernel_solution, transmission_T)
+                                  remainder_R_dp, renewal_kernel_solution,
+                                  transmission_T)
 from qarrival.errors import ModeError, ToleranceError
 from qarrival.propagate import (TimeGrid, gaussian_free_at_origin,
                                 monochromatic_drive, solve_renewal)
@@ -15,6 +16,12 @@ from qarrival.scenario import Scenario
 
 DP = DeltaParams(a=0.1, m=1.0)
 SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+def remainder_pair(p, t, dp):
+    """R_p and dR_p/dp from one set of erfc evaluations, as the beam tables
+    take them through :func:`beam_intensity_with_dp`."""
+    return dk._remainder(dk._positive_pieces(p, t, dp))
 
 
 def gaussian_chi_hat(scn):
@@ -90,21 +97,22 @@ class TestRemainder:
     def test_shared_pieces_match_separate_calls_bitwise(self, p):
         # includes the Taylor branch at |p| = alpha and both sides of it
         t = np.concatenate([[0.0], np.geomspace(1e-9, 60.0, 500)])
-        both = remainder_R_with_dp(p, t, DP)
+        both = remainder_pair(p, t, DP)
         for got, alone in zip(both, (remainder_R(p, t, DP), remainder_R_dp(p, t, DP))):
             assert np.array_equal(got.view(np.uint64), alone.view(np.uint64))
-        scalar = remainder_R_with_dp(p, 3.0, DP)
+        scalar = remainder_pair(p, 3.0, DP)
         assert scalar == (remainder_R(p, 3.0, DP), remainder_R_dp(p, 3.0, DP))
         assert all(type(v) is complex for v in scalar)
 
     def test_shared_pieces_reject_zero_momentum(self):
         with pytest.raises(ModeError):
-            remainder_R_with_dp(0.0, 3.0, DP)
+            beam_intensity_with_dp(3.0, 0.0, 1.0, DP)
 
     @pytest.mark.parametrize("p", [-1.0, -DP.alpha, np.array([0.5, -0.5]), math.nan])
     def test_derivative_rejects_nonpositive_momentum(self, p):
         # the pieces hold |p|; the sign check must see p itself
-        for fn in (remainder_R_dp, remainder_R_with_dp):
+        for fn in (remainder_R_dp, remainder_pair,
+                   lambda p, t, dp: beam_intensity_with_dp(t, p, 1.0, dp)):
             with pytest.raises(ModeError):
                 fn(p, 3.0, DP)
 
@@ -218,13 +226,13 @@ class TestBeamIntensity:
         h = 1e-5
         fd = (beam_intensity(ts, 1.0 + h, 56.42, DP)
               - beam_intensity(ts, 1.0 - h, 56.42, DP)) / (2 * h)
-        an = beam_intensity_dp(ts, 1.0, 56.42, DP)
+        an = beam_intensity_with_dp(ts, 1.0, 56.42, DP)[1]
         assert np.max(np.abs(an - fd) / np.abs(an)) < 1e-6
 
     def test_derivative_small_time_power(self):
         asym = beam_asymptotes(1.0, 56.42, DP)
         ts = np.array([1e-6, 1e-5, 1e-4])
-        vals = beam_intensity_dp(ts, 1.0, 56.42, DP)
+        vals = beam_intensity_with_dp(ts, 1.0, 56.42, DP)[1]
         assert np.allclose(vals / ts ** 1.5, asym.dc_t32, rtol=2e-3)
 
     def test_small_time_expansion(self):

@@ -306,7 +306,7 @@ def _fd_score(times, family, profile, h):
     scn = profile.scn
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # slow-tail warnings of finite profiles
-        plus, minus = (build_profile(scn.at_p0(scn.p0 + sign * h),
+        plus, minus = (build_profile(dataclasses.replace(scn, p0=scn.p0 + sign * h),
                                      t_max=profile.t_max, dt=profile.dt)
                        for sign in (1.0, -1.0))
     return (pr.log_likelihood_batch(times, family, plus)
@@ -666,6 +666,12 @@ def _tail_constants(profile):
     return u_end, phi, c1, c3 - 2.0 * c1 * phi
 
 
+def _closed_form_tails(kind, ns, u_end, phi, c1, d):
+    """The closed-form tails :func:`fisher._beam_tails` takes for ``kind``."""
+    tail = fisher._coherent_tail if kind == "coherent" else fisher._quasifree_tail
+    return tail(np.asarray(ns, dtype=float), u_end, phi, c1, d)
+
+
 class TestClosedFormTails:
     @pytest.mark.parametrize("p0", [0.6, 1.0, 1.7])
     @pytest.mark.parametrize("family", [COH, QF], ids=lambda f: f.kind)
@@ -674,7 +680,7 @@ class TestClosedFormTails:
             prof = beam_profiles[r0] if p0 == 1.0 else build_profile(
                 Scenario(m=1.0, a=0.1, eps=0.0, p0=p0, navg=math.inf, r0=r0))
             consts = _tail_constants(prof)
-            got = fisher._beam_tail_closed(family.kind, TAIL_NS, *consts)
+            got = _closed_form_tails(family.kind, TAIL_NS, *consts)
             for n, tail, rep in zip(TAIL_NS, got, fisher_info_many(TAIL_NS, family, prof)):
                 assert abs(tail - _mp_tail(family.kind, n, *consts)) <= 1e-12 * rep.value
 
@@ -688,7 +694,7 @@ class TestClosedFormTails:
     @pytest.mark.parametrize("kind", ["coherent", "quasifree"])
     def test_synthetic_constants_match_mpmath(self, consts, kind):
         ns = (1, 2, 3, 5, 20, 60)
-        for n, tail in zip(ns, fisher._beam_tail_closed(kind, ns, *consts)):
+        for n, tail in zip(ns, _closed_form_tails(kind, ns, *consts)):
             ref = _mp_tail(kind, n, *consts)
             assert abs(tail - ref) <= 1e-12 * ref
 
@@ -697,7 +703,7 @@ class TestClosedFormTails:
         # one vectorised pass gives each count the bits it gets alone
         ns = (60, 2, 1, 7, 2, 3)
         for kind in ("coherent", "quasifree"):
-            got = fisher._beam_tail_closed(kind, ns, u_end, 0.3, 0.8, 0.2)
-            alone = [fisher._beam_tail_closed(kind, (n,), u_end, 0.3, 0.8, 0.2)[0]
+            got = _closed_form_tails(kind, ns, u_end, 0.3, 0.8, 0.2)
+            alone = [_closed_form_tails(kind, (n,), u_end, 0.3, 0.8, 0.2)[0]
                      for n in ns]
             assert got.tolist() == alone

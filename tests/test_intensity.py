@@ -18,6 +18,15 @@ from qarrival.process import sample_times_matrix
 from qarrival.scenario import Scenario, StateFamily
 
 
+def beam_from_separate_remainders(t, p0, r0, dp):
+    """The beam intensity and its derivative with R_p and dR_p/dp from two
+    separate erfc evaluations, the formulas of ``beam_intensity_with_dp``."""
+    bracket = dk.transmission_T(p0, dp) + dk.remainder_R(p0, t, dp)
+    dbracket = dp.alpha / (p0 + dp.alpha) ** 2 + dk.remainder_R_dp(p0, t, dp)
+    return (dp.a * r0 * np.abs(bracket) ** 2,
+            2.0 * dp.a * r0 * np.real(np.conj(bracket) * dbracket))
+
+
 class TestBeamProfile:
     @pytest.mark.parametrize("p0", [0.05, 0.05 * (1 + 1e-5), 1.0, 1.37])
     def test_tables_match_separate_remainders_bitwise(self, p0, monkeypatch):
@@ -29,21 +38,21 @@ class TestBeamProfile:
         build = intensity._beam_tables.__wrapped__
         shared = build(0.1, 1.0, p0, 60.0, 0.01)
         assert len(erfc_calls) == 2
-        monkeypatch.setattr(dk, "remainder_R_with_dp", lambda p, t, dp: (
-            dk.remainder_R(p, t, dp), dk.remainder_R_dp(p, t, dp)))
+        monkeypatch.setattr(dk, "beam_intensity_with_dp", beam_from_separate_remainders)
         separate = build(0.1, 1.0, p0, 60.0, 0.01)
         for a, b in zip(shared[:6], separate[:6]):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
     @pytest.mark.parametrize("p0", [0.6, 1.0, 1.7])
     def test_tables_are_the_checked_formulas(self, p0):
-        # criterion 11 checks beam_intensity_dp against finite differences of
-        # beam_intensity; the tables hold those two at unit density
+        # criterion 11 checks the derivative of beam_intensity_with_dp against
+        # finite differences of beam_intensity; the tables hold those two at
+        # unit density
         dp_obj = DeltaParams(0.1, 1.0)
         t, g, gdot = intensity._beam_tables(0.1, 1.0, p0, 60.0, 0.01)[:3]
-        for table, formula in ((g, dk.beam_intensity), (gdot, dk.beam_intensity_dp)):
-            assert np.array_equal(table.view(np.uint64),
-                                  formula(t, p0, 1.0, dp_obj).view(np.uint64))
+        for table, formula in ((g, dk.beam_intensity(t, p0, 1.0, dp_obj)),
+                               (gdot, dk.beam_intensity_with_dp(t, p0, 1.0, dp_obj)[1])):
+            assert np.array_equal(table.view(np.uint64), formula.view(np.uint64))
 
     def test_initial_rate(self, beam_profile):
         assert beam_profile.omega[0] == pytest.approx(5.642)
@@ -153,10 +162,8 @@ class TestFiniteProfiles:
         # profile FD derivative vs a coarser independent re-solve
         prof = build_profile(narrow_scn, t_max=40.0, dt=5e-3)
         h = 5e-4
-        hi = build_profile(narrow_scn.at_p0(narrow_scn.p0 + h), t_max=40.0,
-                           dt=5e-3, derivative=False)
-        lo = build_profile(narrow_scn.at_p0(narrow_scn.p0 - h), t_max=40.0,
-                           dt=5e-3, derivative=False)
+        hi, lo = (build_profile(dataclasses.replace(narrow_scn, p0=narrow_scn.p0 + sign * h),
+                                t_max=40.0, dt=5e-3, derivative=False) for sign in (1, -1))
         fd = (hi.omega - lo.omega) / (2 * h)
         i = np.argmax(prof.omega)
         assert fd[i] == pytest.approx(prof.domega[i], rel=5e-4)
@@ -339,7 +346,8 @@ class TestLocator:
     def test_locator_shared_across_profiles_on_one_grid(self, beam_scn):
         a = build_profile(beam_scn, t_max=20.0)
         b = build_profile(dataclasses.replace(beam_scn, r0=3.0), t_max=20.0)
-        c = build_profile(beam_scn.at_p0(1.2), t_max=20.0)  # equal grid, own array
+        # equal grid, own array
+        c = build_profile(dataclasses.replace(beam_scn, p0=1.2), t_max=20.0)
         assert c.t is not a.t
         tq = np.linspace(0.0, 25.0, 300).reshape(-1, 3)
         loc = a.locate(tq)

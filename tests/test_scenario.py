@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qarrival.errors import ConfigError, SingularFamilyError
-from qarrival.scenario import (Scenario, StateFamily, family_F, family_Fn,
-                               family_Hn, gamma_eps, hn_values, log_family_Fn)
+from qarrival.scenario import (Scenario, StateFamily, family_Fn, family_Hn, gamma_eps,
+                               hn_values, log_family_Fn)
 
 FAMILIES = [StateFamily.fock(12), StateFamily.coherent(3.0), StateFamily.quasifree(3.0)]
 
@@ -16,17 +16,17 @@ FAMILIES = [StateFamily.fock(12), StateFamily.coherent(3.0), StateFamily.quasifr
 class TestWeightFunction:
     def test_normalised_at_zero(self):
         for fam in FAMILIES:
-            assert family_F(fam, 0.0) == pytest.approx(1.0)
+            assert family_Fn(fam, 0, 0.0) == pytest.approx(1.0)
 
     def test_quasifree_half(self):
-        assert family_F(StateFamily.quasifree(2.0), 1.0) == pytest.approx(0.5)
+        assert family_Fn(StateFamily.quasifree(2.0), 0, 1.0) == pytest.approx(0.5)
 
     def test_fock_vanishes_past_particle_number(self):
-        assert family_F(StateFamily.fock(3), 3.5) == 0.0
+        assert family_Fn(StateFamily.fock(3), 0, 3.5) == 0.0
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
-            family_F(StateFamily.coherent(1.0), -0.1)
+            family_Fn(StateFamily.coherent(1.0), 0, -0.1)
 
 
 class TestSignedDerivatives:
@@ -134,7 +134,7 @@ def test_fn_nonnegative_everywhere(u, n):
 @settings(max_examples=80, deadline=None)
 def test_weight_nonincreasing(u, du):
     for fam in FAMILIES:
-        assert family_F(fam, u + du) <= family_F(fam, u) + 1e-12
+        assert family_Fn(fam, 0, u + du) <= family_Fn(fam, 0, u) + 1e-12
 
 
 class TestScenarioConfig:
@@ -223,6 +223,12 @@ class TestBoundaries:
         ("finite", {"dp": -0.5}, "dp must be positive"),
         ("beam", {"r0": 0.0}, "positive density"),
         ("beam", {"r0": -1.0}, "positive density"),
+        # the Gaussian drive divides by dp^2 and scales with p0^2/dp^2
+        ("finite", {"dp": 1e-300}, "width dp="),
+        ("finite", {"dp": 1e-160}, "width dp="),
+        ("finite", {"dp": 1e200}, "width dp="),
+        ("finite", {"p0": 1e300}, "momentum p0="),
+        ("finite", {"p0": -1e160}, "momentum p0="),
     ])
     def test_scenario_rejects(self, mode, change, match):
         base = self.FINITE if mode == "finite" else self.BEAM
