@@ -83,15 +83,33 @@ def transmission_T(p, dp: DeltaParams):
 _TAYLOR_REL_WIDTH = 1e-4
 
 
+def remainder_ray(t, dp: DeltaParams):
+    """The momentum-free factors of the remainder on the times ``t``:
+    ``(t, beta, erfc(alpha beta))`` with ``beta = exp(-i pi/4) sqrt(t/(2m))``,
+    ``t`` as a float array.  A beam grid computes them once for every p0."""
+    t = np.asarray(t, dtype=float)
+    beta = _EXP_M_IPI4 * np.sqrt(t / (2.0 * dp.m))
+    return t, beta, erfc_c(dp.alpha * beta)
+
+
+def _broadcast_ray(p, t, dp: DeltaParams):
+    """The :func:`remainder_ray` on the times ``t`` broadcast against ``p``."""
+    return remainder_ray(np.broadcast_arrays(np.asarray(p, dtype=float),
+                                             np.asarray(t, dtype=float))[1], dp)
+
+
 def _remainder_pieces(p, t, dp: DeltaParams):
     """Common factors of the transient remainder, broadcast over p and t."""
-    q = np.abs(np.asarray(p, dtype=float))
-    t = np.asarray(t, dtype=float)
-    q, t = np.broadcast_arrays(q, t)
+    return _pieces_on_ray(p, _broadcast_ray(p, t, dp), dp)
+
+
+def _pieces_on_ray(p, ray, dp: DeltaParams):
+    """The factors at ``q = |p|`` on the times of a :func:`remainder_ray`,
+    whose shape they take."""
+    t, beta, e2 = ray
+    q = np.broadcast_to(np.abs(np.asarray(p, dtype=float)), np.shape(t))
     alpha = dp.alpha
-    beta = _EXP_M_IPI4 * np.sqrt(t / (2.0 * dp.m))
     e1 = erfc_c(q * beta)
-    e2 = erfc_c(alpha * beta)
     # exp(-beta^2 (q^2 - alpha^2)) = exp(i t (q^2 - alpha^2) / (2 m)): unimodular
     g = np.exp(1j * t * (q * q - alpha * alpha) / (2.0 * dp.m))
     return q, alpha, beta, e1, e2, g
@@ -162,17 +180,17 @@ def remainder_R(p, t, dp: DeltaParams):
     return _remainder(_remainder_pieces(p, t, dp))[0]
 
 
-def _positive_pieces(p, t, dp: DeltaParams):
-    """:func:`_remainder_pieces` for the derivative, which needs p > 0 itself:
-    the pieces hold |p|, whose derivative has the wrong sign for p < 0."""
+def _positive(p):
+    """``p`` itself, which the derivative needs > 0: the pieces hold |p|,
+    whose derivative has the wrong sign for p < 0."""
     if not np.all(np.asarray(p) > 0.0):
         raise ModeError("remainder derivative is implemented for p > 0 sources")
-    return _remainder_pieces(p, t, dp)
+    return p
 
 
 def remainder_R_dp(p, t, dp: DeltaParams):
     """Momentum derivative of the transient remainder (p > 0 only)."""
-    return _remainder(_positive_pieces(p, t, dp))[1]
+    return _remainder(_remainder_pieces(_positive(p), t, dp))[1]
 
 
 def f_p(p, t, dp: DeltaParams):
@@ -269,11 +287,18 @@ def beam_intensity_with_dp(t, p0: float, r0: float, dp: DeltaParams):
     one set of erfc evaluations.
 
     The derivative is the chain rule through the remainder, using
-    d/dz erfc(z) = -2/sqrt(pi) exp(-z^2).  The beam profile tables come
-    from here; the test suite and criterion 11 cross-check the derivative
-    against central finite differences of :func:`beam_intensity`.
+    d/dz erfc(z) = -2/sqrt(pi) exp(-z^2).  The test suite and criterion 11
+    cross-check it against central finite differences of
+    :func:`beam_intensity`.
     """
-    rem, rem_dp = _remainder(_positive_pieces(p0, t, dp))
+    return beam_intensity_on_ray(_broadcast_ray(p0, t, dp), p0, r0, dp)
+
+
+def beam_intensity_on_ray(ray, p0: float, r0: float, dp: DeltaParams):
+    """:func:`beam_intensity_with_dp` on the times of a :func:`remainder_ray`,
+    which makes one erfc evaluation, at ``p0 beta``; the beam profile tables
+    come from here, on the ray that their grid keeps."""
+    rem, rem_dp = _remainder(_pieces_on_ray(_positive(p0), ray, dp))
     bracket = transmission_T(p0, dp) + rem
     dbracket = dp.alpha / (p0 + dp.alpha) ** 2 + rem_dp
     return (dp.a * r0 * np.abs(bracket) ** 2,

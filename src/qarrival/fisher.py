@@ -413,9 +413,8 @@ def _score_batch(times, family: StateFamily, profile: it.IntensityProfile):
         live = om > pr.OMEGA_FLOOR
         score = pr._row_sums(np.where(live, profile.domega_at(loc) / np.where(live, om, 1.0),
                                       0.0))
-        last = loc[:, -1]
-        u_last = profile.Omega_at(last)
-        score -= hn_values(family, n, u_last) * profile.dOmega_at(last)
+        u_last = profile.Omega_at(loc.last)
+        score -= hn_values(family, n, u_last) * profile.dOmega_at(loc.last)
         return score
 
     def short(n):

@@ -15,12 +15,15 @@ carry a fitted power-law tail estimate for the total-mass extrapolation.
 
 Pointwise evaluation is split in two.  ``IntensityProfile.locate`` finds
 the grid cell of each query time once (a :class:`Locator`: ``intp`` cell
-index, offset into the cell, and the points at and past the last node), and
-the evaluators read any profile on the same grid from it.  One linear cell
-model serves ``omega_at`` and its momentum derivative ``domega_at``, and one
-quadratic cell model serves ``Omega_at`` and ``dOmega_at``; each table has a
-per-cell slope, ``(y[1:] - y[:-1]) / (t[1:] - t[:-1])``, cached on first
-use.  The linear interpolant ``slope * s + y`` is the expression
+index, offset into the cell, the flat indices of the points at and past the
+last node and, for a record matrix, its last column as contiguous arrays),
+and the evaluators read any profile on the same grid from it, computing
+the cell model in place and writing the continuation by index.  One
+linear cell model serves ``omega_at`` and its momentum derivative
+``domega_at``, and one quadratic cell model serves ``Omega_at`` and
+``dOmega_at``; each table has a per-cell slope,
+``(y[1:] - y[:-1]) / (t[1:] - t[:-1])``, cached on first use.  The
+linear interpolant ``slope * s + y`` is the expression
 ``np.interp`` evaluates, so results equal it bit for bit; profiles that
 share a grid (the momentum grid of the maximum-likelihood study) pay for
 the cell search once.  Past the grid the derivatives continue as their
@@ -28,7 +31,10 @@ values do: a beam's ``domega`` stays at ``domega_dp0_inf`` and its
 ``dOmega`` grows linearly, a finite profile holds 0 and ``dOmega[-1]``.
 For a few points at a time, where numpy's per-call overhead dominates, the
 cell formulas of ``omega_at``/``Omega_at`` also run on Python-float copies
-of the tables, with the same results.
+of the tables, with the same results; a single float query takes that path.
+Beam profiles on one grid share one read-only ``t`` and the p0-free factors
+of the remainder on it (``_beam_ray``), so their locators are checked by
+identity and a new momentum makes one complex-erfc call.
 
 The cell search of ``locate`` (over ``t[1:-1]``) and of ``invert_Omega``
 (over ``Omega[1:-1]``) is a :class:`_BucketIndex`: about one bucket per
@@ -81,19 +87,37 @@ class Locator:
     ``idx`` is the cell of each point (``intp``, which numpy gathers with
     as it is), clamped to the first and last cell;
     ``s = max(min(tq, t[-1]) - t[idx], 0)`` is the offset into it, so it
-    stays inside the cell and finite (at ``+inf`` too).  ``past`` marks the
-    points beyond ``t[-1]`` and ``at`` those exactly at it (each None when
-    there are none).  Past ``t[-1]`` the evaluators replace the cell
+    stays inside the cell and finite (at ``+inf`` too).  ``past`` and
+    ``at`` hold the flat (C-order) indices of the points beyond ``t[-1]``
+    and exactly at it; past ``t[-1]`` the evaluators overwrite the cell
     formula with the profile's continuation, so its value is never read
-    there.  Indexing a locator selects points, as indexing ``tq`` would.
+    there.  A locator on a ``(count, n)`` matrix with ``n >= 1`` also
+    holds its last column as a contiguous locator, ``last``, and
+    ``complete``, whether every row ends in a time (no NaN in that
+    column); otherwise ``last`` is None and ``complete`` False.  All of it
+    is prepared once (:meth:`prepare`) and read by every profile on the
+    grid.  Indexing a locator selects points, as indexing ``tq`` would,
+    and prepares the selection.
     """
 
     t: np.ndarray
     idx: np.ndarray
     s: np.ndarray
     tq: np.ndarray
-    past: np.ndarray | None
-    at: np.ndarray | None
+    past: np.ndarray
+    at: np.ndarray
+    last: Locator | None
+    complete: bool
+
+    @classmethod
+    def prepare(cls, t, idx, s, tq) -> Locator:
+        """The locator of the points ``tq`` in the cells ``idx`` at offsets ``s``."""
+        past, at = (tq > t[-1]).ravel().nonzero()[0], (tq == t[-1]).ravel().nonzero()[0]
+        last, complete = None, False
+        if tq.ndim == 2 and tq.shape[1]:
+            last = cls.prepare(t, idx[:, -1].copy(), s[:, -1].copy(), tq[:, -1].copy())
+            complete = not np.isnan(last.tq).any()
+        return cls(t, idx, s, tq, past, at, last, complete)
 
     @property
     def size(self) -> int:
@@ -101,9 +125,7 @@ class Locator:
         return int(np.size(self.idx))
 
     def __getitem__(self, key) -> Locator:
-        return Locator(self.t, self.idx[key], self.s[key], self.tq[key],
-                       None if self.past is None else self.past[key],
-                       None if self.at is None else self.at[key])
+        return Locator.prepare(self.t, self.idx[key], self.s[key], self.tq[key])
 
 
 @dataclass(frozen=True, slots=True)
@@ -224,9 +246,7 @@ class IntensityProfile:
         # the offset is taken in the clamped cell, so that the cell formulas
         # stay finite past the grid (at +inf too), where the tail replaces them
         s = np.maximum(np.minimum(tq, t[-1]) - t[idx], 0.0)
-        past, at = tq > t[-1], tq == t[-1]
-        return Locator(t, idx, s, tq, past if np.count_nonzero(past) else None,
-                       at if np.count_nonzero(at) else None)
+        return Locator.prepare(t, idx, s, tq)
 
     def _cells(self, tq) -> Locator:
         if not isinstance(tq, Locator):
@@ -239,25 +259,35 @@ class IntensityProfile:
         """Linear cell model of the table ``y`` (``np.interp``, bit for bit),
         the constant ``tail`` past the grid."""
         loc = self._cells(tq)
-        out = slope[loc.idx] * loc.s + y[loc.idx]
-        if loc.past is not None:
-            out = np.where(loc.past, tail, out)
-        if loc.at is not None:  # np.interp returns the last node's value there
-            out = np.where(loc.at, y[-1], out)
-        return float(out) if out.ndim == 0 else out
+        idx = loc.idx.reshape(-1)
+        out = slope.take(idx)
+        out *= loc.s.reshape(-1)
+        out += y.take(idx)
+        out[loc.past] = tail
+        out[loc.at] = y[-1]  # np.interp returns the last node's value there
+        return _shaped(out, loc)
 
     def _quadratic(self, tq, Y, y, slope, rate):
         """Quadratic cell model of ``Y``, the trapezoid integral of ``y``; past
         the grid it grows at ``rate``, or stays at ``Y[-1]`` for None."""
         loc = self._cells(tq)
-        idx, s = loc.idx, loc.s
-        out = Y[idx] + y[idx] * s + 0.5 * slope[idx] * s * s
-        if loc.past is not None:
-            tail = Y[-1] if rate is None else Y[-1] + rate * (loc.tq - self.t[-1])
-            out = np.where(loc.past, tail, out)
-        return float(out) if out.ndim == 0 else out
+        idx, s = loc.idx.reshape(-1), loc.s.reshape(-1)
+        # Y + y s + 0.5 slope s s, term by term in place (a + b is b + a in IEEE)
+        out = y.take(idx)
+        out *= s
+        out += Y.take(idx)
+        quad = slope.take(idx)
+        quad *= 0.5
+        quad *= s
+        quad *= s
+        out += quad
+        out[loc.past] = (Y[-1] if rate is None
+                         else Y[-1] + rate * (loc.tq.reshape(-1)[loc.past] - self.t[-1]))
+        return _shaped(out, loc)
 
     def omega_at(self, tq):
+        if isinstance(tq, float):  # one time: the per-point evaluator, same bits
+            return self._omega_point(float(tq))
         bt = self.beam_tail
         return self._linear(tq, self.omega, self._slope, 0.0 if bt is None else bt.omega_inf)
 
@@ -268,6 +298,8 @@ class IntensityProfile:
                             0.0 if bt is None else bt.domega_dp0_inf)
 
     def Omega_at(self, tq):
+        if isinstance(tq, float):
+            return self._Omega_point(float(tq))
         bt = self.beam_tail
         return self._quadratic(tq, self.Omega, self.omega, self._slope,
                                None if bt is None else bt.omega_inf)
@@ -353,6 +385,11 @@ class IntensityProfile:
         return float(out[0]) if scalar else out
 
 
+def _shaped(out: np.ndarray, loc: Locator):
+    """The flat evaluator output in the shape of the located points, a float for one."""
+    return float(out[0]) if loc.idx.ndim == 0 else out.reshape(loc.idx.shape)
+
+
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -371,12 +408,27 @@ def _derivative_integrals(t, omega, domega):
             cumulative_trapezoid(sq, t, initial=0.0))
 
 
+@lru_cache(maxsize=4)
+def _beam_ray(a: float, m: float, t_max: float, dt: float):
+    """The grid of every beam table with these constants and the p0-free
+    factors of the remainder on it (:func:`deltakernel.remainder_ray`),
+    read-only: the tables on one grid share one ``t`` and one
+    ``erfc(alpha beta)``."""
+    ray = dk.remainder_ray(_beam_grid(t_max, dt), dk.DeltaParams(a, m))
+    for arr in ray:
+        arr.setflags(write=False)
+    return ray
+
+
 @lru_cache(maxsize=16)
 def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
-    """r0-independent beam tabulation: per-density intensity g = omega/r0."""
+    """r0-independent beam tabulation on the grid of :func:`_beam_ray`:
+    per-density intensity g = omega/r0, its p0-derivative and the three
+    running integrals."""
     dp_obj = dk.DeltaParams(a, m)
-    t = _beam_grid(t_max, dt)
-    g, gdot = dk.beam_intensity_with_dp(t, p0, 1.0, dp_obj)
+    ray = _beam_ray(a, m, t_max, dt)
+    t = ray[0]
+    g, gdot = dk.beam_intensity_on_ray(ray, p0, 1.0, dp_obj)
     asym = dk.beam_asymptotes(p0, 1.0, dp_obj)  # unit density; scaled later
     G = cumulative_trapezoid(g, t, initial=0.0)
     # cusp-aware first cell: g = c0 + c_sqrt sqrt(t) + c_lin t locally
@@ -385,9 +437,9 @@ def _beam_tables(a: float, m: float, p0: float, t_max: float, dt: float):
         - 0.5 * (g[0] + g[1]) * t1
     dG, dG_tilde = _derivative_integrals(t, g, gdot)
     dG[1:] += 0.4 * asym.dc_t32 * t1 ** 2.5 - 0.5 * (gdot[0] + gdot[1]) * t1
-    for arr in (t, g, gdot, G, dG, dG_tilde):  # shared by every profile with this key
+    for arr in (g, gdot, G, dG, dG_tilde):  # shared by every profile with this key
         arr.setflags(write=False)
-    return t, g, gdot, G, dG, dG_tilde
+    return g, gdot, G, dG, dG_tilde
 
 
 def _fit_finite_tail(t, omega, navg, Omega_end):
@@ -431,7 +483,10 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
     grid = pg.TimeGrid(t_max, dt)  # rejects a bad t_max or dt for every source
 
     if scn.beam:
-        t, g, gdot, G, dG, dG_tilde = _beam_tables(scn.a, scn.m, scn.p0, t_max, dt)
+        g, gdot, G, dG, dG_tilde = _beam_tables(scn.a, scn.m, scn.p0, t_max, dt)
+        # the grid is read where the ray is cached, so profiles built one
+        # after another share one t whatever the table cache holds
+        t = _beam_ray(scn.a, scn.m, t_max, dt)[0]
         r0 = scn.r0
         return IntensityProfile(
             scn=scn, t=t, omega=r0 * g, Omega=r0 * G, domega=r0 * gdot,

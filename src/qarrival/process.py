@@ -130,7 +130,7 @@ def log_likelihood_batch(times, family: StateFamily, profile: IntensityProfile):
     def complete(loc, n):
         om = profile.omega_at(loc)
         return (_row_sums(np.log(np.maximum(om, OMEGA_FLOOR, out=om), out=om))
-                + log_family_Fn(family, n, profile.Omega_at(loc[:, -1])))
+                + log_family_Fn(family, n, profile.Omega_at(loc.last)))
 
     def short(n):
         mass = noevent_mass(n, family, profile)
@@ -144,15 +144,17 @@ def _by_record(times, profile: IntensityProfile, complete, short):
 
     ``times`` is a ``(count, n)`` matrix or a :class:`Locator` on it.  Rows
     ending in a time get ``complete(loc, n)`` on their locator; rows ending
-    in NaN, the padding of short records, get the scalar ``short(n)``.
+    in NaN, the padding of short records, get the scalar ``short(n)``.  The
+    locator knows whether every row is complete, so a block of complete
+    records is valued without a pass over its last column.
     """
     loc = times if isinstance(times, Locator) else profile.locate(times)
-    if loc.idx.ndim != 2 or loc.idx.shape[1] == 0:
+    if loc.last is None:
         raise ValueError("records need a (count, n) time matrix with n >= 1")
     n = loc.idx.shape[1]
-    full = ~np.isnan(loc.tq[:, -1])
-    if full.all():
+    if loc.complete:
         return complete(loc, n)
+    full = ~np.isnan(loc.last.tq)
     out = np.empty(full.shape)
     out[full] = complete(loc[full], n)
     out[~full] = short(n)

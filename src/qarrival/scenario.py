@@ -74,19 +74,25 @@ class Scenario:
             raise ConfigError("mass and detection strength must be positive")
         if self.eps < 0:
             raise ConfigError("detector width eps must be >= 0")
+        if not math.isfinite(2.0 * self.eps * self.eps):  # the detector kernel's width term
+            raise ConfigError(f"detector width eps={self.eps!r} is out of range: "
+                              f"2 eps^2 must be finite")
         if not self.beam:
             if self.navg <= 0:
                 raise ConfigError("mean particle number must be positive")
             if self.dp <= 0:
                 raise ConfigError("momentum width dp must be positive in finite mode")
-            # the Gaussian drives divide by dp^2 and scale with p0/dp^2 and p0^2/dp^2
+            # the Gaussian drives divide by dp^2, scale with p0^2/dp^2 and square
+            # b = p0/(2 dp^2), so p0/dp^2 must be finite too
             dp2 = self.dp * self.dp
             if not (math.isfinite(dp2) and dp2 > 0.0 and math.isfinite(1.0 / dp2)):
                 raise ConfigError(f"momentum width dp={self.dp!r} is out of range: "
                                   f"dp^2 and 1/dp^2 must be finite")
-            if not (math.isfinite(self.p0 / dp2) and math.isfinite(self.p0 * self.p0 / dp2)):
+            b = 0.5 * self.p0 / dp2
+            if not (math.isfinite(self.p0 * self.p0 / dp2) and math.isfinite(b * b)):
                 raise ConfigError(f"source momentum p0={self.p0!r} is out of range for "
-                                  f"dp={self.dp!r}: p0/dp^2 and p0^2/dp^2 must be finite")
+                                  f"dp={self.dp!r}: p0^2/dp^2 and (p0/(2 dp^2))^2 "
+                                  f"must be finite")
         else:
             if self.eps != 0.0:
                 raise ConfigError("beam mode requires the point detector (eps = 0)")

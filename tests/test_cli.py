@@ -280,10 +280,13 @@ class TestErrors:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert match in err
 
-    @pytest.mark.parametrize("key, value", [("dp", "1e-300"), ("p0", "1e300")])
+    @pytest.mark.parametrize("key, value", [("dp", "1e-300"), ("p0", "1e300"),
+                                            ("dp", "1e-100"), ("eps", "1e200")])
     def test_drive_constants_out_of_range(self, tmp_path, capsys, key, value):
         # dp = 1e-300 divided by zero and p0 = 1e300 overflowed in the
-        # Gaussian drive; a repeated key overrides the earlier one
+        # Gaussian drive, dp = 1e-100 wrote I_n = nan with exit 0 and
+        # eps = 1e200 overflowed in the detector kernel; a repeated key
+        # overrides the earlier one
         cfg = tmp_path / "scale.cfg"
         cfg.write_text(FINITE_CONFIG + f"{key}={value}\n")
         rc = main(["fisher", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),

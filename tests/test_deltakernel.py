@@ -21,7 +21,7 @@ SQRT2PI = math.sqrt(2.0 * math.pi)
 def remainder_pair(p, t, dp):
     """R_p and dR_p/dp from one set of erfc evaluations, as the beam tables
     take them through :func:`beam_intensity_with_dp`."""
-    return dk._remainder(dk._positive_pieces(p, t, dp))
+    return dk._remainder(dk._remainder_pieces(dk._positive(p), t, dp))
 
 
 def gaussian_chi_hat(scn):

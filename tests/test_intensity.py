@@ -30,18 +30,49 @@ def beam_from_separate_remainders(t, p0, r0, dp):
 class TestBeamProfile:
     @pytest.mark.parametrize("p0", [0.05, 0.05 * (1 + 1e-5), 1.0, 1.37])
     def test_tables_match_separate_remainders_bitwise(self, p0, monkeypatch):
-        # one set of erfc evaluations serves R and dR/dp; p0 = 0.05 = alpha
-        # takes the Taylor branch
+        # on a grid whose p0-free ray is cached, one erfc evaluation serves R
+        # and dR/dp; p0 = 0.05 = alpha takes the Taylor branch
+        intensity._beam_ray(0.1, 1.0, 60.0, 0.01)
         erfc_calls = []
         counted = dk.erfc_c
         monkeypatch.setattr(dk, "erfc_c", lambda z: erfc_calls.append(1) or counted(z))
         build = intensity._beam_tables.__wrapped__
         shared = build(0.1, 1.0, p0, 60.0, 0.01)
-        assert len(erfc_calls) == 2
-        monkeypatch.setattr(dk, "beam_intensity_with_dp", beam_from_separate_remainders)
+        assert len(erfc_calls) == 1
+        monkeypatch.setattr(dk, "beam_intensity_on_ray", lambda ray, p0, r0, dp:
+                            beam_from_separate_remainders(ray[0], p0, r0, dp))
         separate = build(0.1, 1.0, p0, 60.0, 0.01)
-        for a, b in zip(shared[:6], separate[:6]):
+        for a, b in zip(shared, separate):
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("p0", [0.05 * (1 - 3e-5), 0.05, 0.05 * (1 + 1e-5), 1.0, 1.7])
+    def test_tables_on_the_cached_ray_match_a_fresh_grid_bitwise(self, p0, monkeypatch):
+        # below, at and just above alpha = a m / 2 = 0.05 (the Taylor branch):
+        # beam_intensity_with_dp on a fresh writable grid computes both erfcs
+        # itself, and the tables built from it are the cached ones
+        build = intensity._beam_tables.__wrapped__
+        t = intensity._beam_ray(0.1, 1.0, 60.0, 0.01)[0]
+        cached = build(0.1, 1.0, p0, 60.0, 0.01)
+        grid = intensity._beam_grid(60.0, 0.01)
+        assert grid.flags.writeable and grid is not t
+        fresh = dk.beam_intensity_with_dp(grid, p0, 1.0, DeltaParams(0.1, 1.0))
+        monkeypatch.setattr(dk, "beam_intensity_on_ray", lambda ray, p0, r0, dp: fresh)
+        rebuilt = build(0.1, 1.0, p0, 60.0, 0.01)
+        assert np.array_equal(grid.view(np.uint64), t.view(np.uint64))
+        assert len(cached) == 5
+        for a, b in zip(cached, rebuilt):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_profiles_on_one_grid_share_its_read_only_ray(self, beam_scn):
+        first = build_profile(beam_scn, t_max=30.0)
+        other = build_profile(dataclasses.replace(beam_scn, p0=1.3), t_max=30.0)
+        ray = intensity._beam_ray(beam_scn.a, beam_scn.m, 30.0, 0.01)
+        assert first.t is other.t is ray[0]
+        tables = intensity._beam_tables(beam_scn.a, beam_scn.m, 1.3, 30.0, 0.01)
+        for arr in ray + tables:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[:1] = 0.0
 
     @pytest.mark.parametrize("p0", [0.6, 1.0, 1.7])
     def test_tables_are_the_checked_formulas(self, p0):
@@ -49,7 +80,8 @@ class TestBeamProfile:
         # finite differences of beam_intensity; the tables hold those two at
         # unit density
         dp_obj = DeltaParams(0.1, 1.0)
-        t, g, gdot = intensity._beam_tables(0.1, 1.0, p0, 60.0, 0.01)[:3]
+        t = intensity._beam_ray(0.1, 1.0, 60.0, 0.01)[0]
+        g, gdot = intensity._beam_tables(0.1, 1.0, p0, 60.0, 0.01)[:2]
         for table, formula in ((g, dk.beam_intensity(t, p0, 1.0, dp_obj)),
                                (gdot, dk.beam_intensity_with_dp(t, p0, 1.0, dp_obj)[1])):
             assert np.array_equal(table.view(np.uint64), formula.view(np.uint64))
@@ -277,6 +309,33 @@ def _assert_points_match(prof, tq):
     assert np.array_equal(_bits(Omega), _bits(prof.Omega_at(tq)))
 
 
+def _record_matrix(prof, count, rng):
+    """A ``(count, 5)`` time matrix with what sampled blocks hold and more: NaN
+    padding of short rows, points past and exactly at ``t[-1]``, ``+inf``,
+    ``-0.0`` and grid nodes."""
+    t = prof.t
+    tq = np.sort(rng.uniform(0.0, 1.3 * t[-1], (count, 5)), axis=1)
+    tq[::5, 0] = -0.0
+    tq[1::6, 1] = t[rng.integers(0, t.size, tq[1::6].shape[0])]
+    tq[2::7, -1] = t[-1]
+    tq[3::11, -1] = math.inf
+    tq[4::9, 3:] = math.nan
+    return tq
+
+
+def _assert_located_match(prof, loc, tq):
+    """The four evaluators on the locator ``loc`` give the bits of the
+    reference and of the same evaluator on the raw times ``tq``."""
+    for ev, ref in ((prof.omega_at, _reference_omega(prof, tq)),
+                    (prof.Omega_at, _reference_Omega(prof, tq)),
+                    (prof.domega_at, _reference_omega(prof, tq, deriv=True)),
+                    (prof.dOmega_at, _reference_Omega(prof, tq, deriv=True))):
+        got = ev(loc)
+        assert got.shape == tq.shape
+        assert np.array_equal(_bits(got), _bits(ref))
+        assert np.array_equal(_bits(got), _bits(ev(tq)))
+
+
 @st.composite
 def _tables_and_queries(draw):
     steps = draw(st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=40))
@@ -346,14 +405,56 @@ class TestLocator:
     def test_locator_shared_across_profiles_on_one_grid(self, beam_scn):
         a = build_profile(beam_scn, t_max=20.0)
         b = build_profile(dataclasses.replace(beam_scn, r0=3.0), t_max=20.0)
-        # equal grid, own array
         c = build_profile(dataclasses.replace(beam_scn, p0=1.2), t_max=20.0)
-        assert c.t is not a.t
+        # equal grid, own array
+        d = dataclasses.replace(c, t=c.t.copy())
+        assert c.t is a.t and d.t is not a.t
         tq = np.linspace(0.0, 25.0, 300).reshape(-1, 3)
         loc = a.locate(tq)
-        for prof in (a, b, c):
+        for prof in (a, b, c, d):
             assert np.array_equal(prof.omega_at(loc), prof.omega_at(tq))
             assert np.array_equal(prof.Omega_at(loc[:, -1]), prof.Omega_at(tq[:, -1]))
+
+    def test_matrix_locator_matches_reference_bitwise(self, beam_profile_r1, delta_profile):
+        rng = np.random.default_rng(5)
+        for prof in (beam_profile_r1, delta_profile):
+            tq = _record_matrix(prof, 3_000, rng)
+            loc = prof.locate(tq)
+            end = prof.t[-1]
+            assert np.array_equal(loc.past, np.flatnonzero(tq > end))
+            assert np.array_equal(loc.at, np.flatnonzero(tq == end))
+            full = ~np.isnan(tq[:, -1])
+            assert not loc.complete and loc[full].complete and not loc[~full].complete
+            for last in (loc.last, loc[full].last):
+                assert all(a.flags.c_contiguous for a in (last.idx, last.s, last.tq))
+            for q, ref in ((loc, tq), (loc[full], tq[full]), (loc[~full], tq[~full]),
+                           (loc[:, -1], tq[:, -1]), (loc.last, tq[:, -1]),
+                           (loc[full].last, tq[full, -1])):
+                _assert_located_match(prof, q, ref)
+
+    def test_matrix_locator_serves_two_profiles_on_one_grid(self, beam_scn):
+        a = build_profile(dataclasses.replace(beam_scn, r0=1.0))
+        b = build_profile(dataclasses.replace(beam_scn, r0=1.0, p0=1.2))
+        assert a.t is b.t
+        tq = _record_matrix(a, 2_000, np.random.default_rng(6))
+        loc = a.locate(tq)
+        for prof in (a, b):
+            _assert_located_match(prof, loc, tq)
+            _assert_located_match(prof, loc.last, tq[:, -1])
+
+    @given(case=_tables_and_queries(), beam=st.booleans(), width=st.integers(1, 4))
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_locators_on_tables_match_bitwise(self, case, beam, width):
+        t, omega, tq = case
+        prof = _table_profile(t, omega, beam)
+        tq = np.concatenate([tq, [-0.0, math.inf]])
+        tq = np.concatenate([tq, np.full(-tq.size % width + width, math.nan)])
+        tq = tq.reshape(-1, width)
+        loc = prof.locate(tq)
+        full = ~np.isnan(tq[:, -1])
+        for q, ref in ((loc, tq), (loc.last, tq[:, -1]), (loc[full], tq[full]),
+                       (loc[full].last, tq[full, -1])):
+            _assert_located_match(prof, q, ref)
 
     def test_locator_from_another_grid_rejected(self, beam_scn):
         a = build_profile(beam_scn, t_max=20.0)

@@ -229,6 +229,11 @@ class TestBoundaries:
         ("finite", {"dp": 1e200}, "width dp="),
         ("finite", {"p0": 1e300}, "momentum p0="),
         ("finite", {"p0": -1e160}, "momentum p0="),
+        # (p0/(2 dp^2))^2 overflowed in the drive: I_n = nan with exit 0
+        ("finite", {"dp": 1e-100}, "momentum p0="),
+        # 2 eps^2 overflowed in the detector kernel: an OverflowError traceback
+        ("finite", {"eps": 1e200}, "width eps="),
+        ("finite", {"eps": 1e154}, "width eps="),
     ])
     def test_scenario_rejects(self, mode, change, match):
         base = self.FINITE if mode == "finite" else self.BEAM
