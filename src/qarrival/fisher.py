@@ -39,7 +39,8 @@ from . import process as pr
 from .deltakernel import DeltaParams
 from .errors import ModeError, ToleranceError
 from .quadrature import integrate_panels
-from .scenario import Scenario, StateFamily, arrival_mass_logs, hn_values, log_arrival_mass
+from .scenario import (Scenario, StateFamily, arrival_mass_logs, hn_values,
+                       log_arrival_mass, log_family_Fn_from_logs)
 
 
 @dataclass(frozen=True)
@@ -130,13 +131,6 @@ def sparse_limit_I(n: int, family: StateFamily, p0: float, dp: DeltaParams) -> f
 # the quadrature formula
 # ---------------------------------------------------------------------------
 
-def _s_n(family: StateFamily, n: int, u, ratio, phi, clipped):
-    """S_n from its n-independent parts: ``ratio = dOmega/u``, the intensity
-    log-derivative ``phi`` and ``clipped = max(dOmega~/u - ratio^2, 0)``."""
-    hn = hn_values(family, n, u)
-    return ((n - 1.0 - u * hn) * ratio + phi) ** 2 + (n - 1.0) * clipped
-
-
 # the grid-thinning check: dropping every other node may move the tabulated
 # integral by at most THINNING_RTOL * |detection part| + THINNING_ATOL
 THINNING_RTOL = 1e-3
@@ -162,9 +156,11 @@ def fisher_info_many(n_values, family: StateFamily,
     The work that does not depend on n (the intensity ratios, the
     trapezoid spacings and the logs of the family weight) is done once per
     call, and the coherent and quasi-free beam tails of all counts in one
-    vectorised pass; each report equals the one :func:`fisher_info` gives
+    vectorised pass.  Each count is one pass over work arrays allocated
+    once per call; each report equals the one :func:`fisher_info` gives
     for its n alone, bit for bit.  Duplicates are allowed.  The thinning
-    check raises for the first failing n in list order.
+    check, and the check that I_n is finite, raise :class:`ToleranceError`
+    for the first failing n in list order.
     """
     n_values = tuple(n_values)
     if any(n < 1 for n in n_values):
@@ -177,38 +173,91 @@ def fisher_info_many(n_values, family: StateFamily,
     dom = profile.domega
     interior = om > 0.0
     pos = np.flatnonzero(interior)
-    if pos.size and np.any(~interior[pos[0]:pos[-1] + 1]):
-        warnings.warn("intensity touches 0 in the interior; the mass substitution "
-                      "is unreliable there")
+    # the work arrays of the call, written in place: each value is formed by
+    # the operations, in the order, of the array expressions of the formulas
+    # in the comments, so it carries the same bits
+    s, a, y, phi, ratio, clipped = np.empty((6, u.size))
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(interior, dom / np.where(interior, om, 1.0), 0.0)
-        upos = u > 0.0
-        ratio = np.where(upos, profile.dOmega / np.where(upos, u, 1.0), 0.0)
-        ratio_t = np.where(upos, profile.dOmega_tilde / np.where(upos, u, 1.0), 0.0)
-    clipped = np.maximum(ratio_t - ratio * ratio, 0.0)
-    logs = arrival_mass_logs(family, u)
+        if pos.size == u.size:
+            np.divide(dom, om, out=phi)
+        else:
+            if pos.size and np.any(~interior[pos[0]:pos[-1] + 1]):
+                warnings.warn("intensity touches 0 in the interior; the mass substitution "
+                              "is unreliable there")
+            phi = np.where(interior, dom / np.where(interior, om, 1.0), 0.0)
+        nonpos = np.flatnonzero(~(u > 0.0))
+        np.divide(profile.dOmega, u, out=ratio)
+        ratio[nonpos] = 0.0
+        np.divide(profile.dOmega_tilde, u, out=clipped)
+        clipped[nonpos] = 0.0
+    # clipped = max(dOmega~/u - ratio^2, 0)
+    np.subtract(clipped, np.multiply(ratio, ratio, out=a), out=clipped)
+    np.maximum(clipped, 0.0, out=clipped)
+    log_u, fam_logs = arrival_mass_logs(family, u)
+    one_plus_u = 1.0 + u if family.kind == "quasifree" else None  # H_n = (n + 1)/(1 + u)
     # the trapezoid sums as np.trapezoid forms them, on the full and the
-    # thinned grid
+    # thinned grid; their terms go into s and a once y is formed
     d, d2 = np.diff(t), np.diff(t[::2])
+    y2 = y[::2]
+    fine_terms, coarse_terms = s[:d.size], a[:d2.size]
     distinct = tuple(dict.fromkeys(n_values))
     tails = (dict.fromkeys(distinct, 0.0) if profile.beam_tail is None
              else _beam_tails(distinct, family, profile))
     reports = {}
     for n in distinct:
-        s_vals = _s_n(family, n, u, ratio, phi, clipped)
-        with np.errstate(over="ignore"):
-            y = np.exp(log_arrival_mass(family, n, u, logs)) * om * s_vals
-        y2 = y[::2]
-        fine = float((d * (y[1:] + y[:-1]) / 2.0).sum())
-        coarse = float((d2 * (y2[1:] + y2[:-1]) / 2.0).sum())
+        # an overflow or an invalid value leaves the detection part non-finite,
+        # which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            # S_n = ((n - 1 - u H_n) ratio + phi)^2 + (n - 1) clipped
+            if family.kind == "coherent":  # H_n = 1, so u H_n = u
+                u_hn = u
+            elif family.kind == "quasifree":
+                u_hn = np.multiply(u, np.divide(n + 1.0, one_plus_u, out=a), out=a)
+            else:
+                u_hn = np.multiply(u, hn_values(family, n, u), out=a)
+            np.subtract(n - 1.0, u_hn, out=s)
+            s *= ratio
+            s += phi
+            np.square(s, out=s)
+            s += np.multiply(clipped, n - 1.0, out=a)
+            # log w_n = log F_n + (n - 1) log u - log (n-1)!
+            pw = np.multiply(log_u, n - 1, out=a) if n > 1 else 0.0
+            if family.kind == "coherent":  # log F_n = -u, and pw + (-u) is pw - u
+                np.subtract(pw, u, out=y)
+            else:
+                if family.kind == "quasifree":  # log F_n = log n! - (n + 1) log(1 + u)
+                    np.subtract(gammaln(n + 1.0), np.multiply(fam_logs, n + 1.0, out=y),
+                                out=y)
+                else:
+                    y[:] = log_family_Fn_from_logs(family, n, u, fam_logs)
+                y += pw
+            y -= gammaln(n)
+            # y = w_n omega S_n, and the trapezoid terms d (y[1:] + y[:-1]) / 2
+            np.exp(y, out=y)
+            y *= om
+            y *= s
+            np.add(y[1:], y[:-1], out=fine_terms)
+            fine_terms *= d
+            fine_terms /= 2.0
+            np.add(y2[1:], y2[:-1], out=coarse_terms)
+            coarse_terms *= d2
+            coarse_terms /= 2.0
+        fine = float(fine_terms.sum())
+        coarse = float(coarse_terms.sum())
         detection = fine + tails[n]
-        # thinning check on the tabulated part only (the tail is exact)
+        # thinning check on the tabulated part only (the tail is exact); it
+        # cannot fire on a non-finite detection part, which the check on I_n
+        # below names
         if abs(fine - coarse) > THINNING_RTOL * abs(detection) + THINNING_ATOL:
             raise ToleranceError(
                 f"profile grid too coarse for the information integral at n={n} "
                 f"(thinning moved it by {abs(fine - coarse):.3e})",
                 estimate=detection, achieved=abs(fine - coarse))
-        reports[n] = _report(n, family, profile, detection)
+        rep = reports[n] = _report(n, family, profile, detection)
+        if not math.isfinite(rep.value):
+            raise ToleranceError(f"the information I_n at n={n} is not finite "
+                                 f"(detection part {detection!r}, no-event part "
+                                 f"{rep.noevent_part!r})", estimate=rep.value)
     return tuple(reports[n] for n in n_values)
 
 

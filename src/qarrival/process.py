@@ -19,6 +19,7 @@ from scipy.special import gammaln
 
 from .errors import ConfigError, ModeError
 from .intensity import IntensityProfile, Locator
+from .propagate import MAX_POINTS
 from .quadrature import integrate_panels
 from .scenario import StateFamily, log_arrival_mass, log_family_Fn
 
@@ -296,6 +297,9 @@ def sample_times_matrix(n: int, family: StateFamily, profile: IntensityProfile,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if count * n > MAX_POINTS:
+        raise ConfigError(f"{count} records of {n} detections exceed the point budget "
+                          f"of {MAX_POINTS} times")
     u_inf = checked_omega_inf(family, profile)
     vs = _uniforms(seed, stream_index, count, n)
     times = np.full((count, n), np.nan)

@@ -29,6 +29,11 @@ from .scenario import Scenario
 
 _SQRT_PI = math.sqrt(math.pi)
 _LEAF = 256  # most rows per dense triangular block of the Toeplitz solver
+# the most nodes of a time grid, and of points (records x detections) the
+# sampler draws at once: 26 times the largest grid in use (t_max = 3200 at
+# dt = 5e-3, 640 001 nodes), 128 MiB per float64 array.  A larger request
+# fails with ConfigError before anything is allocated.
+MAX_POINTS = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,9 @@ class TimeGrid:
         if not (0.0 < self.t_max < math.inf and 0.0 < self.dt < math.inf):
             raise ConfigError(f"t_max and dt must be positive and finite, "
                               f"got t_max={self.t_max!r}, dt={self.dt!r}")
+        if not self.t_max / self.dt <= MAX_POINTS - 1:  # inf for a subnormal dt
+            raise ConfigError(f"t_max/dt = {self.t_max / self.dt:.3g} exceeds the node budget "
+                              f"of {MAX_POINTS} nodes; raise dt or lower t_max")
 
     @property
     def n_nodes(self) -> int:

@@ -287,14 +287,10 @@ def arrival_mass_logs(family: StateFamily, u: np.ndarray):
         return np.log(u), fam_logs
 
 
-def log_arrival_mass(family: StateFamily, n: int, u: np.ndarray, logs=None):
+def log_arrival_mass(family: StateFamily, n: int, u: np.ndarray):
     """log w_n(u) = log of F_n(u) u^(n-1) / (n-1)! on a 1-D array, the mass
-    density of the n-th arrival; -inf where it vanishes.
-
-    ``logs`` are the :func:`arrival_mass_logs` of ``u``, computed once and
-    shared by every order n on the same nodes.
-    """
-    log_u, fam_logs = arrival_mass_logs(family, u) if logs is None else logs
+    density of the n-th arrival; -inf where it vanishes."""
+    log_u, fam_logs = arrival_mass_logs(family, u)
     logf = log_family_Fn_from_logs(family, n, u, fam_logs)
     pw = np.zeros_like(u) if n == 1 else (n - 1) * log_u
     return logf + pw - gammaln(n)

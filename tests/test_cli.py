@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from qarrival import cli
+from qarrival import cli, intensity
 from qarrival import verify as vf
 from qarrival.cli import main
 from qarrival.errors import ModeError
@@ -312,6 +312,13 @@ class TestErrors:
         ["fisher", "--dt", "0"],
         ["fisher", "--dt", "nan"],
         ["density", "--t-max", "0"],
+        # over the node budget: ValueError, MemoryError or ArrayMemoryError
+        # tracebacks before the budget was checked
+        ["fisher", "--dt", "1e-300"],
+        ["fisher", "--dt", "1e-8"],
+        ["density", "--t-max", "1e7"],
+        ["sample", "--count", "100000000000"],
+        ["sample", "--n", "100000000", "--count", "10"],
     ])
     def test_bad_grid_flags(self, beam_cfg, tmp_path, capsys, argv):
         rc = main(argv + ["--config", beam_cfg, "--out", str(tmp_path / "x.csv")])
@@ -413,6 +420,25 @@ class TestExitCodes:
         assert rc == 3
         assert err.startswith("numerical tolerance failure:") and err.count("\n") == 1
         assert "at n=2" in err
+        assert not out.exists()
+
+    def test_non_finite_information_exits_3(self, tmp_path, capsys):
+        # navg = 1e300 overflows the information integrand: I_n = nan was
+        # written with exit 0.  Building the profile warns twice: the short
+        # grid's tail fit, and dOmega~ overflowing
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(FINITE_CONFIG + "navg=1e300\n")
+        out = tmp_path / "x.csv"
+        with pytest.warns(UserWarning, match="decays too slowly"), \
+                pytest.warns(RuntimeWarning, match="overflow") as built:
+            rc = main(["fisher", "--config", str(cfg), "--out", str(out),
+                       "--n-list", "1,2", "--t-max", "10", "--dt", "0.01"])
+        assert {w.filename for w in built if w.category is RuntimeWarning} \
+            == {intensity.__file__}
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numerical tolerance failure:") and err.count("\n") == 1
+        assert "at n=1 " in err and "not finite" in err
         assert not out.exists()
 
     def test_library_error_exits_1(self, beam_cfg, tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import math
 import warnings
@@ -368,9 +369,8 @@ def _geometric_edges(a, b, per_decade):
     return a * (b / a) ** np.linspace(0.0, 1.0, n + 1)
 
 
-def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
-    """The quadrature for one n as it was written before the batched pass."""
-    pr.checked_omega_inf(family, profile)
+def _oracle_bulk(n, family, profile):
+    """The tabulated integral of the oracle, on the full and the thinned grid."""
     t = profile.t
     u = profile.Omega
     om = profile.omega
@@ -386,8 +386,14 @@ def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
         + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
     with np.errstate(over="ignore"):
         integrand = np.exp(_oracle_log_weight(family, n, u)) * om * s_vals
-    bulk = float(np.trapezoid(integrand, t))
-    bulk_coarse = float(np.trapezoid(integrand[::2], t[::2]))
+    return float(np.trapezoid(integrand, t)), float(np.trapezoid(integrand[::2], t[::2]))
+
+
+def _oracle_fisher_info(n, family, profile, rtol=1e-3, atol=1e-9):
+    """The quadrature for one n as it was written before the batched pass."""
+    pr.checked_omega_inf(family, profile)
+    u = profile.Omega
+    bulk, bulk_coarse = _oracle_bulk(n, family, profile)
 
     tail_val = 0.0
     bt = profile.beam_tail
@@ -569,6 +575,42 @@ class TestBatchedInformation:
         reps = fisher_info_many(ns, StateFamily.coherent(100.0), prof)
         assert all(rep.noevent_part > 0.0 for rep in reps)
 
+    @pytest.mark.parametrize("r0", [1e-4, 0.01, 1.0, 56.42, 1000.0])
+    @pytest.mark.parametrize("family", [COH, QF], ids=lambda f: f.kind)
+    def test_beam_tabulated_sum_is_the_trapezoid_bitwise(self, beam_profiles, r0, family,
+                                                          monkeypatch):
+        # beams match the oracle only to 1e-11, through its panel tails; with
+        # the closed-form tails at 0 the detection part is the tabulated sum
+        # alone, which must be np.trapezoid's to the bit
+        monkeypatch.setattr(fisher, "_beam_tails", lambda ns, fam, prof: dict.fromkeys(ns, 0.0))
+        prof = beam_profiles[r0]
+        for rep in fisher_info_many(range(1, 9), family, prof):
+            bulk, _ = _oracle_bulk(rep.n, family, prof)
+            assert np.float64(rep.detection_part).view(np.uint64) == \
+                np.float64(bulk).view(np.uint64)
+
+    def test_profile_never_written(self, beam_profiles, delta_profile, make_flat_profile):
+        # every call reads the profile's arrays, including a beam's writable
+        # r0 g tables, and writes only into arrays of its own
+        coarse = build_profile(Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, navg=math.inf,
+                                        r0=1.0), t_max=60.0, dt=1.0)
+        flat = make_flat_profile()(1.0)
+        omega = flat.omega.copy()
+        omega[-2] = 0.0
+        touching = dataclasses.replace(flat, omega=omega)
+        finite_families = (StateFamily.coherent(100.0), StateFamily.quasifree(100.0),
+                           StateFamily.fock(100), StateFamily.fock(12))
+        cases = [(beam_profiles[56.42], fam, contextlib.nullcontext()) for fam in (COH, QF)] \
+            + [(delta_profile, fam, contextlib.nullcontext()) for fam in finite_families] \
+            + [(coarse, COH, pytest.raises(ToleranceError, match="too coarse")),
+               (touching, COH, pytest.warns(UserWarning, match="touches 0"))]
+        names = ("t", "omega", "Omega", "domega", "dOmega", "dOmega_tilde")
+        for prof, fam, expect in cases:
+            before = [getattr(prof, name).tobytes() for name in names]
+            with expect:
+                fisher_info_many((3, 1, 2, 5), fam, prof)
+            assert [getattr(prof, name).tobytes() for name in names] == before
+
     def test_order_and_duplicates(self, beam_profile):
         reps = fisher_info_many((4, 2, 4, 1), COH, beam_profile)
         assert [rep.n for rep in reps] == [4, 2, 4, 1]
@@ -588,6 +630,20 @@ class TestBatchedInformation:
         # the estimate carries the closed-form tail, the oracle's the panel tail
         assert got.value.achieved == alone.value.achieved
         assert got.value.estimate == pytest.approx(alone.value.estimate, rel=1e-11)
+
+    def test_non_finite_information_raises(self, delta_profile, monkeypatch):
+        # navg = 1e300 overflows the integrand, whose I_n read nan; a no-event
+        # part that overflows makes I_n infinite
+        with warnings.catch_warnings():  # the short grid's tail fit, dOmega~ overflowing
+            warnings.simplefilter("ignore")
+            prof = build_profile(Scenario(m=1.0, a=0.1, eps=1.0, p0=1.0, x0=-20.0,
+                                          dp=math.sqrt(0.5), navg=1e300), t_max=10.0, dt=0.01)
+        with pytest.raises(ToleranceError, match="at n=1 .*not finite"):
+            fisher_info_many((1, 2), StateFamily.coherent(1e300), prof)
+        monkeypatch.setattr(pr, "total_prob_dp", lambda *args: 1e200)
+        with pytest.raises(ToleranceError, match="at n=3 .*not finite") as got:
+            fisher_info_many((3, 1), StateFamily.coherent(100.0), delta_profile)
+        assert got.value.estimate == math.inf
 
     def test_bad_count_rejected_before_any_work(self, beam_profile, monkeypatch):
         def fail(*args):

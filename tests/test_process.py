@@ -219,6 +219,16 @@ class TestSampling:
         with pytest.raises(ConfigError):
             sample_batch(2, StateFamily.coherent(1.0), beam_profile, 10, seed=-1)
 
+    @pytest.mark.parametrize("n, count", [(3, 10 ** 11), (10 ** 8, 10), (1, 2 ** 24 + 1)])
+    def test_point_budget_checked_before_drawing(self, beam_profile, monkeypatch, n, count):
+        # 1e11 records or 1e8 detections per record died allocating the uniforms
+        def fail(*args):
+            raise AssertionError("drew uniforms past the point budget")
+
+        monkeypatch.setattr(process, "_uniforms", fail)
+        with pytest.raises(ConfigError, match="point budget"):
+            sample_times_matrix(n, StateFamily.coherent(1.0), beam_profile, count, seed=0)
+
     def test_batch_reproducible(self, beam_profile):
         coh = StateFamily.coherent(1.0)
         a = sample_batch(3, coh, beam_profile, 500, seed=5)

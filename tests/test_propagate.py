@@ -40,6 +40,22 @@ def test_time_grid_rejects_bad_parameters(t_max, dt):
         TimeGrid(t_max, dt)
 
 
+@pytest.mark.parametrize("t_max, dt", [(60.0, 5e-324), (60.0, 1e-300), (60.0, 1e-8),
+                                       (1e7, 0.01), (1e300, 1e-3),
+                                       (float(propagate.MAX_POINTS), 1.0)])
+def test_time_grid_over_the_node_budget_rejected(t_max, dt):
+    # t_max/dt = inf raised OverflowError in n_nodes, and the others failed in
+    # TimeGrid.times; the float ratio is checked before any array exists
+    with pytest.raises(ConfigError, match="node budget"):
+        TimeGrid(t_max, dt)
+
+
+def test_time_grid_budget_headroom():
+    # the largest grid in use, the t_max = 3200 point solve, fits 26 times over
+    assert 26 * TimeGrid(3200.0, 5e-3).n_nodes < propagate.MAX_POINTS
+    assert TimeGrid(propagate.MAX_POINTS - 1.0, 1.0).n_nodes == propagate.MAX_POINTS
+
+
 class TestGaussianOverlaps:
     def test_matched_widths_unit_overlap(self):
         # x0 = 0, p0 = 0, dp = 1/(2 eps): source equals the detector state
