@@ -181,7 +181,10 @@ def cmd_fisher(args) -> int:
     scn = _load_scenario(args.config)
     fam = _family(args.family, scn)
     prof = it.build_profile(scn, t_max=args.t_max, dt=args.dt)
-    rows = [(n, scn.r0, rep.value, rep.conditional, rep.p_tot, rep.noevent_part)
+    # conditioning on n detections that happen with probability 0 is
+    # undefined: such a row leaves I_n_cond empty
+    rows = [(n, scn.r0, rep.value, rep.conditional if rep.p_tot > 0.0 else "", rep.p_tot,
+             rep.noevent_part)
             for n, rep in zip(args.n_list, fi.fisher_info_many(args.n_list, fam, prof))]
     _write_rows(args.out, ("n", "r0", "I_n", "I_n_cond", "p_n_tot", "noevent_part"), rows)
     print(f"wrote {len(rows)} information rows to {args.out}")

@@ -52,7 +52,7 @@ class FisherReport:
     detection_part: float
     noevent_part: float
     p_tot: float
-    conditional: float      # I_n^(c), information given >= n detections
+    conditional: float      # I_n^(c), information given >= n detections; NaN at p_tot = 0
 
 
 # ---------------------------------------------------------------------------

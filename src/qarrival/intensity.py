@@ -3,9 +3,10 @@
 A profile tabulates everything the arrival-time statistics need on one time
 grid: the detection intensity ``omega``, its integral ``Omega`` (cumulative
 trapezoid, with a cusp-aware model for the first cell in beam mode), the
-momentum derivative ``domega`` (analytic for the beam, an exact second
-solve on the differentiated drive otherwise), and the running integrals
-``dOmega = int domega`` and ``dOmega_tilde = int domega^2/omega``.
+momentum derivative ``domega`` (analytic for the beam, otherwise an exact
+solve on the differentiated drive, in the solver call of the value), and
+the running integrals ``dOmega = int domega`` and
+``dOmega_tilde = int domega^2/omega``.
 
 Between nodes ``Omega`` is the quadratic cell model consistent with the
 trapezoid sums (its derivative is the linear interpolant of ``omega``), so
@@ -402,7 +403,7 @@ def _beam_grid(t_max: float, dt: float):
 
 def _derivative_integrals(t, omega, domega):
     """The running integrals dOmega = int domega and dOmega~ = int domega^2/omega."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         sq = np.where(omega > 0.0, domega * domega / np.where(omega > 0, omega, 1.0), 0.0)
     return (cumulative_trapezoid(domega, t, initial=0.0),
             cumulative_trapezoid(sq, t, initial=0.0))
@@ -464,13 +465,28 @@ def _fit_finite_tail(t, omega, navg, Omega_end):
     return FiniteTail(slope, mass)
 
 
+def _amplitudes(scn: Scenario, grid: pg.TimeGrid, derivative: bool):
+    """The detector amplitude of a finite source on ``grid`` and, with
+    ``derivative``, its d/dp0 (else None), from one solver call: the drive
+    and its d/dp0 share one prepared Toeplitz system."""
+    drive = pg.gaussian_free_at_origin if scn.delta_detector else pg.gaussian_overlap_h0
+    drives = list(drive(scn, grid, dp0=True)) if derivative else [drive(scn, grid), None]
+    # popped into the call, so that the solver frees each drive once it is loaded
+    if scn.delta_detector:
+        out = pg.solve_renewal(drives.pop(0), dk.DeltaParams(scn.a, scn.m).d, drives.pop())
+    else:
+        out = pg.solve_volterra(drives.pop(0), pg.gaussian_kernel_g(scn, grid), scn.gamma,
+                                drives.pop())
+    return (out[0].values, out[1].values) if derivative else (out.values, None)
+
+
 def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = None,
                   derivative: bool = True) -> IntensityProfile:
     """Tabulate the intensity profile of a beam or of a finite source.
 
     A finite source is solved with the renewal equation at a point detector
     and the Volterra equation at a Gaussian one, and gets the exact momentum
-    derivative from a second solve on the differentiated drive.
+    derivative by solving the same system for the differentiated drive.
     For a finite source, ``derivative=False`` skips it (the three derivative
     tables are None); such profiles serve density and sampling work but
     cannot feed the information quadrature.  A beam's tables always carry
@@ -495,18 +511,8 @@ def build_profile(scn: Scenario, t_max: float | None = None, dt: float | None = 
             beam_tail=dk.beam_asymptotes(scn.p0, r0, dk.DeltaParams(scn.a, scn.m)),
             t_max=t_max, dt=dt)
 
-    kernel = None if scn.delta_detector else pg.gaussian_kernel_g(scn, grid)
     pref = scn.a * scn.navg if scn.delta_detector else scn.navg * scn.gamma
-
-    def amplitude(dp0=False):
-        if scn.delta_detector:
-            free = pg.gaussian_free_at_origin(scn, grid, dp0)
-            return pg.solve_renewal(free, dk.DeltaParams(scn.a, scn.m).d).values
-        h0 = pg.gaussian_overlap_h0(scn, grid, dp0)
-        return pg.solve_volterra(h0, kernel, scn.gamma).values
-
-    amp = amplitude()
-    damp = amplitude(dp0=True) if derivative else None
+    amp, damp = _amplitudes(scn, grid, derivative)
     omega = pref * np.abs(amp) ** 2
     t = grid.times
     Omega = cumulative_trapezoid(omega, t, initial=0.0)

@@ -12,8 +12,9 @@ linear solution (product integration).
 Both discretisations are lower-triangular Toeplitz systems, solved in
 O(M log^2 M) by one divide-and-conquer FFT scheme instead of an O(M^2)
 row-by-row sweep.  The drives are closed-form with an exact d/dp0 and the
-solves are linear, so a momentum derivative is the same solve on the
-differentiated drive.
+solves are linear, so a momentum derivative is the same system solved for
+the differentiated drive: a solver given both drives builds its kernel
+once and solves the two.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular, toeplitz
+from scipy.linalg import LinAlgError, get_lapack_funcs, toeplitz
 
 from .errors import ConfigError, GridMismatchError, ModeError
 from .scenario import Scenario
@@ -89,28 +90,32 @@ def _source_norm(scn: Scenario) -> float:
     return (2.0 * math.pi) ** (-0.25) / math.sqrt(scn.dp)
 
 
-def _gaussian_drive(scn: Scenario, grid: TimeGrid, pref: float, a_const: float,
-                    dp0: bool) -> ComplexSeries:
-    """pref sqrt(pi/A) exp(b^2/(4A) + c), A = a_const + i t/(2m), or its d/dp0.
+def _gaussian_drive(scn: Scenario, grid: TimeGrid, pref: float, a_const: float, dp0: bool):
+    """pref sqrt(pi/A) exp(b^2/(4A) + c), A = a_const + i t/(2m), and with
+    ``dp0`` the pair (value, d/dp0).
 
     p0 enters only through b = p0/(2 dp^2) - i x0 and c = -p0^2/(4 dp^2), so
-    the derivative is the value times b/(4 A dp^2) - p0/(2 dp^2).
+    the derivative is the value times b/(4 A dp^2) - p0/(2 dp^2); it reuses
+    the value's sqrt and exp.
     """
     a_quad = a_const + 0.5j * grid.times / scn.m
     b_lin = 0.5 * scn.p0 / scn.dp ** 2 - 1j * scn.x0
     c_off = -0.25 * scn.p0 ** 2 / scn.dp ** 2
     vals = pref * np.sqrt(np.pi / a_quad) * np.exp(b_lin * b_lin / (4.0 * a_quad) + c_off)
-    if dp0:
-        vals *= b_lin / (4.0 * scn.dp ** 2 * a_quad) - 0.5 * scn.p0 / scn.dp ** 2
-    return ComplexSeries(grid, vals)
+    if not dp0:
+        return ComplexSeries(grid, vals)
+    dvals = vals.copy()
+    dvals *= b_lin / (4.0 * scn.dp ** 2 * a_quad) - 0.5 * scn.p0 / scn.dp ** 2
+    return ComplexSeries(grid, vals), ComplexSeries(grid, dvals)
 
 
-def gaussian_overlap_h0(scn: Scenario, grid: TimeGrid, dp0: bool = False) -> ComplexSeries:
+def gaussian_overlap_h0(scn: Scenario, grid: TimeGrid, dp0: bool = False):
     """Detector overlap with the freely dispersing source packet.
 
     Complex-Gaussian integral of the detector momentum profile against the
     evolved source wavefunction; validated against direct momentum-space
-    quadrature in the tests.  ``dp0=True`` gives the exact d/dp0 instead.
+    quadrature in the tests.  ``dp0=True`` gives the pair (overlap, exact
+    d/dp0).
     """
     return _gaussian_drive(scn, grid, _detector_norm(scn) * _source_norm(scn),
                            scn.eps ** 2 + 0.25 / scn.dp ** 2, dp0)
@@ -125,10 +130,10 @@ def gaussian_kernel_g(scn: Scenario, grid: TimeGrid) -> ComplexSeries:
     return ComplexSeries(grid, vals)
 
 
-def gaussian_free_at_origin(scn: Scenario, grid: TimeGrid, dp0: bool = False) -> ComplexSeries:
+def gaussian_free_at_origin(scn: Scenario, grid: TimeGrid, dp0: bool = False):
     """Freely evolving Gaussian source evaluated at the detector position x=0.
 
-    ``dp0=True`` gives the exact d/dp0 instead.
+    ``dp0=True`` gives the pair (value, exact d/dp0).
     """
     return _gaussian_drive(scn, grid, _source_norm(scn) / math.sqrt(2.0 * math.pi),
                            0.25 / scn.dp ** 2, dp0)
@@ -145,16 +150,18 @@ def monochromatic_drive(p: float, m: float, grid: TimeGrid) -> ComplexSeries:
 # Solvers
 # ---------------------------------------------------------------------------
 
-def _dc_solve(y, lo, hi, stop, tri, spectra, work):
+def _dc_solve(y, lo, hi, stop, tri_t, trtrs, spectra, work):
     """Finish rows lo..hi-1 of y in place; rows >= stop are padding."""
     if lo >= stop:
         return
     n = hi - lo
-    if n == tri.shape[0]:
-        y[lo:hi] = solve_triangular(tri, y[lo:hi], lower=True, check_finite=False)
+    if n == tri_t.shape[0]:
+        # what scipy's solve_triangular(tri, b, lower=True) runs for a C-ordered tri
+        y[lo:hi] = trtrs(tri_t, y[lo:hi], overwrite_b=False, lower=False, trans=True,
+                         unitdiag=False)[0]
         return
     mid = lo + n // 2
-    _dc_solve(y, lo, mid, stop, tri, spectra, work)
+    _dc_solve(y, lo, mid, stop, tri_t, trtrs, spectra, work)
     # circular convolution of the solved lower half with lags 0..n-1; the
     # wrap-around lands in w[:n//2] only, which is discarded
     w = work[:n]
@@ -164,19 +171,34 @@ def _dc_solve(y, lo, hi, stop, tri, spectra, work):
     w *= spectra[n]
     np.fft.ifft(w, out=w)
     y[mid:hi] -= w[n // 2:]
-    _dc_solve(y, mid, hi, stop, tri, spectra, work)
+    _dc_solve(y, mid, hi, stop, tri_t, trtrs, spectra, work)
 
 
-def _forward_solve(drive, first, first_c, lags, c, diag) -> np.ndarray:
+def _load(drive, first, first_c, size):
+    """The padded right-hand side of ``drive``: the known y[0] moved across."""
+    n = first.size
+    buf = np.zeros(size + 1, dtype=complex)
+    buf[0] = drive[0]
+    np.multiply(first, -first_c * drive[0], out=buf[1:n + 1])
+    buf[1:n + 1] += drive[1:]
+    return buf
+
+
+def _forward_solve(grid, drives, first, first_c, lags, c, diag):
     """y[0] = drive[0] and, for i >= 1, the lower-triangular Toeplitz rows
-    diag*y[i] + first_c*first[i-1]*y[0] + c*sum_{0<j<i} lags[i-j-1]*y[j] = drive[i].
+    diag*y[i] + first_c*first[i-1]*y[0] + c*sum_{0<j<i} lags[i-j-1]*y[j] = drive[i],
+    solved for each of one or two drives: the solution series, or the pair.
 
     Divide and conquer (Hairer, Lubich & Schlichte 1985): dense triangular
     solves on leaf blocks, and per split one FFT convolution carries the
-    solved half into the rest.  Same equations as row-by-row substitution,
-    solved in place in one padded buffer, whose head is returned.
+    solved half into the rest.  Each drive is first moved into its padded
+    buffer and taken off the list ``drives``, so a drive that nothing else
+    holds is freed before the kernel is built.  The kernel (the leaf
+    triangle, the lag spectra of every split length, LAPACK's ``?trtrs``
+    and one FFT workspace) depends on the matrix only and serves every
+    buffer, which is solved in place; the solutions are the buffers' heads.
     """
-    n = drive.size - 1
+    n = first.size
     splits = 0
     while _LEAF << splits < n:
         splits += 1
@@ -184,34 +206,43 @@ def _forward_solve(drive, first, first_c, lags, c, diag) -> np.ndarray:
     # padding small and the FFT lengths smooth
     leaf = -(-n // (16 << splits)) * 16 if splits else max(n, 1)
     size = leaf << splits
-    buf = np.zeros(size + 1, dtype=complex)
-    buf[0] = drive[0]
-    np.multiply(first, -first_c * drive[0], out=buf[1:n + 1])
-    buf[1:n + 1] += drive[1:]
+    bufs = [_load(drives.pop(0).values, first, first_c, size) for _ in range(len(drives))]
+    if diag == 0.0:  # what trtrs reports at the first leaf
+        raise LinAlgError("singular matrix: resolution failed at diagonal 0")
     k = np.zeros(size, dtype=complex)  # k[l] = c * lags[l-1]; becomes the top spectrum
     np.multiply(lags, c, out=k[1:n])
     tri = toeplitz(np.concatenate([[diag], k[1:leaf]]), np.zeros(leaf))
+    trtrs, = get_lapack_funcs(("trtrs",), (tri, k))
     spectra = {leaf << j: np.fft.fft(k[:leaf << j]) for j in range(1, splits)}
     if splits:
         spectra[size] = np.fft.fft(k, out=k)
-    _dc_solve(buf[1:], 0, size, n, tri, spectra, np.empty(size, dtype=complex))
-    return buf[:n + 1]
+    work = np.empty(size, dtype=complex)
+    out = []
+    for buf in bufs:
+        _dc_solve(buf[1:], 0, size, n, tri.T, trtrs, spectra, work)
+        out.append(ComplexSeries(grid, buf[:n + 1]))
+    return out[0] if len(out) == 1 else tuple(out)
 
 
-def solve_volterra(h0: ComplexSeries, g: ComplexSeries, gamma: float) -> ComplexSeries:
+def solve_volterra(h0: ComplexSeries, g: ComplexSeries, gamma: float,
+                   dh0: ComplexSeries | None = None):
     """Forward solve of h = h0 - (gamma/2) * (g convolved with h).
 
     Trapezoidal product rule on the shared uniform grid; the diagonal
     contribution is moved to the left-hand side, so no iteration is needed.
     Accuracy is O(dt^2) for smooth inputs (checked by step halving).
+    With a second drive ``dh0`` (the d/dp0 drive), one kernel solves both
+    and the pair ``(h, dh)`` is returned.
     """
-    if h0.grid != g.grid:
-        raise GridMismatchError("h0 and g must share one grid")
-    c = 0.5 * gamma * h0.grid.dt
+    grid = h0.grid
+    if g.grid != grid or (dh0 is not None and dh0.grid != grid):
+        raise GridMismatchError("h0, g and dh0 must share one grid")
+    drives = [h0] if dh0 is None else [h0, dh0]
+    del h0, dh0  # the solve empties the list, which frees drives passed as temporaries
+    c = 0.5 * gamma * grid.dt
     gv = g.values
     # first node with weight g[i]/2, interior nodes with g[i-j], diagonal g[0]/2
-    h = _forward_solve(h0.values, gv[1:], 0.5 * c, gv[1:-1], c, 1.0 + 0.5 * c * gv[0])
-    return ComplexSeries(h0.grid, h)
+    return _forward_solve(grid, drives, gv[1:], 0.5 * c, gv[1:-1], c, 1.0 + 0.5 * c * gv[0])
 
 
 def _abel_weights(m_nodes: int):
@@ -230,15 +261,21 @@ def _abel_weights(m_nodes: int):
     return a_k, a_k[:-1] + b_k[1:]
 
 
-def solve_renewal(f_free: ComplexSeries, d: complex) -> ComplexSeries:
+def solve_renewal(f_free: ComplexSeries, d: complex, df_free: ComplexSeries | None = None):
     """Forward solve of f = f_free - (d/sqrt(pi)) * int f(s)/sqrt(t-s) ds.
 
     The weakly singular weight is integrated exactly per substep against a
     piecewise-linear f (product integration); plain trapezoid would lose
-    an order at the upper endpoint.
+    an order at the upper endpoint.  With a second drive ``df_free`` (the
+    d/dp0 drive), one kernel solves both and the pair ``(f, df)`` is
+    returned.
     """
-    a_k, w_k = _abel_weights(f_free.grid.n_nodes)
-    c = d / _SQRT_PI * math.sqrt(f_free.grid.dt)
+    grid = f_free.grid
+    if df_free is not None and df_free.grid != grid:
+        raise GridMismatchError("f_free and df_free must share one grid")
+    drives = [f_free] if df_free is None else [f_free, df_free]
+    del f_free, df_free  # the solve empties the list, which frees drives passed as temporaries
+    a_k, w_k = _abel_weights(grid.n_nodes)
+    c = d / _SQRT_PI * math.sqrt(grid.dt)
     # first node with weight A_i, node j with W_{i-j}, diagonal B_1
-    f = _forward_solve(f_free.values, a_k, c, w_k, c, 1.0 + c * (4.0 / 3.0))
-    return ComplexSeries(f_free.grid, f)
+    return _forward_solve(grid, drives, a_k, c, w_k, c, 1.0 + c * (4.0 / 3.0))

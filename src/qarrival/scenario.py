@@ -93,6 +93,15 @@ class Scenario:
                 raise ConfigError(f"source momentum p0={self.p0!r} is out of range for "
                                   f"dp={self.dp!r}: p0^2/dp^2 and (p0/(2 dp^2))^2 "
                                   f"must be finite")
+            # they square b - i x0 too, and divide the square by 4A with
+            # |4A| >= 1/dp^2 (x0 = -1e300 overflowed there and wrote NaN)
+            b_lin = complex(b, -self.x0)
+            b_sq = b_lin * b_lin
+            if not all(map(math.isfinite, (b_sq.real, b_sq.imag,
+                                           b_sq.real * dp2, b_sq.imag * dp2))):
+                raise ConfigError(f"source position x0={self.x0!r} is out of range for "
+                                  f"p0={self.p0!r}, dp={self.dp!r}: b^2 and b^2 dp^2, "
+                                  f"b = p0/(2 dp^2) - i x0, must be finite")
         else:
             if self.eps != 0.0:
                 raise ConfigError("beam mode requires the point detector (eps = 0)")

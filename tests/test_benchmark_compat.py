@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qarrival import intensity, process
+from qarrival import intensity, process, propagate
 from qarrival.intensity import IntensityProfile
-from qarrival.scenario import StateFamily
+from qarrival.scenario import Scenario, StateFamily
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -98,3 +98,16 @@ def test_sampler_count_is_the_fourth_argument():
     # the tracer reads the record count of a sample_times_matrix call as a[3]
     params = list(inspect.signature(process.sample_times_matrix).parameters)
     assert params[3] == "count"
+
+
+@pytest.mark.parametrize("eps, solver", [(0.0, "solve_renewal"), (0.5, "solve_volterra")])
+def test_finite_profile_makes_one_solver_call(monkeypatch, eps, solver):
+    # the tracer wraps both solvers by module attribute and reads a[0].grid.n_nodes;
+    # a profile with its derivative solves both drives in one call
+    calls = []
+    original = getattr(propagate, solver)
+    monkeypatch.setattr(propagate, solver,
+                        lambda *a, **k: calls.append(a[0].grid.n_nodes) or original(*a, **k))
+    scn = Scenario(m=1.0, a=0.1, eps=eps, p0=1.0, x0=-5.0, dp=0.7, navg=100.0)
+    prof = intensity.build_profile(scn, t_max=10.0, dt=0.01)
+    assert calls == [1001] and prof.domega is not None

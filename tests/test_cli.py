@@ -1,3 +1,4 @@
+import csv
 import errno
 import hashlib
 import io
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from qarrival import cli, intensity
+from qarrival import cli
 from qarrival import verify as vf
 from qarrival.cli import main
 from qarrival.errors import ModeError
@@ -281,12 +282,14 @@ class TestErrors:
         assert match in err
 
     @pytest.mark.parametrize("key, value", [("dp", "1e-300"), ("p0", "1e300"),
-                                            ("dp", "1e-100"), ("eps", "1e200")])
+                                            ("dp", "1e-100"), ("eps", "1e200"),
+                                            ("x0", "-1e300"), ("x0", "1e300")])
     def test_drive_constants_out_of_range(self, tmp_path, capsys, key, value):
         # dp = 1e-300 divided by zero and p0 = 1e300 overflowed in the
-        # Gaussian drive, dp = 1e-100 wrote I_n = nan with exit 0 and
-        # eps = 1e200 overflowed in the detector kernel; a repeated key
-        # overrides the earlier one
+        # Gaussian drive, dp = 1e-100 wrote I_n = nan with exit 0,
+        # eps = 1e200 overflowed in the detector kernel, and x0 = -1e300
+        # warned "invalid value" in the drive and wrote I_n = 0 and
+        # I_n_cond = nan with exit 0; a repeated key overrides the earlier one
         cfg = tmp_path / "scale.cfg"
         cfg.write_text(FINITE_CONFIG + f"{key}={value}\n")
         rc = main(["fisher", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
@@ -424,22 +427,40 @@ class TestExitCodes:
 
     def test_non_finite_information_exits_3(self, tmp_path, capsys):
         # navg = 1e300 overflows the information integrand: I_n = nan was
-        # written with exit 0.  Building the profile warns twice: the short
-        # grid's tail fit, and dOmega~ overflowing
+        # written with exit 0.  Building the profile warns once, for the short
+        # grid's tail fit; numpy's overflow warning from dOmega~ reached
+        # stderr too before the exit-3 line
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(FINITE_CONFIG + "navg=1e300\n")
         out = tmp_path / "x.csv"
-        with pytest.warns(UserWarning, match="decays too slowly"), \
-                pytest.warns(RuntimeWarning, match="overflow") as built:
+        with pytest.warns(UserWarning, match="decays too slowly") as caught:
             rc = main(["fisher", "--config", str(cfg), "--out", str(out),
                        "--n-list", "1,2", "--t-max", "10", "--dt", "0.01"])
-        assert {w.filename for w in built if w.category is RuntimeWarning} \
-            == {intensity.__file__}
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("numerical tolerance failure:") and err.count("\n") == 1
         assert "at n=1 " in err and "not finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra, flags", [("", ["--t-max", "1e-3", "--dt", "1e-5"]),
+                                              ("m=1e-300\n", ["--t-max", "10", "--dt", "0.01"])])
+    def test_conditional_at_zero_probability_is_empty(self, tmp_path, capsys, extra, flags):
+        # p_n_tot is 0 when nothing arrives within t_max, or when m = 1e-300
+        # keeps the packet from spreading: I_n_cond was written as nan
+        cfg = tmp_path / "none.cfg"
+        cfg.write_text(FINITE_CONFIG + extra)
+        out = tmp_path / "x.csv"
+        with pytest.warns(UserWarning, match="decays too slowly"):
+            rc = main(["fisher", "--config", str(cfg), "--out", str(out),
+                       "--n-list", "1,2"] + flags)
+        assert rc == 0
+        text = out.read_text()
+        assert "nan" not in text
+        rows = list(csv.DictReader(text.splitlines()))
+        assert [r["I_n_cond"] for r in rows] == ["", ""]
+        assert [r["p_n_tot"] for r in rows] == ["0", "0"]
+        assert all(math.isfinite(float(r["I_n"])) for r in rows)
 
     def test_library_error_exits_1(self, beam_cfg, tmp_path, capsys, monkeypatch):
         # no flag reaches a ModeError today; any QArrivalError that is not a

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.integrate import cumulative_trapezoid
 
 from qarrival import deltakernel as dk
 from qarrival import intensity
+from qarrival import propagate as pg
 from qarrival.deltakernel import (BeamAsymptotes, DeltaParams, beam_asymptotes,
                                   beam_intensity)
 from qarrival.errors import ConfigError, RangeError
@@ -199,6 +202,47 @@ class TestFiniteProfiles:
         fd = (hi.omega - lo.omega) / (2 * h)
         i = np.argmax(prof.omega)
         assert fd[i] == pytest.approx(prof.domega[i], rel=5e-4)
+
+    # sha256 of omega, Omega, domega, dOmega, dOmega~ and (Omega_inf,
+    # dOmega_inf) of profiles whose grid spans three FFT splits of the solver:
+    # speed-ups of the forward solves must leave every bit as it is
+    PINNED_PROFILES = {
+        0.0: "d00c3410d2bc100cc851fe439177b2d8167b86535f1ead1fdd379e16d0e790bc",
+        0.5: "2e42e7362f9ef0d6c6fd025fb546721feca269149398105dad551753a56a100d",
+    }
+
+    @pytest.mark.parametrize("eps", sorted(PINNED_PROFILES))
+    def test_pinned_profile_bytes(self, eps):
+        scn = Scenario(m=1.0, a=0.1, eps=eps, p0=1.0, x0=-5.0, dp=math.sqrt(0.5), navg=100.0)
+        prof = build_profile(scn, t_max=10.0, dt=0.005)
+        digest = hashlib.sha256()
+        for arr in (prof.omega, prof.Omega, prof.domega, prof.dOmega, prof.dOmega_tilde,
+                    np.array([prof.Omega_inf, prof.dOmega_inf])):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == self.PINNED_PROFILES[eps]
+
+    @pytest.mark.parametrize("eps, drive", [(0.0, "gaussian_free_at_origin"),
+                                            (0.5, "gaussian_overlap_h0")])
+    def test_drives_freed_before_the_kernel(self, monkeypatch, eps, drive):
+        # a profile's value and d/dp0 drives live only until the solver has
+        # loaded them, so they are not held next to its kernel
+        refs, alive = [], []
+        made, toeplitz = getattr(pg, drive), pg.toeplitz
+
+        def recorded(*args, **kwargs):
+            out = made(*args, **kwargs)
+            refs.extend(weakref.ref(x) for x in out)
+            return out
+
+        def spy(*args):
+            alive.append([r() is not None for r in refs])
+            return toeplitz(*args)
+
+        monkeypatch.setattr(pg, drive, recorded)
+        monkeypatch.setattr(pg, "toeplitz", spy)
+        scn = Scenario(m=1.0, a=0.1, eps=eps, p0=1.0, x0=-5.0, dp=math.sqrt(0.5), navg=100.0)
+        build_profile(scn, t_max=10.0, dt=0.01)
+        assert alive == [[False, False]]
 
     def test_gaussian_profile_matches_overlap_density(self, packet_scn):
         import dataclasses

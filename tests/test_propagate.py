@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -249,6 +250,79 @@ class TestFastSolversMatchSweep:
         _assert_pointwise(got, sweep_renewal(drive.values, d, grid.dt))
 
 
+# rows of the two-drive checks: one leaf, just past it, and five FFT levels
+TWO_DRIVE_ROWS = [1, 2, LEAF, LEAF + 1, 16 * LEAF + 3]
+
+
+def _bits(series):
+    return series.values.view(np.uint64)
+
+
+class TestTwoDrives:
+    """A value drive and a d/dp0 drive share one prepared kernel."""
+
+    @pytest.mark.parametrize("rows", TWO_DRIVE_ROWS)
+    def test_volterra_pair_equals_two_solves(self, rows):
+        grid = _grid(rows)
+        g = gaussian_kernel_g(FIG2A, grid)
+        h0, dh0 = gaussian_overlap_h0(FIG2A, grid, dp0=True)
+        h, dh = solve_volterra(h0, g, FIG2A.gamma, dh0)
+        assert np.array_equal(_bits(h), _bits(solve_volterra(h0, g, FIG2A.gamma)))
+        assert np.array_equal(_bits(dh), _bits(solve_volterra(dh0, g, FIG2A.gamma)))
+
+    @pytest.mark.parametrize("rows", TWO_DRIVE_ROWS)
+    def test_renewal_pair_equals_two_solves(self, rows):
+        grid = _grid(rows)
+        scn = dataclasses.replace(FIG2A, eps=0.0)
+        d = DeltaParams(scn.a, scn.m).d
+        f0, df0 = gaussian_free_at_origin(scn, grid, dp0=True)
+        f, df = solve_renewal(f0, d, df0)
+        assert np.array_equal(_bits(f), _bits(solve_renewal(f0, d)))
+        assert np.array_equal(_bits(df), _bits(solve_renewal(df0, d)))
+
+    def test_second_drive_on_another_grid_rejected(self):
+        grid, other = _grid(8), _grid(9)
+        ones = ComplexSeries(grid, np.ones(grid.n_nodes))
+        stray = ComplexSeries(other, np.ones(other.n_nodes))
+        with pytest.raises(GridMismatchError):
+            solve_renewal(ones, 0.1, stray)
+        with pytest.raises(GridMismatchError):
+            solve_volterra(ones, ones, 0.8, stray)
+
+    def test_singular_diagonal_raises(self):
+        # 1 + c 4/3 = 0: LAPACK's trtrs reported it through scipy's wrapper
+        grid = _grid(LEAF + 1)
+        ones = ComplexSeries(grid, np.ones(grid.n_nodes))
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            solve_renewal(ones, -0.75 * math.sqrt(math.pi / grid.dt))
+
+    @pytest.mark.parametrize("solver", ["renewal", "volterra"])
+    def test_temporary_drives_freed_before_the_kernel(self, solver, monkeypatch):
+        # each drive goes into its padded buffer first, so drives that only
+        # the call holds do not stay alive next to the kernel
+        grid = _grid(LEAF + 1)
+        refs, alive = [], []
+
+        def drive():
+            series = ComplexSeries(grid, np.full(grid.n_nodes, 1.0 + 0.5j))
+            refs.append(weakref.ref(series))
+            return series
+
+        def spy(*args):
+            alive.append([r() is not None for r in refs])
+            return toeplitz(*args)
+
+        toeplitz = propagate.toeplitz
+        monkeypatch.setattr(propagate, "toeplitz", spy)
+        if solver == "renewal":
+            out = solve_renewal(drive(), 0.1, drive())
+        else:
+            g = ComplexSeries(grid, np.exp(-0.1 * grid.times))
+            out = solve_volterra(drive(), g, 0.8, drive())
+        assert alive == [[False, False]]
+        assert len(out) == 2
+
+
 class TestDriveMomentumDerivative:
     @pytest.mark.parametrize("drive, eps", [(gaussian_overlap_h0, 0.5),
                                             (gaussian_free_at_origin, 0.0)])
@@ -258,8 +332,9 @@ class TestDriveMomentumDerivative:
         step = 1e-5
         fd = (drive(dataclasses.replace(scn, p0=scn.p0 + step), grid).values
               - drive(dataclasses.replace(scn, p0=scn.p0 - step), grid).values) / (2.0 * step)
-        exact = drive(scn, grid, dp0=True).values
+        value, exact = (x.values for x in drive(scn, grid, dp0=True))
         assert np.max(np.abs(exact - fd)) <= 1e-7 * np.max(np.abs(exact))
+        assert np.array_equal(value.view(np.uint64), drive(scn, grid).values.view(np.uint64))
 
 
 class TestDeltaLimitConvergence:

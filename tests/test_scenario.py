@@ -201,6 +201,11 @@ class TestScenarioValidation:
         with pytest.raises(ConfigError, match="particle number must be positive"):
             Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, x0=-20.0, navg=-math.inf, r0=1.0)
 
+    @pytest.mark.parametrize("x0", [-1e154, 1e154, -1e150, 1e3])
+    def test_far_source_allowed(self, x0):
+        # either sign, up to where the drive's square of x0 overflows
+        assert Scenario(**{**self.FINITE, "x0": x0}).x0 == x0
+
     def test_source_at_detector_allowed(self):
         scn = Scenario(**{**self.FINITE, "x0": 0.0, "p0": 0.0})
         assert scn.x0 == 0.0
@@ -234,6 +239,12 @@ class TestBoundaries:
         # 2 eps^2 overflowed in the detector kernel: an OverflowError traceback
         ("finite", {"eps": 1e200}, "width eps="),
         ("finite", {"eps": 1e154}, "width eps="),
+        # (p0/(2 dp^2) - i x0)^2 overflowed in the drive: I_n_cond = nan with exit 0
+        ("finite", {"x0": -1e300}, "position x0="),
+        ("finite", {"x0": 1e300}, "position x0="),
+        ("finite", {"x0": -1e155}, "position x0="),
+        # and so did its quotient by 4A, |4A| >= 1/dp^2
+        ("finite", {"x0": -1e154, "dp": 1e3}, "position x0="),
     ])
     def test_scenario_rejects(self, mode, change, match):
         base = self.FINITE if mode == "finite" else self.BEAM
