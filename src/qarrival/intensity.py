@@ -30,9 +30,10 @@ share a grid (the momentum grid of the maximum-likelihood study) pay for
 the cell search once.  Past the grid the derivatives continue as their
 values do: a beam's ``domega`` stays at ``domega_dp0_inf`` and its
 ``dOmega`` grows linearly, a finite profile holds 0 and ``dOmega[-1]``.
-For a few points at a time, where numpy's per-call overhead dominates, the
-cell formulas of ``omega_at``/``Omega_at`` also run on Python-float copies
-of the tables, with the same results; a single float query takes that path.
+For one record, where numpy's per-call overhead dominates, the cell
+formulas of ``omega_at``/``Omega_at`` also run on Python-float copies of the
+tables, one cell search per time, with the same results; a single float
+query takes that path.
 Beam profiles on one grid share one read-only ``t`` and the p0-free factors
 of the remainder on it (``_beam_ray``), so their locators are checked by
 identity and a new momentum makes one complex-erfc call.
@@ -233,7 +234,7 @@ class IntensityProfile:
     @cached_property
     def _cell_lists(self):
         """``t[1:-1]``, ``t``, ``omega``, ``_slope`` and ``Omega`` as lists of
-        Python floats for the per-point evaluators, kept after first use."""
+        Python floats for :meth:`_record_points`, kept after first use."""
         t = self.t.tolist()
         return t[1:-1], t, self.omega.tolist(), self._slope.tolist(), self.Omega.tolist()
 
@@ -287,8 +288,8 @@ class IntensityProfile:
         return _shaped(out, loc)
 
     def omega_at(self, tq):
-        if isinstance(tq, float):  # one time: the per-point evaluator, same bits
-            return self._omega_point(float(tq))
+        if isinstance(tq, float):  # one time: the per-record evaluator, same bits
+            return self._record_points((float(tq),))[0][0]
         bt = self.beam_tail
         return self._linear(tq, self.omega, self._slope, 0.0 if bt is None else bt.omega_inf)
 
@@ -300,7 +301,7 @@ class IntensityProfile:
 
     def Omega_at(self, tq):
         if isinstance(tq, float):
-            return self._Omega_point(float(tq))
+            return self._record_points((float(tq),))[1]
         bt = self.beam_tail
         return self._quadratic(tq, self.Omega, self.omega, self._slope,
                                None if bt is None else bt.omega_inf)
@@ -311,37 +312,28 @@ class IntensityProfile:
         return self._quadratic(tq, self.dOmega, self.domega, self._dslope,
                                None if bt is None else bt.domega_dp0_inf)
 
-    # Per-point evaluators on Python floats, for single records where numpy's
-    # per-call overhead dominates: the cell search and the cell formulas of
-    # ``locate``/``omega_at``/``Omega_at``, operand for operand, so the
-    # results are the same bits.
+    # One record on Python floats, where numpy's per-call overhead dominates:
+    # the cell search and the cell formulas of ``locate``/``omega_at``/
+    # ``Omega_at``, operand for operand, so the results are the same bits.
 
-    def _point_cell(self, x: float):
-        """Cell ``i`` and offset ``s`` of one time, as :meth:`locate` finds them."""
-        inner, t, _, _, _ = self._cell_lists
-        i = bisect_right(inner, x)
-        s = x - t[i]
-        if s <= 0.0:  # np.maximum(-0.0, 0.0) is 0.0
-            s = 0.0
-        return i, s
-
-    def _omega_point(self, x: float) -> float:
-        _, t, omega, slope, _ = self._cell_lists
-        if x > t[-1]:
-            return 0.0 if self.beam_tail is None else self.beam_tail.omega_inf
-        if x == t[-1]:
-            return omega[-1]
-        i, s = self._point_cell(x)
-        return slope[i] * s + omega[i]
-
-    def _Omega_point(self, x: float) -> float:
-        _, t, omega, slope, Omega = self._cell_lists
-        if x > t[-1]:
-            if self.beam_tail is None:
-                return Omega[-1]
-            return Omega[-1] + self.beam_tail.omega_inf * (x - t[-1])
-        i, s = self._point_cell(x)
-        return Omega[i] + omega[i] * s + 0.5 * slope[i] * s * s
+    def _record_points(self, xs):
+        """omega at every time of ``xs`` (Python floats) and Omega at the last,
+        each time's cell found once, as :meth:`locate` finds it."""
+        inner, t, omega, slope, Omega = self._cell_lists
+        end, bt = t[-1], self.beam_tail
+        out = []
+        for x in xs:
+            if x > end:
+                out.append(0.0 if bt is None else bt.omega_inf)
+                continue
+            i = bisect_right(inner, x)
+            s = x - t[i]
+            if s <= 0.0:  # np.maximum(-0.0, 0.0) is 0.0
+                s = 0.0
+            out.append(omega[-1] if x == end else slope[i] * s + omega[i])
+        if x > end:
+            return out, Omega[-1] if bt is None else Omega[-1] + bt.omega_inf * (x - end)
+        return out, Omega[i] + omega[i] * s + 0.5 * slope[i] * s * s
 
     def invert_Omega(self, u):
         """Time at which the integrated intensity reaches u.

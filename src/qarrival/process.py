@@ -11,6 +11,7 @@ family admits a closed-form conditional inverse CDF.
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -74,10 +75,13 @@ def _record_blocks(count: int, n: int):
 
 
 def _row_sums(x):
-    """``np.sum(x, axis=1)`` bit for bit: numpy adds fewer than 8 columns left
-    to right from 0.0, as ``sum`` does here a whole column at a time (the cutoff
-    of numpy's ``pairwise_sum``, checked on 2.4.6; ``TestBlocks::test_row_sums``)."""
-    return np.sum(x, axis=1) if x.shape[1] >= 8 else sum(x.T, 0.0)
+    """``np.sum(x, axis=-1)`` bit for bit, for one record (1-D) or a matrix:
+    numpy adds fewer than 8 terms left to right from 0.0, as ``sum`` does here
+    (a whole column at a time for a matrix; the cutoff of numpy's
+    ``pairwise_sum``, checked on 2.4.6; ``TestBlocks::test_row_sums``)."""
+    if x.shape[-1] >= 8:
+        return x.sum(axis=-1)
+    return sum(x.T, 0.0) if x.ndim == 2 else sum(x.tolist(), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +100,13 @@ def log_joint_density(times, family: StateFamily, profile: IntensityProfile):
     if t.ndim != 1 or t.size < 1:
         raise ValueError("need an ordered vector of at least one arrival time")
     ts = t.tolist()
-    if not all(a < b for a, b in zip(ts, ts[1:])) or not ts[0] >= 0.0:
+    if not all(map(operator.lt, ts, ts[1:])) or not ts[0] >= 0.0:
         raise ValueError("arrival times must be positive and strictly increasing")
-    omega = [profile._omega_point(x) for x in ts]
+    omega, u_last = profile._record_points(ts)
     if any(w <= 0.0 for w in omega):
         return -math.inf
-    u_last = profile._Omega_point(ts[-1])
-    # numpy's log and summation, as in log_likelihood_batch; ndarray.sum is
-    # the np.sum reduction without its Python-level dispatch
-    return log_family_Fn(family, len(ts), u_last) + float(np.log(omega).sum())
+    # numpy's log and the summation rule of log_likelihood_batch
+    return log_family_Fn(family, len(ts), u_last) + float(_row_sums(np.log(omega)))
 
 
 # the floor of the intensities in log_likelihood_batch
@@ -163,8 +165,13 @@ def _by_record(times, profile: IntensityProfile, complete, short):
 
 
 def joint_density(times, family: StateFamily, profile: IntensityProfile):
-    """Joint probability density of n ordered detections (unit 1/time^n)."""
-    return math.exp(log_joint_density(times, family, profile))
+    """Joint probability density of n ordered detections (unit 1/time^n);
+    ``inf``, the IEEE value, where it exceeds the float range."""
+    log_p = log_joint_density(times, family, profile)
+    try:
+        return math.exp(log_p)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -345,12 +345,18 @@ def _bits(x):
 
 
 def _assert_points_match(prof, tq):
-    """The per-point evaluators give the bits of omega_at/Omega_at."""
-    omega = [prof._omega_point(x) for x in tq.tolist()]
-    Omega = [prof._Omega_point(x) for x in tq.tolist()]
-    assert all(type(v) is float for v in omega + Omega)
+    """The per-record evaluator gives the bits of omega_at/Omega_at: omega at
+    every time of one call, Omega at the last time of each call, and so do
+    the float branches of omega_at/Omega_at."""
+    xs = tq.tolist()
+    omega, last = prof._record_points(xs)
+    Omega = [prof._record_points([x])[1] for x in xs]
+    assert Omega[-1] == last
+    floats = [prof.omega_at(x) for x in xs] + [prof.Omega_at(x) for x in xs]
+    assert all(type(v) is float for v in omega + Omega + floats)
     assert np.array_equal(_bits(omega), _bits(prof.omega_at(tq)))
     assert np.array_equal(_bits(Omega), _bits(prof.Omega_at(tq)))
+    assert np.array_equal(_bits(floats), _bits(np.concatenate([omega, Omega])))
 
 
 def _record_matrix(prof, count, rng):

@@ -59,6 +59,15 @@ class TestJointDensity:
         with pytest.raises(ValueError):
             log_joint_density(times, StateFamily.coherent(1.0), beam_profile)
 
+    def test_density_beyond_float_range_is_inf(self, beam_scn):
+        # 200 arrivals in the first 0.2 of a dense beam: log p exceeds log(DBL_MAX)
+        prof = build_profile(dataclasses.replace(beam_scn, r0=1000.0))
+        coh = StateFamily.coherent(1.0)
+        times = np.linspace(1e-4, 0.2, 200)
+        log_p = log_joint_density(times, coh, prof)
+        assert math.log(np.finfo(float).max) < log_p < math.inf
+        assert joint_density(times, coh, prof) == math.inf
+
 
 class TestTotalProbability:
     def test_beam_certain_detection(self, beam_profile, families):
@@ -462,11 +471,28 @@ class TestBatchLikelihood:
                 assert -math.inf < val < math.log(1e-300) + 100.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 34, 60])
+def _beam_edge_records(t, n, rng):
+    """Records of n arrivals on the beam grid ``t`` at the edges of the cell
+    search: every time on a node, the last exactly at ``t[-1]``, the last
+    past it, all past it, and a first time of -0.0."""
+    inside = np.sort(rng.uniform(1e-3, t[-1], n))
+    nodes = t[np.sort(rng.choice(t.size, n, replace=False))]
+    records = [nodes, np.append(inside[1:], t[-1]), np.append(inside[1:], t[-1] + 3.0),
+               t[-1] + np.arange(1.0, n + 1.0), np.append(-0.0, inside[1:])]
+    return np.array([r for r in records if np.all(r[1:] > r[:-1])])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 34, 60])
 def test_joint_density_matches_batch_bitwise(beam_profile, delta_profile, n):
-    # the per-point path must give the batched likelihood's bits at any length
+    # the per-record path must give the batched likelihood's bits at any
+    # length, on both sides of the 8-term cut of the sum, at the grid's edges
+    rng = np.random.default_rng(n)
+    edges = np.concatenate([_beam_edge_records(beam_profile.t, n, rng) for _ in range(20)])
+    assert np.any(edges == beam_profile.t[-1]) and np.any(np.signbit(edges[:, 0]))
     cases = [(fam, beam_profile, *sample_times_matrix(n, fam, beam_profile, 200, seed=n))
              for fam in (StateFamily.coherent(5.0), StateFamily.quasifree(5.0))]
+    cases += [(fam, beam_profile, edges, np.full(len(edges), n))
+              for fam in (StateFamily.coherent(5.0), StateFamily.quasifree(5.0))]
     # Fock(60) on the finite profile, whose mass (11.78) ends below N: any
     # ordered times on its grid form a complete row with F_n > 0, up to n = N
     times = np.sort(np.random.default_rng(n).uniform(5.0, 44.9, (200, n)), axis=1)
@@ -601,10 +627,16 @@ class TestBlocks:
     @given(x=st.lists(st.floats(allow_nan=False) | st.sampled_from([-0.0, 0.0]),
                       min_size=1, max_size=48),
            n=st.integers(1, 12))
+    # eight terms, where numpy's sum is pairwise and 1e16 absorbs each 1.0 alone
+    @example(x=[1e16] + [1.0] * 7, n=8)
     @settings(max_examples=200, deadline=None)
     def test_row_sums(self, x, n):
-        # column adds give np.sum's bits, -0.0 and infinities included
+        # column adds give np.sum's bits, -0.0 and infinities included, for a
+        # matrix and for one record
         rows = np.array(x[:len(x) - len(x) % n] or x[:1] * n).reshape(-1, n)
         with np.errstate(invalid="ignore", over="ignore"):
             got, want = process._row_sums(rows), np.sum(rows, axis=1)
-        assert np.array_equal(_bits(got), _bits(want))
+            assert np.array_equal(_bits(got), _bits(want))
+            for row in (rows[0], np.array(x)):
+                got, want = process._row_sums(row), np.sum(row)
+                assert np.array_equal(_bits(got), _bits(want))
