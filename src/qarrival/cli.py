@@ -39,8 +39,7 @@ def _family(kind: str, scn: Scenario) -> StateFamily:
     """The family ``kind`` of the config's source.  A beam's infinite mass
     goes through the particle-number check here, so a Fock family on a
     beam exits 2 before any profile is built."""
-    param = 1.0 if scn.beam else scn.navg
-    family = StateFamily(kind, float(round(param)) if kind == "fock" else param)
+    family = StateFamily.named(kind, 1.0 if scn.beam else scn.navg)
     if scn.beam:
         pr.checked_omega_inf(family, math.inf)
     return family

@@ -9,11 +9,8 @@ where S_n combines the log-derivative of the intensity with the running
 integrals dOmega = int domega and dOmega~ = int domega^2/omega, plus a lump
 term for the NO-event outcome when the total mass Omega(inf) is finite.
 The integral is evaluated over the tabulated profile in t and continued in
-the mass variable u with the constant-intensity late-time model (beam mode).
-That continuation is exact for the coherent family (upper incomplete gamma
-functions) and the quasi-free family (incomplete beta functions in
-1/(1+u)); a fixed-number family has no beam, whose infinite mass exceeds
-any particle number N (its beam limit is the coherent family).
+the mass variable u with the constant-intensity late-time model (beam mode),
+in the family's closed form; a fixed-number family has no beam.
 For several detection counts on one profile, :func:`fisher_info_many` does
 the n-independent part of that work once.
 
@@ -32,15 +29,13 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import beta, betainc, expn, gammaincc, gammaln
+from scipy.special import gammaln
 
 from . import intensity as it
 from . import process as pr
 from .deltakernel import DeltaParams
 from .errors import ModeError, ToleranceError
-from .quadrature import integrate_panels
-from .scenario import (Scenario, StateFamily, arrival_mass_logs, hn_values,
-                       log_arrival_mass, log_family_Fn_from_logs)
+from .scenario import Scenario, StateFamily, log_arrival_mass
 
 
 @dataclass(frozen=True)
@@ -78,17 +73,6 @@ def i_infinity(p0: float, dp: DeltaParams) -> float:
 # stationary constants and sparse limits
 # ---------------------------------------------------------------------------
 
-def _sparse_constant(n: int, family: StateFamily) -> float:
-    """C_n of the sparse-beam limit C_n * I_inf: n for the coherent family and
-    n/(n+2) for the quasi-free family.  A Fock family raises :class:`ModeError`:
-    the time-stationary (beam) limit of a fixed-number source is the coherent one."""
-    if family.kind == "coherent":
-        return float(n)
-    if family.kind == "quasifree":
-        return n / (n + 2.0)
-    raise ModeError("sparse-beam constants exist for the coherent and quasi-free families only")
-
-
 # the agreement asserted between the stationary-constant quadrature and C_n
 _STATIONARY_TOL = 1e-8
 
@@ -96,25 +80,18 @@ _STATIONARY_TOL = 1e-8
 def stationary_constant(n: int, family: StateFamily) -> float:
     """Quadrature of F_n(u) u^(n-1) [n - u H_n(u)]^2 / (n-1)! over all mass.
 
-    The closed forms C_n of :func:`_sparse_constant` are asserted against
-    the quadrature at ``_STATIONARY_TOL``; there is no fixed-number constant.
-    """
+    The family's closed form C_n is asserted against its quadrature rule at
+    ``_STATIONARY_TOL``; a Fock family, which has no beam, raises :class:`ModeError`."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    closed = _sparse_constant(n, family)
+    closed = family.sparse_constant(n)
 
     def integrand(u):
         with np.errstate(over="ignore"):
             w = np.exp(log_arrival_mass(family, n, u))
-        return w * (n - u * hn_values(family, n, u)) ** 2
+        return w * (n - u * family.hn(n, u)) ** 2
 
-    if family.kind == "coherent":
-        u_head = n + 60.0 + 14.0 * math.sqrt(n)
-        val = float(integrate_panels(integrand, np.linspace(0.0, u_head, 193), 24))
-    else:
-        # in x = 1/(1+u) the integrand is the polynomial n (1-x)^(n-1) (n - (n+1)(1-x))^2
-        val = float(integrate_panels(lambda x: integrand((1.0 - x) / x) / (x * x),
-                                     np.linspace(0.0, 1.0, 65), 24))
+    val = family.stationary_integral(n, integrand)
     if abs(val - closed) > _STATIONARY_TOL * max(1.0, closed):
         raise ToleranceError(
             f"stationary-constant quadrature {val!r} disagrees with the closed form "
@@ -124,7 +101,7 @@ def stationary_constant(n: int, family: StateFamily) -> float:
 
 def sparse_limit_I(n: int, family: StateFamily, p0: float, dp: DeltaParams) -> float:
     """Vanishing-density limit of the beam information: C_n * I_inf(p0)."""
-    return _sparse_constant(n, family) * i_infinity(p0, dp)
+    return family.sparse_constant(n) * i_infinity(p0, dp)
 
 
 # ---------------------------------------------------------------------------
@@ -193,58 +170,54 @@ def fisher_info_many(n_values, family: StateFamily,
     # clipped = max(dOmega~/u - ratio^2, 0)
     np.subtract(clipped, np.multiply(ratio, ratio, out=a), out=clipped)
     np.maximum(clipped, 0.0, out=clipped)
-    log_u, fam_logs = arrival_mass_logs(family, u)
-    one_plus_u = 1.0 + u if family.kind == "quasifree" else None  # H_n = (n + 1)/(1 + u)
+    logs = family.logs(u)
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
     # the trapezoid sums as np.trapezoid forms them, on the full and the
     # thinned grid; their terms go into s and a once y is formed
-    d, d2 = np.diff(t), np.diff(t[::2])
+    h, h2 = np.diff(t), np.diff(t[::2])
     y2 = y[::2]
-    fine_terms, coarse_terms = s[:d.size], a[:d2.size]
+    fine_terms, coarse_terms = s[:h.size], a[:h2.size]
     distinct = tuple(dict.fromkeys(n_values))
-    tails = (dict.fromkeys(distinct, 0.0) if profile.beam_tail is None
-             else _beam_tails(distinct, family, profile))
+    tails = np.zeros(len(distinct))
+    if profile.beam_tail is not None:
+        # past the grid dOmega = phi_inf u + c1 and dOmega~ = phi_inf^2 u + c3,
+        # so clipped = max(d/u - c1^2/u^2, 0) with d = c3 - 2 c1 phi_inf; an
+        # overflow leaves a tail non-finite, which raises below
+        u_end, bt = u[-1], profile.beam_tail
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi_inf = bt.domega_dp0_inf / bt.omega_inf
+            c1 = profile.dOmega[-1] - phi_inf * u_end
+            d = profile.dOmega_tilde[-1] - phi_inf * phi_inf * u_end - 2.0 * c1 * phi_inf
+            tails = family.beam_tail(np.asarray(distinct, dtype=float), u_end, phi_inf, c1, d)
     reports = {}
-    for n in distinct:
+    for n, tail in zip(distinct, tails.tolist()):
         # an overflow or an invalid value leaves the detection part non-finite,
         # which raises below
         with np.errstate(over="ignore", invalid="ignore"):
             # S_n = ((n - 1 - u H_n) ratio + phi)^2 + (n - 1) clipped
-            if family.kind == "coherent":  # H_n = 1, so u H_n = u
-                u_hn = u
-            elif family.kind == "quasifree":
-                u_hn = np.multiply(u, np.divide(n + 1.0, one_plus_u, out=a), out=a)
-            else:
-                u_hn = np.multiply(u, hn_values(family, n, u), out=a)
-            np.subtract(n - 1.0, u_hn, out=s)
+            np.subtract(n - 1.0, family.u_hn_into(n, u, logs, a), out=s)
             s *= ratio
             s += phi
             np.square(s, out=s)
             s += np.multiply(clipped, n - 1.0, out=a)
             # log w_n = log F_n + (n - 1) log u - log (n-1)!
             pw = np.multiply(log_u, n - 1, out=a) if n > 1 else 0.0
-            if family.kind == "coherent":  # log F_n = -u, and pw + (-u) is pw - u
-                np.subtract(pw, u, out=y)
-            else:
-                if family.kind == "quasifree":  # log F_n = log n! - (n + 1) log(1 + u)
-                    np.subtract(gammaln(n + 1.0), np.multiply(fam_logs, n + 1.0, out=y),
-                                out=y)
-                else:
-                    y[:] = log_family_Fn_from_logs(family, n, u, fam_logs)
-                y += pw
+            family.log_fn_plus(n, u, logs, pw, y)
             y -= gammaln(n)
-            # y = w_n omega S_n, and the trapezoid terms d (y[1:] + y[:-1]) / 2
+            # y = w_n omega S_n, and the trapezoid terms h (y[1:] + y[:-1]) / 2
             np.exp(y, out=y)
             y *= om
             y *= s
             np.add(y[1:], y[:-1], out=fine_terms)
-            fine_terms *= d
+            fine_terms *= h
             fine_terms /= 2.0
             np.add(y2[1:], y2[:-1], out=coarse_terms)
-            coarse_terms *= d2
+            coarse_terms *= h2
             coarse_terms /= 2.0
         fine = float(fine_terms.sum())
         coarse = float(coarse_terms.sum())
-        detection = fine + tails[n]
+        detection = fine + tail
         # thinning check on the tabulated part only (the tail is exact); it
         # cannot fire on a non-finite detection part, which the check on I_n
         # below names
@@ -259,131 +232,6 @@ def fisher_info_many(n_values, family: StateFamily,
                                  f"(detection part {detection!r}, no-event part "
                                  f"{rep.noevent_part!r})", estimate=rep.value)
     return tuple(reports[n] for n in n_values)
-
-
-def _beam_tails(n_values, family: StateFamily, profile: it.IntensityProfile) -> dict:
-    """Exact integrals of w_n S_n past the beam grid, continued in the mass
-    variable u over ``[U, inf)``, one per count in ``n_values``.
-
-    Past the grid the intensity is the constant omega_inf, so
-    ``dOmega = phi u + c1`` and ``dOmega~ = phi^2 u + c3`` with
-    ``phi = domega_inf/omega_inf``.  Then ``ratio = phi + c1/u`` and
-    ``clipped = max(d/u - c1^2/u^2, 0)`` where ``d = c3 - 2 c1 phi``;
-    ``clipped`` is positive past ``u* = c1^2/d`` only, and nowhere when
-    ``d <= 0``.  The coherent tail is a sum of upper incomplete gamma
-    functions, the quasi-free one (in ``x = 1/(1+u)``) of incomplete beta
-    functions; notes/decisions.md derives both.  Only these two families
-    reach here: a fixed-number family on a beam fails the particle-number
-    check of :func:`process.checked_omega_inf`.
-    """
-    u_end = profile.Omega[-1]
-    bt = profile.beam_tail
-    phi = bt.domega_dp0_inf / bt.omega_inf
-    c1 = profile.dOmega[-1] - phi * u_end
-    d = profile.dOmega_tilde[-1] - phi * phi * u_end - 2.0 * c1 * phi
-    tail = _coherent_tail if family.kind == "coherent" else _quasifree_tail
-    n = np.asarray(n_values, dtype=float)
-    return dict(zip(n_values, tail(n, u_end, phi, c1, d).tolist()))
-
-
-def _gamma_pair(n: np.ndarray, x: float):
-    """``Gamma(n-1, x)/(n-2)!`` and ``Gamma(n-2, x)/(n-2)!`` for counts n,
-    0 at n = 1 (where the factor n - 1 in front of them vanishes)."""
-    g1 = np.where(n >= 2.0, gammaincc(np.maximum(n - 1.0, 1.0), x), 0.0)
-    g2 = np.where(n >= 3.0, gammaincc(np.maximum(n - 2.0, 1.0), x) / np.maximum(n - 2.0, 1.0),
-                  np.where(n == 2.0, expn(1, x), 0.0))
-    return g1, g2
-
-
-def _coherent_tail(n: np.ndarray, u_end: float, phi: float, c1: float, d: float):
-    """Coherent tail: ``S_n = A^2 + (n-1) clipped`` with
-    ``A = -phi v - c1 (v+1)/u`` and ``v = u - n``.
-
-    Each square is integrated as a centred moment
-    ``int_U^inf (u-s)^2 u^(s-1) e^-u du = s Gamma(s,U) + U^s e^-U (U+1-s)``
-    (from ``Gamma(s+1,U) = s Gamma(s,U) + U^s e^-U``), since the raw
-    moments cancel terms of size n^2 phi^2 down to n phi^2.
-    """
-    log_u, lgn = math.log(u_end), gammaln(n)
-
-    def edge(s):  # U^s e^-U / (n-1)!, times the common factor U + 1 - n
-        return np.exp(s * log_u - u_end - lgn) * (u_end + 1.0 - n)
-
-    g1, g2 = _gamma_pair(n, u_end)
-    v2 = n * gammaincc(n, u_end) + edge(n)      # int w v^2
-    v11 = g1 + edge(n - 1.0)                    # int w v (v+1)/u
-    v00 = g2 + edge(n - 2.0)                    # int w (v+1)^2/u^2
-    total = phi * phi * v2 + 2.0 * phi * c1 * v11 + c1 * c1 * v00
-    if d > 0.0:
-        g1, g2 = _gamma_pair(n, max(u_end, c1 * c1 / d))
-        total += d * g1 - c1 * c1 * g2
-    return total
-
-
-def _quasifree_tail(n: np.ndarray, u_end: float, phi: float, c1: float, d: float):
-    """Quasi-free tail: in ``x = 1/(1+u)`` the integrand is
-    ``n (1-x)^(n-3) P(x)`` on ``[0, 1/(1+U)]``, where
-    ``P = B^2 + (n-1) x (d (1-x) - c1^2 x)`` (the second term on
-    ``x < 1/(1+u*)`` only) and
-    ``B = phi ((n+1) x - 1)(1-x) + c1 x ((n+1) x - 2)``.  At n = 1, ``B``
-    has the factor ``1 - x``, which is divided out; for n >= 2, ``P`` is
-    carried in powers of x and of ``y = 1 - x`` for :func:`_beta_integral`.
-    """
-    out = np.empty_like(n)
-    one = n == 1.0
-    if one.any():  # B = (1-x)(e0 + e1 x)
-        e0, e1 = -phi, 2.0 * (phi - c1)
-        x_end = 1.0 / (1.0 + u_end)
-        out[one] = x_end * (e0 * e0 + x_end * (e0 * e1 + x_end * e1 * e1 / 3.0))
-    n = n[~one]
-    zero = np.zeros_like(n)
-    total = _beta_integral(
-        n, u_end,
-        _square(-phi + zero, (n + 2.0) * phi - 2.0 * c1, (n + 1.0) * (c1 - phi)),
-        _square((n - 1.0) * c1, n * (phi - 2.0 * c1), (n + 1.0) * (c1 - phi)))
-    if d > 0.0:
-        k1, k2 = (n - 1.0) * d, (n - 1.0) * (d + c1 * c1)
-        total += _beta_integral(n, max(u_end, c1 * c1 / d),
-                                np.stack([zero, k1, -k2, zero, zero]),
-                                np.stack([k1 - k2, 2.0 * k2 - k1, -k2, zero, zero]))
-    out[~one] = n * total
-    return out
-
-
-def _square(q0, q1, q2) -> np.ndarray:
-    """Coefficients of ``(q0 + q1 z + q2 z^2)^2``, one column per count."""
-    return np.stack([q0 * q0, 2.0 * q0 * q1, q1 * q1 + 2.0 * q0 * q2, 2.0 * q1 * q2, q2 * q2])
-
-
-def _beta_integral(n: np.ndarray, u_low: float, px: np.ndarray, py: np.ndarray):
-    """``int_0^X (1-x)^(n-3) P(x) dx`` at ``X = 1/(1+u_low)``, one per count
-    n >= 2, for ``P = sum_k px[k] x^k = sum_k py[k] (1-x)^k``.
-
-    In powers of x the terms are incomplete beta functions for n >= 3 and,
-    at n = 2, ``-log(1-X) - sum_{j<=k} X^j/j``.  That difference is summed
-    as its remainder ``sum_{j>k} X^j/j`` for X <= 1/2, where it would
-    cancel.  For X > 1/2 the weight ``1/(1-x)`` piles up at x = 1, where
-    the powers of x cancel down to ``P(1)``; there the powers of
-    ``y = 1 - x`` are used, whose terms are ``P(1) log1p(1/u_low)`` and
-    ``(1 - (1-X)^k)/k``.
-    """
-    x_end = 1.0 / (1.0 + u_low)
-    k = np.arange(5.0)[:, None]
-    out = np.empty_like(n)
-    two = n == 2.0
-    if two.any() and x_end > 0.5:
-        ell = math.log1p(1.0 / u_low)  # -log(1 - X)
-        kk = k[1:]
-        out[two] = py[0, two] * ell + np.sum(py[1:, two] * (-np.expm1(-kk * ell) / kk), axis=0)
-    elif two.any():
-        j = np.arange(1.0, 60.0)
-        tail_sums = np.cumsum((x_end ** j / j)[::-1])[::-1]  # sum_{j' >= j}, small end first
-        out[two] = np.sum(px[:, two] * tail_sums[:5, None], axis=0)
-    many = ~two
-    if many.any():
-        a, b = k + 1.0, n[many] - 2.0
-        out[many] = np.sum(px[:, many] * beta(a, b) * betainc(a, b, x_end), axis=0)
-    return out
 
 
 def _report(n: int, family: StateFamily, profile: it.IntensityProfile,
@@ -463,7 +311,7 @@ def _score_batch(times, family: StateFamily, profile: it.IntensityProfile):
         score = pr._row_sums(np.where(live, profile.domega_at(loc) / np.where(live, om, 1.0),
                                       0.0))
         u_last = profile.Omega_at(loc.last)
-        score -= hn_values(family, n, u_last) * profile.dOmega_at(loc.last)
+        score -= family.hn(n, u_last) * profile.dOmega_at(loc.last)
         return score
 
     def short(n):

@@ -256,22 +256,6 @@ def total_prob_dp(n: int, family: StateFamily, profile: IntensityProfile):
 # Sampling by time change
 # ---------------------------------------------------------------------------
 
-def _next_u(family: StateFamily, u, v, k: int):
-    """Inverse conditional CDF of the (k+1)-th cumulative mass given u_k.
-
-    Solves F_k(u_next) = v F_k(u_k) for each family; the NO-event branch is
-    reached when u_next lands at or beyond Omega(inf).
-    """
-    if family.kind == "coherent":
-        return u - np.log(v)
-    if family.kind == "quasifree":
-        return (1.0 + u) * v ** (-1.0 / (k + 1)) - 1.0
-    big_n = family.param
-    if k >= big_n:
-        return np.full_like(u, np.inf)
-    return big_n * (1.0 - (1.0 - u / big_n) * v ** (1.0 / (big_n - k)))
-
-
 def _uniforms(seed: int, stream_index, count: int, draws: int):
     """Open uniforms from a counter-based stream.
 
@@ -314,7 +298,7 @@ def sample_times_matrix(n: int, family: StateFamily, profile: IntensityProfile,
         out = times[rows]
         u, alive = np.zeros(len(out)), True
         for k in range(n):
-            u_next = _next_u(family, u, vs[k, rows], k)
+            u_next = family.next_u(u, vs[k, rows], k)
             surv = alive & (u_next < u_inf)
             if np.any(surv):
                 out[surv, k] = profile.invert_Omega(u_next[surv])
@@ -346,15 +330,7 @@ def spatial_char(interval, family: StateFamily, density):
     mu = _interval_mass(interval, density)
 
     def char(s):
-        s = np.asarray(s, dtype=float)
-        phase = np.exp(1j * s) - 1.0
-        if family.kind == "fock":
-            big_n = family.param
-            out = (1.0 + phase * mu / big_n) ** big_n
-        elif family.kind == "coherent":
-            out = np.exp(phase * mu)
-        else:
-            out = 1.0 / (1.0 - phase * mu)
+        out = family.count_char(np.exp(1j * np.asarray(s, dtype=float)) - 1.0, mu)
         return complex(out) if out.ndim == 0 else out
 
     return char

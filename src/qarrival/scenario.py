@@ -16,10 +16,10 @@ number ``navg`` (``inf`` selects the uniform-beam limit) and spatial density
 ``r0``.
 
 A :class:`StateFamily` selects how the many-particle state is composed from
-identical single-particle wavefunctions: fixed particle number (``fock``),
-a coherent superposition (``coherent``), or a geometric classical mixture
-(``quasifree``).  Each family is characterised by a weight function ``F``
-with the signed derivatives ``F_n = (-1)^n F^(n)``:
+identical single-particle wavefunctions: fixed particle number (:class:`Fock`),
+a coherent superposition (:class:`Coherent`), or a geometric classical
+mixture (:class:`QuasiFree`).  Each family is characterised by a weight
+function ``F`` with the signed derivatives ``F_n = (-1)^n F^(n)``:
 
 ==========  ======================================  =================
 family      F(u)                                    F_n(u)
@@ -34,11 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import beta, betainc, expn, gammaincc, gammaln
 
-from .errors import ConfigError, SingularFamilyError
+from .errors import ConfigError, ModeError, SingularFamilyError
+from .quadrature import integrate_panels
 
 # Scaled detection rate of the finite-width Gaussian detector.  With this
 # scaling the eps -> 0 limit reproduces the point detector of strength a.
@@ -109,6 +111,16 @@ class Scenario:
                 raise ConfigError("beam mode requires a positive density r0")
             if self.p0 <= 0:
                 raise ConfigError("beam mode requires a positive momentum p0")
+            # the constants of deltakernel.beam_asymptotes, in products that
+            # overflow to inf where its powers raise
+            alpha = 0.5 * self.a * self.m
+            s = self.p0 + alpha
+            consts = (alpha, s * s * s, self.a * self.r0 * self.p0 * self.p0 / (s * s),
+                      self.a * self.r0 * 2.0 * alpha * self.p0 / (s * s * s))
+            if not all(0.0 < c < math.inf for c in consts):  # NaN too
+                raise ConfigError(f"beam constants out of range for a={self.a!r}, m={self.m!r}, "
+                                  f"p0={self.p0!r}, r0={self.r0!r}: a m/2, (p0 + a m/2)^3, "
+                                  "omega_inf and domega_inf must be finite and > 0")
 
     @property
     def beam(self) -> bool:
@@ -139,20 +151,8 @@ class Scenario:
     # -- flat key=value config files (the CLI contract) ------------------
 
     def to_config(self) -> str:
-        mode = "beam" if self.beam else "finite"
-        navg = "inf" if self.beam else repr(self.navg)
-        lines = [
-            f"m={self.m!r}",
-            f"a={self.a!r}",
-            f"eps={self.eps!r}",
-            f"p0={self.p0!r}",
-            f"x0={self.x0!r}",
-            f"dp={self.dp!r}",
-            f"navg={navg}",
-            f"r0={self.r0!r}",
-            f"mode={mode}",
-        ]
-        return "\n".join(lines) + "\n"
+        mode = "beam" if self.beam else "finite"  # a beam's navg reads inf
+        return "".join(f"{k}={getattr(self, k)!r}\n" for k in _CONFIG_KEYS[:-1]) + f"mode={mode}\n"
 
     @classmethod
     def from_config(cls, text: str) -> "Scenario":
@@ -193,46 +193,294 @@ class Scenario:
 # Source-state families
 # ---------------------------------------------------------------------------
 
-_KINDS = ("fock", "coherent", "quasifree")
-
-
 @dataclass(frozen=True)
 class StateFamily:
-    """Composition rule of the many-particle source state.
+    """Composition rule of the many-particle source state: :class:`Fock`,
+    :class:`Coherent` or :class:`QuasiFree`, each holding all of its formulas.
+    ``param`` is the particle number N (integer >= 1) of a Fock family; no
+    formula reads it for the others, whose mean number comes from the profile.
 
-    ``param`` is the particle number N (integer >= 1) for ``fock``.  No
-    formula reads it for the other kinds, whose mean number comes from the
-    profile (``navg`` or ``r0``), so ``coherent(5.0)`` and ``coherent(1.0)`` agree.
+    The formulas trust n and the mass u (a float array; a Python float for
+    ``log_fn_float``), which :func:`log_family_Fn` and :func:`family_Hn`
+    check.  ``log_fn`` takes the n-independent ``logs(u)`` of a grid;
+    ``u_hn_into`` and ``log_fn_plus`` write u H_n and log F_n + pw into the
+    Fisher pass's work arrays; ``next_u`` solves F_k(u_next) = v F_k(u_k) for
+    the sampler; ``count_char`` is the count's characteristic function at
+    phase = exp(i s) - 1.  Only the coherent and quasi-free families have the
+    beam formulas: C_n, its quadrature rule and the beam tails.
     """
 
-    kind: str
+    kind: ClassVar[str]
+    domain_max: ClassVar[float] = math.inf  # upper end of the admissible mass range
     param: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"unknown family kind {self.kind!r}")
-        if self.kind == "fock":
-            if self.param < 1 or self.param != int(self.param):
-                raise ConfigError("fock family needs an integer N >= 1")
-        elif self.param <= 0:
-            raise ConfigError("mean particle number must be positive")
+        if not 0.0 < self.param < math.inf:  # NaN too
+            raise ConfigError("mean particle number must be positive and finite")
+
+    @staticmethod
+    def fock(n_particles: int) -> "Fock":
+        return Fock(float(n_particles))
+
+    @staticmethod
+    def coherent(navg: float) -> "Coherent":
+        return Coherent(float(navg))
+
+    @staticmethod
+    def quasifree(navg: float) -> "QuasiFree":
+        return QuasiFree(float(navg))
+
+    @staticmethod
+    def named(kind: str, mean: float) -> "StateFamily":
+        """The family ``kind`` of a source of mean particle number ``mean``."""
+        if kind not in _FAMILIES:
+            raise ConfigError(f"unknown family kind {kind!r}")
+        return _FAMILIES[kind].of_mean(mean)
 
     @classmethod
-    def fock(cls, n_particles: int) -> "StateFamily":
-        return cls("fock", float(n_particles))
+    def of_mean(cls, mean: float) -> "StateFamily":
+        return cls(mean)
+
+
+class Coherent(StateFamily):
+    """Coherent superposition; Poisson counts."""
+
+    kind = "coherent"
+
+    def logs(self, u):
+        _check_domain(u)
+        return None
+
+    def log_fn(self, n: int, u, logs):
+        return -u
+
+    def log_fn_float(self, n: int, u: float) -> float:
+        return -u
+
+    def hn(self, n: int, u):
+        return np.ones_like(u)
+
+    def u_hn_into(self, n: int, u, logs, out):
+        return u  # H_n = 1
+
+    def log_fn_plus(self, n: int, u, logs, pw, out):
+        np.subtract(pw, u, out=out)  # pw + (-u) is pw - u
+
+    def next_u(self, u, v, k: int):
+        return u - np.log(v)
+
+    def count_char(self, phase, mu):
+        return np.exp(phase * mu)
+
+    def sparse_constant(self, n: int) -> float:
+        return float(n)
+
+    def stationary_integral(self, n: int, integrand) -> float:
+        u_head = n + 60.0 + 14.0 * math.sqrt(n)
+        return float(integrate_panels(integrand, np.linspace(0.0, u_head, 193), 24))
+
+    def beam_tail(self, n: np.ndarray, u_end: float, phi: float, c1: float, d: float):
+        """Integral of w_n S_n over ``[U, inf)`` at ``U = u_end``, one per count
+        in ``n``: with ``v = u - n``, ``S_n = A^2 + (n-1) clipped`` and
+        ``A = -phi v - c1 (v+1)/u``, each square a centred moment of upper
+        incomplete gamma functions (notes/decisions.md, "Closed-form beam tails")."""
+        log_u, lgn = math.log(u_end), gammaln(n)
+
+        def edge(s):  # U^s e^-U / (n-1)!, times the common factor U + 1 - n
+            return np.exp(s * log_u - u_end - lgn) * (u_end + 1.0 - n)
+
+        g1, g2 = self._gamma_pair(n, u_end)
+        v2 = n * gammaincc(n, u_end) + edge(n)      # int w v^2
+        v11 = g1 + edge(n - 1.0)                    # int w v (v+1)/u
+        v00 = g2 + edge(n - 2.0)                    # int w (v+1)^2/u^2
+        total = phi * phi * v2 + 2.0 * phi * c1 * v11 + c1 * c1 * v00
+        if d > 0.0:
+            g1, g2 = self._gamma_pair(n, max(u_end, c1 * c1 / d))
+            total += d * g1 - c1 * c1 * g2
+        return total
+
+    @staticmethod
+    def _gamma_pair(n: np.ndarray, x: float):
+        """``Gamma(n-1, x)/(n-2)!`` and ``Gamma(n-2, x)/(n-2)!`` for counts n,
+        0 at n = 1 (where the factor n - 1 in front of them vanishes)."""
+        g1 = np.where(n >= 2.0, gammaincc(np.maximum(n - 1.0, 1.0), x), 0.0)
+        g2 = np.where(n >= 3.0, gammaincc(np.maximum(n - 2.0, 1.0), x) / np.maximum(n - 2.0, 1.0),
+                      np.where(n == 2.0, expn(1, x), 0.0))
+        return g1, g2
+
+
+class QuasiFree(StateFamily):
+    """Geometric classical mixture; geometric counts."""
+
+    kind = "quasifree"
+
+    def logs(self, u):
+        """``log1p(u)``, and ``1 + u`` for the in-place u H_n."""
+        u = _check_domain(u)
+        return np.log1p(u), 1.0 + u
+
+    def log_fn(self, n: int, u, logs):
+        return gammaln(n + 1.0) - (n + 1.0) * logs[0]
+
+    def log_fn_float(self, n: int, u: float) -> float:
+        return float(gammaln(n + 1.0) - (n + 1.0) * np.log1p(u))
+
+    def hn(self, n: int, u):
+        return (n + 1.0) / (1.0 + u)
+
+    def u_hn_into(self, n: int, u, logs, out):
+        return np.multiply(u, np.divide(n + 1.0, logs[1], out=out), out=out)
+
+    def log_fn_plus(self, n: int, u, logs, pw, out):
+        np.subtract(gammaln(n + 1.0), np.multiply(logs[0], n + 1.0, out=out), out=out)
+        out += pw
+
+    def next_u(self, u, v, k: int):
+        return (1.0 + u) * v ** (-1.0 / (k + 1)) - 1.0
+
+    def count_char(self, phase, mu):
+        return 1.0 / (1.0 - phase * mu)
+
+    def sparse_constant(self, n: int) -> float:
+        return n / (n + 2.0)
+
+    def stationary_integral(self, n: int, integrand) -> float:
+        # in x = 1/(1+u) the integrand is the polynomial n (1-x)^(n-1) (n - (n+1)(1-x))^2
+        return float(integrate_panels(lambda x: integrand((1.0 - x) / x) / (x * x),
+                                      np.linspace(0.0, 1.0, 65), 24))
+
+    def beam_tail(self, n: np.ndarray, u_end: float, phi: float, c1: float, d: float):
+        """:meth:`Coherent.beam_tail` in ``x = 1/(1+u)``: the integrand is
+        ``n (1-x)^(n-3) P(x)`` on ``[0, 1/(1+U)]``, ``P = B^2 + (n-1) x (d (1-x)
+        - c1^2 x)`` (the second term on ``x < 1/(1+u*)`` only) and ``B = phi
+        ((n+1) x - 1)(1-x) + c1 x ((n+1) x - 2)``, whose factor ``1 - x`` at n = 1
+        divides out (notes/decisions.md, "Closed-form beam tails")."""
+        out = np.empty_like(n)
+        one = n == 1.0
+        if one.any():  # B = (1-x)(e0 + e1 x)
+            e0, e1 = -phi, 2.0 * (phi - c1)
+            x_end = 1.0 / (1.0 + u_end)
+            out[one] = x_end * (e0 * e0 + x_end * (e0 * e1 + x_end * e1 * e1 / 3.0))
+        n = n[~one]
+        zero = np.zeros_like(n)
+        total = self._beta_integral(
+            n, u_end,
+            self._square(-phi + zero, (n + 2.0) * phi - 2.0 * c1, (n + 1.0) * (c1 - phi)),
+            self._square((n - 1.0) * c1, n * (phi - 2.0 * c1), (n + 1.0) * (c1 - phi)))
+        if d > 0.0:
+            k1, k2 = (n - 1.0) * d, (n - 1.0) * (d + c1 * c1)
+            total += self._beta_integral(n, max(u_end, c1 * c1 / d),
+                                         np.stack([zero, k1, -k2, zero, zero]),
+                                         np.stack([k1 - k2, 2.0 * k2 - k1, -k2, zero, zero]))
+        out[~one] = n * total
+        return out
+
+    @staticmethod
+    def _square(q0, q1, q2) -> np.ndarray:
+        """Coefficients of ``(q0 + q1 z + q2 z^2)^2``, one column per count."""
+        return np.stack([q0 * q0, 2.0 * q0 * q1, q1 * q1 + 2.0 * q0 * q2, 2.0 * q1 * q2,
+                         q2 * q2])
+
+    @staticmethod
+    def _beta_integral(n: np.ndarray, u_low: float, px: np.ndarray, py: np.ndarray):
+        """``int_0^X (1-x)^(n-3) P(x) dx`` at ``X = 1/(1+u_low)``, one per count
+        n >= 2, for ``P = sum_k px[k] x^k = sum_k py[k] (1-x)^k``: incomplete
+        beta functions for n >= 3; at n = 2 the remainder ``sum_{j>k} X^j/j``
+        of the log series for X <= 1/2, and the powers of ``1 - x`` for X > 1/2."""
+        x_end = 1.0 / (1.0 + u_low)
+        k = np.arange(5.0)[:, None]
+        out = np.empty_like(n)
+        two = n == 2.0
+        if two.any() and x_end > 0.5:
+            ell = math.log1p(1.0 / u_low)  # -log(1 - X)
+            kk = k[1:]
+            out[two] = py[0, two] * ell + np.sum(py[1:, two] * (-np.expm1(-kk * ell) / kk),
+                                                 axis=0)
+        elif two.any():
+            j = np.arange(1.0, 60.0)
+            tail_sums = np.cumsum((x_end ** j / j)[::-1])[::-1]  # sum_{j' >= j}, small end first
+            out[two] = np.sum(px[:, two] * tail_sums[:5, None], axis=0)
+        many = ~two
+        if many.any():
+            a, b = k + 1.0, n[many] - 2.0
+            out[many] = np.sum(px[:, many] * beta(a, b) * betainc(a, b, x_end), axis=0)
+        return out
+
+
+class Fock(StateFamily):
+    """Fixed particle number N; binomial counts.  It has no beam, whose
+    infinite mass exceeds any N: that limit is the coherent family."""
+
+    kind = "fock"
+
+    def __post_init__(self):
+        if not (self.param >= 1 and float(self.param).is_integer()):  # NaN and inf too
+            raise ConfigError("fock family needs an integer N >= 1")
 
     @classmethod
-    def coherent(cls, navg: float) -> "StateFamily":
-        return cls("coherent", float(navg))
-
-    @classmethod
-    def quasifree(cls, navg: float) -> "StateFamily":
-        return cls("quasifree", float(navg))
+    def of_mean(cls, mean: float) -> "Fock":
+        """A Fock source of mean number ``mean`` holds ``round(mean)`` particles."""
+        return cls(float(round(mean)) if math.isfinite(mean) else mean)
 
     @property
     def domain_max(self) -> float:
-        """Upper end of the admissible integrated-intensity range."""
-        return self.param if self.kind == "fock" else math.inf
+        return self.param
+
+    def logs(self, u):
+        """The mask ``u < N`` and ``log1p(-u/N)`` on it."""
+        u = _check_domain(u)
+        inside = u < self.param
+        with np.errstate(divide="ignore"):
+            return inside, np.log1p(-u[inside] / self.param)
+
+    def _log_prefactor(self, n: int):
+        N = self.param
+        return gammaln(N + 1.0) - n * math.log(N) - gammaln(N - n + 1.0)
+
+    def log_fn(self, n: int, u, logs):
+        N = self.param
+        out = np.full_like(u, -np.inf)
+        if n <= N:
+            inside, log_rest = logs
+            out[inside] = self._log_prefactor(n) + (N - n) * log_rest
+        return out
+
+    def log_fn_float(self, n: int, u: float) -> float:
+        N = self.param
+        if n > N or not u < N:
+            return -math.inf
+        with np.errstate(divide="ignore"):
+            return float(self._log_prefactor(n) + (N - n) * np.log1p(-u / N))
+
+    def hn(self, n: int, u):
+        N = self.param  # H_n is 0 for n >= N, where F_{N+1} = 0
+        if n >= N:
+            return np.zeros_like(u)
+        return np.where(u < N, (N - n) / np.where(u < N, N - u, 1.0), 0.0)
+
+    def u_hn_into(self, n: int, u, logs, out):
+        return np.multiply(u, self.hn(n, u), out=out)
+
+    def log_fn_plus(self, n: int, u, logs, pw, out):
+        out[:] = self.log_fn(n, u, logs)
+        out += pw
+
+    def next_u(self, u, v, k: int):
+        N = self.param
+        if k >= N:
+            return np.full_like(u, np.inf)
+        return N * (1.0 - (1.0 - u / N) * v ** (1.0 / (N - k)))
+
+    def count_char(self, phase, mu):
+        N = self.param
+        return (1.0 + phase * mu / N) ** N
+
+    def sparse_constant(self, n: int) -> float:
+        raise ModeError("sparse-beam constants exist for the coherent and quasi-free "
+                        "families only")
+
+
+_FAMILIES = {cls.kind: cls for cls in (Fock, Coherent, QuasiFree)}
 
 
 def _check_domain(omega_int):
@@ -243,84 +491,27 @@ def _check_domain(omega_int):
 
 
 def log_family_Fn(family: StateFamily, n: int, omega_int):
-    """log F_n; -inf where F_n vanishes.  Stable for large n and N."""
+    """log F_n; -inf where F_n vanishes.  Stable for large n and N.  A Python
+    float skips the array round trip (about 6 us per call), same bits."""
     if n < 0:
         raise ValueError("order n must be >= 0")
     if isinstance(omega_int, float):
-        return _log_family_Fn_float(family, n, float(omega_int))
-    u = np.asarray(omega_int, dtype=float)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
-    out = log_family_Fn_from_logs(family, n, u, family_logs(family, u))
-    return float(out[0]) if scalar else out
-
-
-def family_logs(family: StateFamily, u: np.ndarray):
-    """The n-independent logs behind :func:`log_family_Fn` on a 1-D array.
-
-    ``log1p(u)`` for the quasi-free family, the mask ``u < N`` with
-    ``log1p(-u/N)`` on it for the fixed-number family, None for the coherent
-    family.  Computed once per grid, they serve every order n through
-    :func:`log_family_Fn_from_logs`.
-    """
-    u = _check_domain(u)
-    if family.kind == "coherent":
-        return None
-    if family.kind == "quasifree":
-        return np.log1p(u)
-    inside = u < family.param
-    with np.errstate(divide="ignore"):
-        return inside, np.log1p(-u[inside] / family.param)
-
-
-def log_family_Fn_from_logs(family: StateFamily, n: int, u: np.ndarray, logs):
-    """log F_n on the 1-D array ``u`` from its :func:`family_logs`."""
-    if family.kind == "coherent":
-        return -u
-    if family.kind == "quasifree":
-        return gammaln(n + 1.0) - (n + 1.0) * logs
-    N = family.param
-    out = np.full_like(u, -np.inf)
-    if n <= N:
-        inside, log_rest = logs
-        logpref = gammaln(N + 1.0) - n * math.log(N) - gammaln(N - n + 1.0)
-        out[inside] = logpref + (N - n) * log_rest
-    return out
-
-
-def arrival_mass_logs(family: StateFamily, u: np.ndarray):
-    """The n-independent logs of :func:`log_arrival_mass` on the 1-D array
-    ``u``: ``log u`` and the family's :func:`family_logs`."""
-    fam_logs = family_logs(family, u)
-    with np.errstate(divide="ignore"):
-        return np.log(u), fam_logs
+        u = float(omega_int)
+        if u < 0.0:
+            raise ValueError("integrated intensity must be >= 0")
+        return family.log_fn_float(n, u)
+    u = np.atleast_1d(np.asarray(omega_int, dtype=float))
+    out = family.log_fn(n, u, family.logs(u))
+    return float(out[0]) if np.ndim(omega_int) == 0 else out
 
 
 def log_arrival_mass(family: StateFamily, n: int, u: np.ndarray):
     """log w_n(u) = log of F_n(u) u^(n-1) / (n-1)! on a 1-D array, the mass
     density of the n-th arrival; -inf where it vanishes."""
-    log_u, fam_logs = arrival_mass_logs(family, u)
-    logf = log_family_Fn_from_logs(family, n, u, fam_logs)
-    pw = np.zeros_like(u) if n == 1 else (n - 1) * log_u
-    return logf + pw - gammaln(n)
-
-
-def _log_family_Fn_float(family: StateFamily, n: int, u: float) -> float:
-    """log F_n at one Python float without the array round trip, which
-    costs about 6 us per call; the expressions of :func:`log_family_Fn`,
-    same bits."""
-    if u < 0.0:
-        raise ValueError("integrated intensity must be >= 0")
-    if family.kind == "coherent":
-        return -u
-    if family.kind == "quasifree":
-        return float(gammaln(n + 1.0) - (n + 1.0) * np.log1p(u))
-    N = family.param
-    if n > N or not u < N:
-        return -math.inf
-    logpref = gammaln(N + 1.0) - n * math.log(N) - gammaln(N - n + 1.0)
+    logs = family.logs(u)
     with np.errstate(divide="ignore"):
-        return float(logpref + (N - n) * np.log1p(-u / N))
+        pw = np.zeros_like(u) if n == 1 else (n - 1) * np.log(u)
+    return family.log_fn(n, u, logs) + pw - gammaln(n)
 
 
 def family_Fn(family: StateFamily, n: int, omega_int):
@@ -329,28 +520,13 @@ def family_Fn(family: StateFamily, n: int, omega_int):
     return np.exp(logs) if isinstance(logs, np.ndarray) else math.exp(logs)
 
 
-def hn_values(family: StateFamily, n: int, u):
-    """H_n = F_{n+1}/F_n on the array ``u``, 0 where F_n vanishes (the
-    weight of the n-th arrival is 0 there) and for Fock n >= N (F_{N+1} = 0)."""
-    u = np.asarray(u, dtype=float)
-    if family.kind == "coherent":
-        return np.ones_like(u)
-    if family.kind == "quasifree":
-        return (n + 1.0) / (1.0 + u)
-    big_n = family.param
-    if n >= big_n:
-        return np.zeros_like(u)
-    return np.where(u < big_n, (big_n - n) / np.where(u < big_n, big_n - u, 1.0), 0.0)
-
-
 def family_Hn(family: StateFamily, n: int, omega_int):
     """Ratio H_n = F_{n+1}/F_n; requires F_n > 0 at the evaluation point."""
     u = _check_domain(omega_int)
-    if family.kind == "fock":
-        N = family.param
-        if n > N:
-            raise SingularFamilyError(f"F_{n} vanishes identically for fock N={N:g}")
-        if np.any(u >= N):
-            raise SingularFamilyError("F_n vanishes at the requested point (u >= N)")
-    out = hn_values(family, n, u)
+    N = family.domain_max  # F_n vanishes for n > N, and at u >= N for a finite N
+    if n > N:
+        raise SingularFamilyError(f"F_{n} vanishes identically for fock N={N:g}")
+    if np.any(u >= N) and N < math.inf:
+        raise SingularFamilyError("F_n vanishes at the requested point (u >= N)")
+    out = family.hn(n, u)
     return float(out) if out.ndim == 0 else out

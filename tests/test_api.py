@@ -33,13 +33,27 @@ def test_every_imported_name_is_exported():
 # wrappers and exports that no code in the library, the CLI or the benchmark
 # needed; where one had a caller, that caller calls the code behind it
 REMOVED = [(dk, "remainder_R_with_dp"), (dk, "beam_intensity_dp"), (scenario, "family_F"),
-           (Scenario, "at_p0"), (fisher, "_beam_tail_closed")]
+           (Scenario, "at_p0"), (fisher, "_beam_tail_closed"),
+           # the family dispatchers, whose formulas live on the family classes
+           (scenario, "family_logs"), (scenario, "log_family_Fn_from_logs"),
+           (scenario, "arrival_mass_logs"), (scenario, "_log_family_Fn_float"),
+           (scenario, "hn_values"), (process, "_next_u"), (fisher, "_sparse_constant"),
+           (fisher, "_beam_tails"), (fisher, "_coherent_tail"), (fisher, "_quasifree_tail")]
 
 
 @pytest.mark.parametrize("owner, name", REMOVED, ids=[name for _, name in REMOVED])
 def test_removed_names_stay_gone(owner, name):
     assert not hasattr(owner, name)
     assert not hasattr(qarrival, name) and name not in qarrival.__all__
+
+
+def test_readme_library_sketch_runs():
+    # the README's "Library sketch" block runs as written, so the documented
+    # surface cannot drift from the API
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "StateFamily.coherent" in sketch
+    exec(compile(sketch, "README.md", "exec"), {})
 
 
 def _chi(p):

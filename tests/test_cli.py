@@ -299,6 +299,37 @@ class TestErrors:
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert f"{key}=" in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("p0", "1e-300"), ("p0", "5e-324"), ("r0", "5e-324"), ("a", "5e-324"),
+        ("m", "1e154"), ("a", "1e154"), ("p0", "1e154"),
+        ("m", "1e300"), ("a", "1e300"), ("p0", "1e300")])
+    def test_beam_constants_out_of_range(self, tmp_path, capsys, key, value):
+        # the beam twin of test_drive_constants_out_of_range: p0 = 1e-300 and
+        # r0 = 5e-324 divided by a zero omega_inf, a = 5e-324 took the log of
+        # a zero mass, and the 1e154 and 1e300 values overflowed in
+        # (p0 + a m/2)^3, each with a traceback
+        cfg = tmp_path / "scale.cfg"
+        cfg.write_text(BEAM_CONFIG + f"{key}={value}\n")
+        rc = main(["fisher", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                   "--n-list", "1,2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert f"{key}=" in err
+
+    @pytest.mark.parametrize("extra", ["r0=1e300", "p0=1e-170\nr0=1e300"])
+    def test_dense_beam_overflow_exits_3(self, tmp_path, capsys, extra):
+        # both overflow in the beam tail, in its constants or in the coherent
+        # tail; each printed numpy's overflow warning before the exit, which
+        # the suite makes an error
+        cfg = tmp_path / "dense.cfg"
+        cfg.write_text(BEAM_CONFIG + extra + "\n")
+        rc = main(["fisher", "--config", str(cfg), "--out", str(tmp_path / "x.csv"),
+                   "--n-list", "1,2"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numerical tolerance failure:") and err.count("\n") == 1
+
     def test_beam_negative_momentum(self, tmp_path):
         cfg = tmp_path / "back.cfg"
         cfg.write_text(BEAM_CONFIG.replace("p0=1.0", "p0=-1.0"))

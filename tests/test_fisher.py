@@ -8,7 +8,7 @@ import pytest
 
 from scipy.special import gammaln
 
-from qarrival import fisher, intensity
+from qarrival import fisher, intensity, scenario
 from qarrival import process as pr
 from qarrival.deltakernel import DeltaParams
 from qarrival.errors import ConfigError, ModeError, ToleranceError
@@ -18,7 +18,7 @@ from qarrival.fisher import (FisherReport, density_sweep, fisher_info,
                              stationary_constant)
 from qarrival.intensity import build_profile
 from qarrival.quadrature import integrate_panels
-from qarrival.scenario import Scenario, StateFamily, hn_values, log_family_Fn
+from qarrival.scenario import Fock, Scenario, StateFamily, log_family_Fn
 
 DP = DeltaParams(0.1, 1.0)
 BEAM = Scenario(m=1.0, a=0.1, eps=0.0, p0=1.0, navg=math.inf)
@@ -45,7 +45,7 @@ class TestStationaryConstants:
         def fail(*args, **kwargs):
             raise AssertionError("ran the quadrature for a Fock family")
 
-        monkeypatch.setattr(fisher, "integrate_panels", fail)
+        monkeypatch.setattr(scenario, "integrate_panels", fail)
         with pytest.raises(ModeError, match="coherent and quasi-free"):
             stationary_constant(2, StateFamily.fock(12))
 
@@ -61,7 +61,7 @@ class TestStationaryConstants:
                 stationary_constant(n, StateFamily.fock(12))
 
     def test_quadrature_off_the_closed_form_raises(self, monkeypatch):
-        monkeypatch.setattr(fisher, "integrate_panels", lambda f, edges, order: np.float64(2.5))
+        monkeypatch.setattr(scenario, "integrate_panels", lambda f, edges, order: np.float64(2.5))
         with pytest.raises(ToleranceError, match="disagrees with the closed form") as info:
             stationary_constant(2, COH)
         assert info.value.estimate == 2.5
@@ -358,7 +358,7 @@ def _oracle_tail_S(n, family, u, tail_state):
     phi_inf = wd_inf / w_inf
     ratio = dom / u
     ratio_t = domt / u
-    hn = hn_values(family, n, u)
+    hn = family.hn(n, u)
     return ((n - 1.0 - u * hn) * ratio + phi_inf) ** 2 \
         + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
 
@@ -381,7 +381,7 @@ def _oracle_bulk(n, family, profile):
         upos = u > 0.0
         ratio = np.where(upos, profile.dOmega / np.where(upos, u, 1.0), 0.0)
         ratio_t = np.where(upos, profile.dOmega_tilde / np.where(upos, u, 1.0), 0.0)
-    hn = hn_values(family, n, u)
+    hn = family.hn(n, u)
     s_vals = ((n - 1.0 - u * hn) * ratio + phi) ** 2 \
         + (n - 1.0) * np.maximum(ratio_t - ratio * ratio, 0.0)
     with np.errstate(over="ignore"):
@@ -505,7 +505,7 @@ def _fail_on_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("worked before checking the family")
 
-    monkeypatch.setattr(fisher, "arrival_mass_logs", fail)
+    monkeypatch.setattr(Fock, "logs", fail)
     monkeypatch.setattr(intensity, "build_profile", fail)
 
 
@@ -582,7 +582,7 @@ class TestBatchedInformation:
         # beams match the oracle only to 1e-11, through its panel tails; with
         # the closed-form tails at 0 the detection part is the tabulated sum
         # alone, which must be np.trapezoid's to the bit
-        monkeypatch.setattr(fisher, "_beam_tails", lambda ns, fam, prof: dict.fromkeys(ns, 0.0))
+        monkeypatch.setattr(type(family), "beam_tail", lambda self, n, *consts: np.zeros_like(n))
         prof = beam_profiles[r0]
         for rep in fisher_info_many(range(1, 9), family, prof):
             bulk, _ = _oracle_bulk(rep.n, family, prof)
@@ -649,7 +649,7 @@ class TestBatchedInformation:
         def fail(*args):
             raise AssertionError("worked before validating n")
 
-        monkeypatch.setattr(fisher, "arrival_mass_logs", fail)
+        monkeypatch.setattr(type(COH), "logs", fail)
         for ns in ((2, 0), (-1,), (3, 1, 0, 2)):
             with pytest.raises(ValueError):
                 fisher_info_many(ns, COH, beam_profile)
@@ -723,9 +723,8 @@ def _tail_constants(profile):
 
 
 def _closed_form_tails(kind, ns, u_end, phi, c1, d):
-    """The closed-form tails :func:`fisher._beam_tails` takes for ``kind``."""
-    tail = fisher._coherent_tail if kind == "coherent" else fisher._quasifree_tail
-    return tail(np.asarray(ns, dtype=float), u_end, phi, c1, d)
+    """The closed-form tails of the family ``kind``."""
+    return StateFamily.named(kind, 1.0).beam_tail(np.asarray(ns, dtype=float), u_end, phi, c1, d)
 
 
 class TestClosedFormTails:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qarrival.errors import ConfigError, SingularFamilyError
 from qarrival.scenario import (Scenario, StateFamily, family_Fn, family_Hn, gamma_eps,
-                               hn_values, log_family_Fn)
+                               log_family_Fn)
 
 FAMILIES = [StateFamily.fock(12), StateFamily.coherent(3.0), StateFamily.quasifree(3.0)]
 
@@ -112,12 +112,12 @@ class TestRatio:
                                         StateFamily.fock(1), StateFamily.fock(7)],
                              ids=lambda f: f"{f.kind}{f.param:g}")
     def test_one_formula_bitwise(self, family):
-        # family_Hn checks its domain, then evaluates the shared hn_values;
+        # family_Hn checks its domain, then evaluates the family's hn;
         # Fock n = N (F_N constant, F_{N+1} = 0) included
         u = np.random.default_rng(11).uniform(0.0, min(family.domain_max, 40.0), 500)
         top = int(family.domain_max) if family.kind == "fock" else 9
         for n in range(top + 1):
-            ref = hn_values(family, n, u).view(np.uint64)
+            ref = family.hn(n, u).view(np.uint64)
             assert np.array_equal(family_Hn(family, n, u).view(np.uint64), ref)
             points = np.array([family_Hn(family, n, float(x)) for x in u[:25]])
             assert np.array_equal(points.view(np.uint64), ref[:25])
@@ -283,17 +283,23 @@ class TestBoundaries:
             Tagged.from_config(Scenario(**self.FINITE).to_config())
 
     @pytest.mark.parametrize("make, error, match", [
-        (lambda: StateFamily("thermal", 1.0), ConfigError, "unknown family kind"),
+        (lambda: StateFamily.named("thermal", 1.0), ConfigError, "unknown family kind"),
         (lambda: StateFamily.fock(2.5), ConfigError, "integer N >= 1"),
         (lambda: StateFamily.fock(0), ConfigError, "integer N >= 1"),
+        (lambda: StateFamily.fock(math.nan), ConfigError, "integer N >= 1"),
+        (lambda: StateFamily.fock(math.inf), ConfigError, "integer N >= 1"),
+        (lambda: StateFamily.named("fock", math.inf), ConfigError, "integer N >= 1"),
         (lambda: StateFamily.coherent(0.0), ConfigError, "must be positive"),
+        (lambda: StateFamily.coherent(math.nan), ConfigError, "must be positive"),
+        (lambda: StateFamily.quasifree(math.inf), ConfigError, "must be positive"),
         (lambda: StateFamily.quasifree(-1.0), ConfigError, "must be positive"),
         (lambda: family_Fn(StateFamily.coherent(1.0), 1, np.array([0.5, -0.1])),
          ValueError, "must be >= 0"),
         (lambda: family_Hn(StateFamily.quasifree(1.0), 1, -0.1), ValueError, "must be >= 0"),
         (lambda: log_family_Fn(StateFamily.coherent(1.0), -1, 0.5), ValueError,
          "order n must be >= 0"),
-    ], ids=["kind", "fock-fraction", "fock-zero", "coherent-mean", "quasifree-mean",
+    ], ids=["kind", "fock-fraction", "fock-zero", "fock-nan", "fock-inf", "fock-mean-inf",
+            "coherent-mean", "coherent-nan", "quasifree-inf", "quasifree-mean",
             "negative-mass", "negative-mass-ratio", "negative-order"])
     def test_family_rejects(self, make, error, match):
         with pytest.raises(error, match=match):
